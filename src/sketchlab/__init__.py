@@ -12,6 +12,7 @@ from .amg import (
     train_prolongation,
 )
 from .charpoly import (
+    CharpolyOverflowError,
     SingularMatrixError,
     charpoly_coefficients,
     charpoly_free_coeff,

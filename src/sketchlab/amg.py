@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .charpoly import charpoly_inverse, is_numerically_singular
+from .linalg import RANK_RTOL, svd
 from .train import TrainConfig, finite_difference_sgd
 
 _DIVERGENCE_NORM = 1e12
@@ -22,13 +22,19 @@ class DivergenceError(ArithmeticError):
     """Raised when iterates blow past the divergence guard."""
 
 
+def _has_zero_diagonal(a: np.ndarray) -> bool:
+    """Diagonal entry at or below ``RANK_RTOL * max|A|``."""
+    return bool(np.abs(np.diag(a)).min() <= RANK_RTOL * np.abs(a).max())
+
+
 @dataclass
 class AMGProblem:
     """Square system with a prolongation and smoothing counts.
 
     ``a`` is n-by-n with a numerically invertible lower-triangular part,
     ``p`` is the n-by-m prolongation (its nonzero positions are the frozen
-    training pattern), and ``x0`` the initial guess.
+    training pattern), and ``x0`` the initial guess.  ``coarse`` holds
+    ``P^T A P``, formed once; it must have full numerical rank m.
     """
 
     a: np.ndarray
@@ -37,6 +43,7 @@ class AMGProblem:
     s1: int
     s2: int
     x0: np.ndarray = field(default=None)
+    coarse: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.a = np.asarray(self.a, dtype=np.float64)
@@ -57,9 +64,10 @@ class AMGProblem:
         self.x0 = np.asarray(self.x0, dtype=np.float64).reshape(-1)
         if self.x0.size != n:
             raise ValueError(f"x0 has length {self.x0.size}, expected {n}")
-        if np.abs(np.diag(self.a)).min() < 1e-12:
+        if _has_zero_diagonal(self.a):
             raise ValueError("diagonal of A is numerically singular")
-        if is_numerically_singular(self.p.T @ self.a @ self.p):
+        self.coarse = self.p.T @ self.a @ self.p
+        if svd(self.coarse).singular_values.size < self.p.shape[1]:
             raise ValueError("coarse matrix P^T A P is numerically singular")
 
     def lower(self) -> np.ndarray:
@@ -81,25 +89,18 @@ class AMGProblem:
 def smoothing_sweep(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """One forward Gauss-Seidel sweep: ``x + L^{-1}(b - A x)`` with L the
     lower-triangular part of A.  The error contracts by ``I - L^{-1} A``."""
-    lower = np.tril(a)
-    if np.abs(np.diag(lower)).min() < 1e-12:
+    if _has_zero_diagonal(a):
         raise ValueError("zero diagonal entry; sweep undefined")
-    return x + solve_triangular(lower, b - a @ x, lower=True)
+    return x + solve_triangular(np.tril(a), b - a @ x, lower=True)
 
 
 def amg_step(prob: AMGProblem, x: np.ndarray) -> np.ndarray:
-    """One explicit cycle: s1 sweeps, coarse correction, s2 sweeps.
-
-    Raises
-    ------
-    SingularMatrixError
-        If the coarse matrix cannot be inverted.
-    """
+    """One explicit cycle: s1 sweeps, a coarse correction solved against
+    ``prob.coarse`` (full rank, checked by :class:`AMGProblem`), s2 sweeps."""
     for _ in range(prob.s1):
         x = smoothing_sweep(prob.a, prob.b, x)
-    coarse = prob.p.T @ prob.a @ prob.p
     residual = prob.b - prob.a @ x
-    x = x + prob.p @ (charpoly_inverse(coarse) @ (prob.p.T @ residual))
+    x = x + prob.p @ np.linalg.solve(prob.coarse, prob.p.T @ residual)
     for _ in range(prob.s2):
         x = smoothing_sweep(prob.a, prob.b, x)
     return x
@@ -112,11 +113,9 @@ def amg_step_error_form(prob: AMGProblem, x: np.ndarray,
         x' = x* + (I - L^{-1}A)^{s2} (I - P (P^T A P)^{-1} P^T A)
                   (I - L^{-1}A)^{s1} (x - x*).
     """
-    n = prob.a.shape[0]
-    eye = np.eye(n)
+    eye = np.eye(prob.a.shape[0])
     smoother = eye - solve_triangular(prob.lower(), prob.a, lower=True)
-    coarse = prob.p.T @ prob.a @ prob.p
-    corrector = eye - prob.p @ charpoly_inverse(coarse) @ prob.p.T @ prob.a
+    corrector = eye - prob.p @ np.linalg.solve(prob.coarse, prob.p.T @ prob.a)
     propagate = (
         np.linalg.matrix_power(smoother, prob.s2)
         @ corrector

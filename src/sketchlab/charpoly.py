@@ -2,11 +2,11 @@
 Faddeev-LeVerrier inversion, greedy row-basis extraction, and row-space
 projection.
 
-These are the numeric counterparts of the arithmetic-only subroutines used
-by the complexity tracer (:mod:`sketchlab.gjtrace`): rank decisions reduce
-to a sign test on the free coefficient of a characteristic polynomial, and
-inverses come from the Faddeev-LeVerrier recurrence rather than a
-factorization.
+These are the numeric reference for the arithmetic-only subroutines counted
+by the complexity tracer (:mod:`sketchlab.gjtrace`), and its demos are checked
+against them: rank decisions reduce to a sign test on the free coefficient of
+a characteristic polynomial, and inverses come from the Faddeev-LeVerrier
+recurrence rather than a factorization.  Numeric code uses :mod:`.linalg`.
 """
 
 import numpy as np
@@ -18,12 +18,21 @@ class SingularMatrixError(np.linalg.LinAlgError):
     """Raised when the free-coefficient test flags a matrix as singular."""
 
 
+class CharpolyOverflowError(OverflowError):
+    """Raised when a characteristic-polynomial coefficient overflows."""
+
+
 def charpoly_coefficients(m: np.ndarray) -> np.ndarray:
     """Coefficients ``c_0 .. c_k`` of ``det(lambda*I - M)``, with c_0 = 1.
 
     Uses the Faddeev-LeVerrier recurrence
 
         B_1 = I,   c_i = -tr(M @ B_i) / i,   B_{i+1} = M @ B_i + c_i * I.
+
+    Raises
+    ------
+    CharpolyOverflowError
+        If a coefficient, which scales as ``||M||^i``, is not finite.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -32,10 +41,14 @@ def charpoly_coefficients(m: np.ndarray) -> np.ndarray:
     coeffs = np.empty(k + 1)
     coeffs[0] = 1.0
     b = np.eye(k)
-    for i in range(1, k + 1):
-        mb = m @ b
-        coeffs[i] = -np.trace(mb) / i
-        b = mb + coeffs[i] * np.eye(k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, k + 1):
+            mb = m @ b
+            coeffs[i] = -np.trace(mb) / i
+            b = mb + coeffs[i] * np.eye(k)
+    if not np.isfinite(coeffs).all():
+        raise CharpolyOverflowError(
+            f"characteristic polynomial of a {k}x{k} matrix overflows")
     return coeffs
 
 
@@ -46,15 +59,22 @@ def charpoly_free_coeff(m: np.ndarray) -> float:
     return float(charpoly_coefficients(m)[-1])
 
 
-def _singularity_threshold(m: np.ndarray) -> float:
-    k = m.shape[0]
-    norm = float(np.linalg.norm(m))
-    return SINGULAR_ATOL * max(1.0, norm**k)
+def _normalized(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(M / ||M||_F, ||M||_F)``, or ``(M, 0)`` for a zero M.  The norm is
+    taken of ``M / max|M|``, so it neither overflows nor underflows."""
+    peak = float(np.abs(m).max())
+    if peak == 0.0:
+        return m, 0.0
+    norm = float(np.linalg.norm(m / peak))
+    return m / peak / norm, peak * norm
 
 
 def is_numerically_singular(m: np.ndarray) -> bool:
-    """Free-coefficient full-rank test with a scale-aware threshold."""
-    return abs(charpoly_free_coeff(m)) <= _singularity_threshold(m)
+    """Free-coefficient full-rank test on ``M / ||M||_F``: singular when
+    ``|c_k| <= SINGULAR_ATOL`` there, so the verdict does not depend on
+    the scale of M.  The zero matrix is singular."""
+    unit, norm = _normalized(m)
+    return norm == 0.0 or abs(charpoly_free_coeff(unit)) <= SINGULAR_ATOL
 
 
 def _fl_inverse_refined(m: np.ndarray) -> np.ndarray:
@@ -110,7 +130,8 @@ def _fl_inverse_refined(m: np.ndarray) -> np.ndarray:
 def charpoly_inverse(m: np.ndarray) -> np.ndarray:
     """Invert a square matrix through the Faddeev-LeVerrier recurrence.
 
-    Inputs failing the free-coefficient singularity test are rejected.
+    Inputs failing :func:`is_numerically_singular` are rejected; the
+    recurrence runs on ``M / ||M||_F``, so the scale of M does not matter.
     For accepted, sanely conditioned inputs the refined result keeps the
     residual ``||M X - I||_F`` within ``1e-7 k``; accuracy degrades
     gracefully as the condition number approaches the float64 limit.
@@ -118,18 +139,15 @@ def charpoly_inverse(m: np.ndarray) -> np.ndarray:
     Raises
     ------
     SingularMatrixError
-        If ``|c_k|`` falls below the singularity threshold.
+        If ``|c_k|`` of the normalized matrix is at most ``SINGULAR_ATOL``.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] == 1:
-        if abs(m[0, 0]) <= SINGULAR_ATOL * max(1.0, abs(m[0, 0])):
-            raise SingularMatrixError("1x1 matrix is numerically singular")
-        return np.array([[1.0 / m[0, 0]]])
     if is_numerically_singular(m):
         raise SingularMatrixError("free coefficient below singularity threshold")
-    return _fl_inverse_refined(m)
+    unit, norm = _normalized(m)
+    return _fl_inverse_refined(unit) / norm
 
 
 # Relative cutoff for the greedy rank test: a row is new when its distance
@@ -179,7 +197,6 @@ def projection_rowspace(z: np.ndarray) -> np.ndarray:
     d = z.shape[1]
     if y.shape[0] == 0:
         return np.zeros((d, d))
-    # The greedy pass already certified invertibility of the kept Gram;
-    # no second gate (its absolute threshold would misjudge small scales).
+    # The greedy pass already certified invertibility of the kept Gram.
     gram_inv = _fl_inverse_refined(y @ y.T)
     return y.T @ gram_inv @ y

@@ -14,7 +14,6 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -50,13 +49,6 @@ def named_stream(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed & (2**64 - 1), child]))
 
 
-def _parallel_map(fn, items, workers: int):
-    if workers <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _merge_defaults(cfg: dict, defaults: dict, errors: list) -> dict:
     out = dict(defaults)
     for key, value in cfg.items():
@@ -75,7 +67,7 @@ def _check_pos_int(cfg, keys, errors):
 
 # ---------------------------------------------------------------- commands
 
-def _cmd_gen_data(cfg, seed, workers):
+def _cmd_gen_data(cfg, seed):
     errors = []
     cfg = _merge_defaults(cfg, {
         "kind": "spiked", "count": 16, "n": 8, "d": 8, "k": 2,
@@ -119,7 +111,7 @@ def _load_dataset(cfg, errors):
     return [read_matrix(f) for f in files]
 
 
-def _cmd_train(cfg, seed, workers):
+def _cmd_train(cfg, seed):
     errors = []
     cfg = _merge_defaults(cfg, {
         "data_dir": None, "data_files": None, "m": None, "k": None, "s": 1,
@@ -160,7 +152,7 @@ def _cmd_train(cfg, seed, workers):
     return final <= initial + 1e-12, metrics, rows, cfg
 
 
-def _cmd_eval(cfg, seed, workers):
+def _cmd_eval(cfg, seed):
     errors = []
     cfg = _merge_defaults(cfg, {
         "data_dir": None, "data_files": None, "sketch": None, "k": None,
@@ -174,13 +166,12 @@ def _cmd_eval(cfg, seed, workers):
 
     sketch = load_sketch(cfg["sketch"])
     data = make_dataset(mats)
-    losses = _parallel_map(lambda a: sketch_loss(sketch, a, cfg["k"]),
-                           data, workers)
+    losses = [sketch_loss(sketch, a, cfg["k"]) for a in data]
     rows = [{"index": i, "loss": v} for i, v in enumerate(losses)]
     return True, {"mean_loss": float(np.mean(losses))}, rows, cfg
 
 
-def _cmd_proxy_check(cfg, seed, workers):
+def _cmd_proxy_check(cfg, seed):
     errors = []
     cfg = _merge_defaults(cfg, {
         "instances": 200, "epsilons": [0.1], "subset_cap": 5000,
@@ -200,16 +191,14 @@ def _cmd_proxy_check(cfg, seed, workers):
         for _ in range(cfg["instances"])
     ]
 
-    def one(args):
-        idx, (a, sketch, k) = args
+    rows = []
+    for idx, (a, sketch, k) in enumerate(instances):
         true_loss = sketch_loss(sketch, a, k)
         row = {"index": idx, "k": k, "true_loss": true_loss}
         for eps in cfg["epsilons"]:
             pc = ProxyConfig(eps, cfg["subset_cap"], cfg["q_constant"])
             row[f"delta_eps_{eps}"] = proxy_loss(sketch, a, k, pc) - true_loss
-        return row
-
-    rows = _parallel_map(one, list(enumerate(instances)), workers)
+        rows.append(row)
     ok = True
     metrics = {}
     for eps in cfg["epsilons"]:
@@ -220,7 +209,7 @@ def _cmd_proxy_check(cfg, seed, workers):
     return ok, metrics, rows, cfg
 
 
-def _cmd_shatter_verify(cfg, seed, workers):
+def _cmd_shatter_verify(cfg, seed):
     errors = []
     cfg = _merge_defaults(cfg, {
         "family": "rank1", "n": 6, "d": 4, "k": 2, "s": 1,
@@ -243,7 +232,7 @@ def _cmd_shatter_verify(cfg, seed, workers):
     return report["all_pass"], report, [report], cfg
 
 
-def _cmd_gj_trace(cfg, seed, workers):
+def _cmd_gj_trace(cfg, seed):
     errors = []
     cfg = _merge_defaults(cfg, {
         "demo": "power", "k": 3, "q": 3, "r": 5, "items": 6,
@@ -281,7 +270,7 @@ def _cmd_gj_trace(cfg, seed, workers):
     return True, metrics, [metrics], cfg
 
 
-def _cmd_amg_check(cfg, seed, workers):
+def _cmd_amg_check(cfg, seed):
     errors = []
     cfg = _merge_defaults(cfg, {
         "instances": 100, "n_max": 20, "m_max": 8, "s_max": 3, "noise": 0.1,
@@ -300,21 +289,18 @@ def _cmd_amg_check(cfg, seed, workers):
         problems.append((random_amg_problem(rng, n, m, s1, s2, cfg["noise"]),
                          rng.standard_normal(n)))
 
-    def one(args):
-        idx = args[0]
-        prob, x = args[1]
+    rows = []
+    for idx, (prob, x) in enumerate(problems):
         x_star = prob.solution()
         dev = float(np.linalg.norm(
             amg_step(prob, x) - amg_step_error_form(prob, x, x_star)))
         fixed = float(np.linalg.norm(amg_step(prob, x_star) - x_star))
-        return {
+        rows.append({
             "index": idx,
             "deviation": dev,
             "allowed": 1e-8 * (1.0 + float(np.linalg.norm(x))),
             "fixed_point_error": fixed,
-        }
-
-    rows = _parallel_map(one, list(enumerate(problems)), workers)
+        })
     ok = all(r["deviation"] <= r["allowed"] for r in rows) and \
         all(r["fixed_point_error"] <= 1e-10 for r in rows)
     metrics = {
@@ -335,11 +321,10 @@ _COMMANDS = {
 }
 
 
-def run_experiment(command: str, cfg: dict, seed: int = 0,
-                   workers: int = 1) -> dict:
+def run_experiment(command: str, cfg: dict, seed: int = 0) -> dict:
     """Run one subcommand and return its report document."""
     start = time.monotonic()
-    passed, metrics, rows, full_cfg = _COMMANDS[command](dict(cfg), seed, workers)
+    passed, metrics, rows, full_cfg = _COMMANDS[command](dict(cfg), seed)
     return {
         "command": command,
         "config": {k: v for k, v in sorted(full_cfg.items())},
@@ -377,8 +362,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, default=0, help="64-bit root seed")
         p.add_argument("--out", help="report JSON path (CSV written alongside)")
-        p.add_argument("--workers", type=int, default=1,
-                       help="worker pool size for independent instances")
     args = parser.parse_args(argv)
 
     try:
@@ -387,7 +370,7 @@ def main(argv=None) -> int:
             cfg = json.loads(Path(args.config).read_text())
             if not isinstance(cfg, dict):
                 raise ConfigError(["config root must be a JSON object"])
-        report = run_experiment(args.command, cfg, args.seed, args.workers)
+        report = run_experiment(args.command, cfg, args.seed)
     except ConfigError as exc:
         for msg in exc.errors:
             print(f"config error: {msg}", file=sys.stderr)

@@ -2,8 +2,8 @@
 
 All routines operate on 2-D float64 ``numpy`` arrays.  ``as_matrix`` is the
 validating entry point; everything downstream assumes its output format.
-Singular values at or below ``RANK_RTOL`` times the largest one are treated
-as zero, which fixes the numerical rank used across the package.
+Singular values at or below ``RANK_RTOL`` times the largest one, and all of
+those of a zero matrix, count as zero: the package's one numerical rank rule.
 """
 
 from typing import NamedTuple
@@ -57,19 +57,27 @@ def svd(a: np.ndarray) -> SvdResult:
     """Singular value decomposition trimmed to the numerical rank.
 
     Values sigma <= RANK_RTOL * sigma_max are treated as zero and their
-    singular vectors dropped; a zero matrix yields empty factors.
+    singular vectors dropped.  A matrix without a nonzero entry yields
+    empty factors before any factorization is attempted.
 
     Raises
     ------
     numpy.linalg.LinAlgError
         If the underlying iteration fails to converge.
     """
+    if not np.count_nonzero(a):
+        return SvdResult(np.zeros((a.shape[0], 0)), np.zeros(0),
+                         np.zeros((a.shape[1], 0)))
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    if s.size and s[0] > 0.0:
-        r = int(np.sum(s > RANK_RTOL * s[0]))
-    else:
-        r = 0
+    r = np.count_nonzero(s > RANK_RTOL * s[0])
     return SvdResult(u[:, :r], s[:r], vh[:r].T)
+
+
+def rowspace_projector(z: np.ndarray) -> np.ndarray:
+    """Orthogonal projector ``V V^T`` onto the row space of ``z``, with
+    ``V`` from the rank-trimmed :func:`svd` (zero for a zero ``z``)."""
+    v = svd(z).V
+    return v @ v.T
 
 
 def best_rank_k(a: np.ndarray, k: int) -> np.ndarray:
@@ -81,16 +89,12 @@ def best_rank_k(a: np.ndarray, k: int) -> np.ndarray:
         raise ValueError(f"k must be >= 1, got {k}")
     u, s, v = svd(a)
     r = min(k, s.size)
-    if r == 0:
-        return np.zeros_like(a)
     return (u[:, :r] * s[:r]) @ v[:, :r].T
 
 
 def pinv(a: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudo-inverse via the rank-trimmed SVD."""
     u, s, v = svd(a)
-    if s.size == 0:
-        return np.zeros((a.shape[1], a.shape[0]))
     return (v / s) @ u.T
 
 

@@ -1,11 +1,11 @@
 """Deterministic proxy for the sketch-and-solve loss.
 
 The true loss truncates ``B = A P_rowspace(SA)`` to rank k through an SVD.
-The proxy replaces the SVD with arithmetic-only machinery: deterministic
+The proxy replaces the SVD with arithmetic-only machinery (deterministic
 standard-basis starting blocks, block power refinement, and a best-of
-selection over candidates.  With enough refinement steps the proxy
-over-estimates the true loss by at most ``epsilon`` and never
-under-estimates it.
+selection over candidates); its projectors come from :mod:`.linalg`.  With
+enough refinement steps the proxy over-estimates the true loss by at most
+``epsilon`` and never under-estimates it.
 """
 
 import math
@@ -14,8 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .charpoly import projection_rowspace
-from .linalg import fro_sq
+from .linalg import fro_sq, rowspace_projector
 from .sketching import _dense
 
 DEFAULT_Q_CONSTANT = 4.0
@@ -143,14 +142,14 @@ def proxy_loss(sketch, a: np.ndarray, k: int, cfg: ProxyConfig) -> float:
     it) when the candidate enumeration is exhaustive.
     """
     sa = _dense(sketch) @ a
-    b = a @ projection_rowspace(sa)
+    b = a @ rowspace_projector(sa)
     q = q_iterations(cfg.epsilon, a.shape[1], cfg.q_constant)
 
     best_loss = math.inf
     best_proj = None
     for p in candidate_bases(b, k, cfg):
         z = power_refine(b, p, q)
-        proj = projection_rowspace(z.T)
+        proj = rowspace_projector(z.T)
         loss = fro_sq(b - proj @ b)
         if loss < best_loss:
             best_loss = loss

@@ -217,14 +217,13 @@ def verify_shattering(family: ShatterFamily, loss_fn=None,
     hit_loss_max = -np.inf
     checked = 0
     for mask in masks:
-        inside = [i for i in range(n_members) if mask >> i & 1]
         complement = [i for i in range(n_members) if not mask >> i & 1]
         sk = subset_sketch(family, complement)
         checked += 1
         for i in range(n_members):
             loss = loss_fn(sk, family.matrices[i])
             r = family.thresholds[i]
-            if i in set(inside):
+            if mask >> i & 1:
                 margin = loss - (r + gamma)
                 miss_loss_min = min(miss_loss_min, loss)
             else:

@@ -5,18 +5,14 @@ sparsity pattern (``s`` nonzero slots per column) and freely settable slot
 values; the slot values are what gets trained.  ``sketch_lowrank``
 implements the classic sketch-and-solve rank-``k`` approximation: sketch
 the input down to ``S @ A``, take its SVD, and solve the small problem in
-the sketched row space.
+the sketched row space; its projection form shares that one SVD of ``SA``.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charpoly import projection_rowspace
 from .linalg import best_rank_k, fro_sq, svd
-
-# Entrywise magnitude at or below this counts as "the sketched matrix is zero".
-ZERO_SKETCH_ATOL = 1e-14
 
 
 @dataclass(eq=False)
@@ -97,13 +93,9 @@ def random_sparse_sketch(m: int, n: int, s: int, seed) -> SparseSketch:
     return SparseSketch(m, n, s, pattern, values)
 
 
-def sketch_lowrank(a: np.ndarray, k: int, sketch) -> np.ndarray:
-    """Sketch-and-solve rank-``k`` approximation of ``a``.
-
-    Steps: form ``SA``; if it vanishes return the zero matrix; otherwise
-    take the SVD ``U S V^T`` of ``SA``, form ``A V``, and return
-    ``[A V]_k V^T``.  The output always has rank at most ``k``.
-    """
+def _sketched_rowspace(a: np.ndarray, k: int, sketch) -> np.ndarray:
+    """Validate the inputs and return an orthonormal basis ``V`` (d-by-r)
+    of the row space of ``SA`` at its numerical rank r."""
     s_mat = _dense(sketch)
     if s_mat.shape[1] != a.shape[0]:
         raise ValueError(
@@ -112,23 +104,27 @@ def sketch_lowrank(a: np.ndarray, k: int, sketch) -> np.ndarray:
         )
     if not (1 <= k <= min(a.shape)):
         raise ValueError(f"need 1 <= k <= min(A.shape), got k={k}")
-    sa = s_mat @ a
-    if np.abs(sa).max() <= ZERO_SKETCH_ATOL:
+    return svd(s_mat @ a).V
+
+
+def sketch_lowrank(a: np.ndarray, k: int, sketch) -> np.ndarray:
+    """Sketch-and-solve rank-``k`` approximation of ``a``.
+
+    Steps: form ``SA``; if it vanishes return the zero matrix; otherwise
+    take the SVD ``U S V^T`` of ``SA``, form ``A V``, and return
+    ``[A V]_k V^T``.  The output always has rank at most ``k``.
+    """
+    v = _sketched_rowspace(a, k, sketch)
+    if v.shape[1] == 0:
         return np.zeros_like(a)
-    _, _, v = svd(sa)
-    av = a @ v
-    return best_rank_k(av, k) @ v.T
+    return best_rank_k(a @ v, k) @ v.T
 
 
 def sketch_lowrank_via_projection(a: np.ndarray, k: int, sketch) -> np.ndarray:
-    """Equivalent form of :func:`sketch_lowrank`: ``[A P]_k`` where ``P``
-    projects onto the row space of ``SA``."""
-    s_mat = _dense(sketch)
-    sa = s_mat @ a
-    if np.abs(sa).max() <= ZERO_SKETCH_ATOL:
-        return np.zeros_like(a)
-    proj = projection_rowspace(sa)
-    return best_rank_k(a @ proj, k)
+    """Equivalent form of :func:`sketch_lowrank`: ``[A P]_k`` where
+    ``P = V V^T`` projects onto the row space of ``SA``."""
+    v = _sketched_rowspace(a, k, sketch)
+    return best_rank_k(a @ (v @ v.T), k)
 
 
 def sketch_loss(sketch, a: np.ndarray, k: int) -> float:
@@ -152,8 +148,8 @@ def rank1_closed_form_loss(a: np.ndarray, w: np.ndarray) -> float:
     if w.size != a.shape[0]:
         raise ValueError(f"w has length {w.size}, expected {a.shape[0]}")
     t = a.T @ w
-    t_norm = float(np.linalg.norm(t))
-    if t_norm <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(w):
+    if not t.any():
         return fro_sq(a)
-    out = np.outer(a @ t, t) / (t_norm * t_norm)
+    t = t / np.abs(t).max()
+    out = np.outer(a @ t, t) / fro_sq(t)
     return fro_sq(a - out)

@@ -85,6 +85,22 @@ def test_formula_matches_explicit_step():
         assert dev <= 1e-8 * (1.0 + np.linalg.norm(x))
 
 
+@pytest.mark.parametrize("n, m", [(100, 20), (200, 25)])
+def test_large_coarse_systems_build_and_step(n, m):
+    rng = np.random.default_rng(11)
+    prob = random_amg_problem(rng, n, m, 2, 1)
+    x = rng.standard_normal(n)
+
+    def sweep(y):
+        return y + np.linalg.solve(np.tril(prob.a), prob.b - prob.a @ y)
+
+    ref = sweep(sweep(x))
+    coarse = prob.p.T @ prob.a @ prob.p
+    ref = ref + prob.p @ np.linalg.solve(coarse, prob.p.T @ (prob.b - prob.a @ ref))
+    ref = sweep(ref)
+    np.testing.assert_allclose(amg_step(prob, x), ref, rtol=1e-10, atol=1e-10)
+
+
 def test_loss_at_zero_cycles_and_at_solution():
     rng = np.random.default_rng(6)
     prob = random_amg_problem(rng, 8, 3, 1, 1)

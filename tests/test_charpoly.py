@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sketchlab.charpoly import (
+    CharpolyOverflowError,
     SingularMatrixError,
     charpoly_coefficients,
     charpoly_free_coeff,
@@ -70,6 +71,23 @@ def test_inverse_rejects_singular():
         charpoly_inverse(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SingularMatrixError):
         charpoly_inverse(np.array([[0.0]]))
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-100, 1e100, 1e200])
+def test_singularity_test_and_inverse_are_scale_free(scale):
+    m = np.random.default_rng(10).standard_normal((4, 4))
+    assert not is_numerically_singular(scale * m)
+    assert is_numerically_singular(scale * np.array([[1.0, 2.0], [2.0, 4.0]]))
+    x = charpoly_inverse(scale * m)
+    assert np.linalg.norm((scale * m) @ x - np.eye(4)) <= 1e-7 * 4
+    np.testing.assert_allclose(scale * x, charpoly_inverse(m), rtol=1e-8)
+
+
+def test_charpoly_overflow_is_a_named_error():
+    m = np.random.default_rng(10).standard_normal((4, 4))
+    with pytest.raises(CharpolyOverflowError):
+        charpoly_coefficients(1e100 * m)
+    assert np.isfinite(charpoly_coefficients(1e-100 * m)).all()
 
 
 def test_greedy_basis_duplicate_rows():

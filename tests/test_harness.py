@@ -144,10 +144,3 @@ def test_train_rejects_oversized_holdout(tmp_path):
                  "holdout": 4}
     with pytest.raises(ConfigError, match="holdout"):
         run_experiment("train", train_cfg, seed=2)
-
-
-def test_worker_pool_matches_serial():
-    cfg = {"instances": 8, "epsilons": [0.2]}
-    serial = run_experiment("proxy-check", cfg, seed=3, workers=1)
-    parallel = run_experiment("proxy-check", cfg, seed=3, workers=4)
-    assert serial["rows"] == parallel["rows"]
