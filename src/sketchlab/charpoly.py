@@ -72,7 +72,14 @@ def _normalized(m: np.ndarray) -> tuple[np.ndarray, float]:
 def is_numerically_singular(m: np.ndarray) -> bool:
     """Free-coefficient full-rank test on ``M / ||M||_F``: singular when
     ``|c_k| <= SINGULAR_ATOL`` there, so the verdict does not depend on
-    the scale of M.  The zero matrix is singular."""
+    the scale of M.  The zero matrix is singular.
+
+    Supported for k <= 16 only.  ``|det(M / ||M||_F)|`` shrinks like
+    ``k^(-k/2)`` even for the identity, so from k = 19 on every matrix,
+    ``np.eye(k)`` included, is flagged singular.  A size-aware threshold
+    does not fix this: scaled by the identity's determinant, it no longer
+    flags the rank-1 all-ones matrix (whose computed free coefficient is
+    rounding noise near 1e-19) at most sizes from k = 19 to 48."""
     unit, norm = _normalized(m)
     return norm == 0.0 or abs(charpoly_free_coeff(unit)) <= SINGULAR_ATOL
 

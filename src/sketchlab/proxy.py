@@ -20,8 +20,12 @@ from .sketching import _dense
 DEFAULT_Q_CONSTANT = 4.0
 
 # Successive-span change below this, three times in a row, counts as
-# converged; the span metric is k - ||Q_old^T Q_new||_F^2 which is ~1e-31
-# at an exact fixed point.
+# converged.  The span metric k - ||Q_old^T Q_new||_F^2 cannot resolve
+# 1e-26: its rounding floor is one ulp of k (2.2e-16 at k = 1), so an
+# exact span reads 0 or a few 1e-16 depending on rounding, and only the
+# reads at or below zero count.  Blocks with rank(SA) < k < n never
+# stall, and rank(SA) = k blocks stuck one ulp above zero run all q steps
+# (ROADMAP item 2 replaces this rule).
 _SPAN_STALL_TOL = 1e-26
 
 
@@ -81,26 +85,22 @@ def greedy_pivot_columns(v_rows: np.ndarray) -> np.ndarray:
     return p
 
 
-def candidate_bases(b: np.ndarray, k: int, cfg: ProxyConfig) -> list[np.ndarray]:
-    """Starting blocks for the power refinement.
+def candidate_bases(b: np.ndarray, k: int, cfg: ProxyConfig) -> np.ndarray:
+    """Starting blocks for the power refinement, as a ``(C, d, k)`` stack.
 
     When the number of k-subsets of the d standard-basis vectors fits under
-    ``cfg.subset_cap``, all of them are returned.  Otherwise a single block
-    is chosen greedily from the top-k right singular rows of ``b``; it
-    still keeps the refined loss within a factor 1 + d of optimal.
+    ``cfg.subset_cap``, all C(d, k) of them are returned.  Otherwise a
+    single block (C = 1) is chosen greedily from the top-k right singular
+    rows of ``b``; it still keeps the refined loss within a factor 1 + d of
+    optimal.
     """
     d = b.shape[1]
     if not (1 <= k < d):
         raise ValueError(f"need 1 <= k < d, got k={k}, d={d}")
     if math.comb(d, k) <= cfg.subset_cap:
-        out = []
-        for cols in combinations(range(d), k):
-            p = np.zeros((d, k))
-            p[list(cols), range(k)] = 1.0
-            out.append(p)
-        return out
+        return np.eye(d)[:, list(combinations(range(d), k))].transpose(1, 0, 2)
     _, _, vh = np.linalg.svd(b, full_matrices=False)
-    return [greedy_pivot_columns(vh[:k])]
+    return greedy_pivot_columns(vh[:k])[None]
 
 
 def power_refine(b: np.ndarray, p: np.ndarray, q: int) -> np.ndarray:
@@ -110,21 +110,62 @@ def power_refine(b: np.ndarray, p: np.ndarray, q: int) -> np.ndarray:
     ``q = 0`` this is literally ``B @ P``; for ``q >= 1`` the iteration is
     run with per-step orthonormalization (raw products lose every
     subdominant direction to roundoff once its amplified ratio drops below
-    machine precision) and stops early once the span stalls.
+    machine precision) and stops early once the span stalls: a change
+    ``k - ||Q_old^T Q_new||_F^2`` below ``_SPAN_STALL_TOL`` three steps in
+    a row.  That change cannot fall below one ulp of k except by rounding
+    to zero, so a block with rank(B) < k < n, or one stuck one ulp above
+    zero, runs all q steps (ROADMAP item 2).  An all-zero block comes
+    back as zeros without reaching the QR.
+
+    ``p`` may also be a ``(C, d, k)`` stack of starting blocks; the result
+    is then the stack of the blocks refined one by one.  Each step makes
+    one stacked QR over the blocks still live, each block keeps its own
+    stall count, and a block that stalls leaves the stack.  A single
+    block (C = 1) takes the per-block loop, which costs less per step.
     """
     if q < 0:
         raise ValueError(f"q must be >= 0, got {q}")
     z = b @ p
     if q == 0:
         return z
-    if np.abs(z).max() == 0.0:
-        return z
+    if z.ndim == 2:
+        return z if np.abs(z).max() == 0.0 else _refine_block(b, z, q)
+    if len(z) == 1:
+        return z if np.abs(z).max() == 0.0 else _refine_block(b, z[0], q)[None]
+
+    n, k = z.shape[1:]
+    k = min(n, k)  # the columns of a reduced QR
+    out = np.zeros((len(z), n, k))
+    live = np.flatnonzero(np.abs(z).max(axis=(1, 2)) != 0.0)
+    if live.size == 0:
+        return out
+    qmat, _ = np.linalg.qr(z[live])
+    stalled = np.zeros(live.size, dtype=np.int64)
+    for _ in range(q):
+        qnew, _ = np.linalg.qr(b @ (b.T @ qmat))
+        overlap = (qmat.swapaxes(-1, -2) @ qnew).reshape(live.size, 1, k * k)
+        # one dot product per block, the sum fro_sq takes in _refine_block,
+        # so every block stops at the same step as it does there
+        change = k - (overlap @ overlap.swapaxes(-1, -2))[:, 0, 0]
+        qmat = qnew
+        stalled = np.where(change < _SPAN_STALL_TOL, stalled + 1, 0)
+        done = stalled >= 3
+        if done.any():
+            out[live[done]] = qmat[done]
+            live, qmat, stalled = live[~done], qmat[~done], stalled[~done]
+            if live.size == 0:
+                break
+    out[live] = qmat
+    return out
+
+
+def _refine_block(b: np.ndarray, z: np.ndarray, q: int) -> np.ndarray:
+    """:func:`power_refine` on one nonzero block ``z = B @ P``."""
     qmat, _ = np.linalg.qr(z)
     stalled = 0
     for _ in range(q):
         qnew, _ = np.linalg.qr(b @ (b.T @ qmat))
-        overlap = qmat.T @ qnew
-        change = qmat.shape[1] - fro_sq(overlap)
+        change = qmat.shape[1] - fro_sq(qmat.T @ qnew)
         qmat = qnew
         stalled = stalled + 1 if change < _SPAN_STALL_TOL else 0
         if stalled >= 3:
@@ -147,8 +188,7 @@ def proxy_loss(sketch, a: np.ndarray, k: int, cfg: ProxyConfig) -> float:
 
     best_loss = math.inf
     best_proj = None
-    for p in candidate_bases(b, k, cfg):
-        z = power_refine(b, p, q)
+    for z in power_refine(b, candidate_bases(b, k, cfg), q):
         proj = rowspace_projector(z.T)
         loss = fro_sq(b - proj @ b)
         if loss < best_loss:

@@ -73,6 +73,19 @@ def test_inverse_rejects_singular():
         charpoly_inverse(np.array([[0.0]]))
 
 
+def test_singularity_test_accepts_well_conditioned_up_to_size_16():
+    # the supported range: |det(M / ||M||_F)| shrinks like k^(-k/2), so
+    # from k = 19 on even the identity is flagged
+    rng = np.random.default_rng(11)
+    for k in range(2, 17):
+        assert not is_numerically_singular(np.eye(k))
+        m = rng.uniform(-1.0, 1.0, (k, k))
+        np.fill_diagonal(m, 0.0)
+        signs = np.where(rng.random(k) < 0.5, -1.0, 1.0)
+        m += np.diag(signs * (np.abs(m).sum(axis=1) + 1.0))  # dominant
+        assert not is_numerically_singular(m)
+
+
 @pytest.mark.parametrize("scale", [1e-200, 1e-100, 1e100, 1e200])
 def test_singularity_test_and_inverse_are_scale_free(scale):
     m = np.random.default_rng(10).standard_normal((4, 4))

@@ -1,10 +1,11 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from sketchlab.charpoly import projection_rowspace
-from sketchlab.linalg import best_rank_k, fro_sq, svd
+from sketchlab.linalg import best_rank_k, fro_sq, rowspace_projector, svd
 from sketchlab.proxy import (
     ProxyConfig,
     candidate_bases,
@@ -82,9 +83,11 @@ def test_candidate_bases_enumeration_and_fallback():
     rng = np.random.default_rng(1)
     cfg = ProxyConfig(0.5, subset_cap=1000)
     cands = candidate_bases(rng.standard_normal((4, 3)), 2, cfg)
-    assert len(cands) == 3
+    assert cands.shape == (3, 3, 2)
+    for p, cols in zip(cands, [(0, 1), (0, 2), (1, 2)]):
+        np.testing.assert_array_equal(p, np.eye(3)[:, cols])
     big = rng.standard_normal((6, 30))
-    assert len(candidate_bases(big, 5, cfg)) == 1
+    assert candidate_bases(big, 5, cfg).shape == (1, 30, 5)
 
 
 def test_candidate_greedy_fallback_residual_bound():
@@ -132,6 +135,114 @@ def test_power_refine_converges_to_top_subspace():
         cosines = np.linalg.svd(u.T @ qz, compute_uv=False)
         angles = np.sqrt(np.clip(1.0 - cosines**2, 0.0, None))
         assert angles.max() <= 1e-4
+
+
+def _candidate_stack(d, k):
+    return np.stack([np.eye(d)[:, list(c)] for c in combinations(range(d), k)])
+
+
+def _count_qr_blocks(monkeypatch):
+    """Record the number of blocks in every np.linalg.qr call."""
+    sizes = []
+    qr = np.linalg.qr
+
+    def counting_qr(a, *args, **kwargs):
+        sizes.append(a.shape[0] if a.ndim == 3 else 1)
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    return sizes
+
+
+def _assert_stack_matches_blocks(b, stack, q):
+    out = power_refine(b, stack, q)
+    assert out.shape == (len(stack), b.shape[0], min(b.shape[0], stack.shape[2]))
+    for z, p in zip(out, stack):
+        one = power_refine(b, p, q)
+        if not np.any(b @ p):
+            assert not np.any(z) and not np.any(one)
+            continue
+        np.testing.assert_allclose(rowspace_projector(z.T),
+                                   rowspace_projector(one.T), atol=1e-12)
+
+
+def test_power_refine_stack_matches_block_by_block():
+    rng = np.random.default_rng(9)
+    for _ in range(40):
+        n = int(rng.integers(2, 8))
+        d = int(rng.integers(3, 7))
+        k = int(rng.integers(1, d))
+        rank = int(rng.integers(0, min(n, d) + 1))  # 0 gives b = 0
+        b = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, d))
+        if rng.random() < 0.3:
+            b[:, rng.choice(d, size=d - k, replace=False)] = 0.0
+        for q in (1, 4, 60):
+            _assert_stack_matches_blocks(b, _candidate_stack(d, k), q)
+
+
+def test_power_refine_stack_mixes_stalled_running_and_zero_blocks(monkeypatch):
+    # b is block diagonal: diag(3, 2) on columns 0 and 1, a generic 3x3
+    # block below 2 in norm on columns 2 to 4, and zero columns 5 and 6.
+    # Columns 0 and 1 span the top-2 left singular subspace exactly, so
+    # that block stalls after three steps (so do blocks pairing column 0 or
+    # 1 with a zero column); blocks of the 3x3 part keep moving for the
+    # q = 6 steps; the block of columns 5 and 6 is zero.
+    b = np.zeros((5, 7))
+    b[0, 0], b[1, 1] = 3.0, 2.0
+    b[2:, 2:5] = [[1.0, 0.3, 0.2], [0.2, 0.9, 0.1], [0.3, 0.1, 0.5]]
+    stack = _candidate_stack(7, 2)
+    q = 6
+
+    sizes = _count_qr_blocks(monkeypatch)
+    steps = []
+    for p in stack:
+        sizes.clear()
+        power_refine(b, p, q)
+        steps.append(len(sizes) - 1)   # QR calls after the first
+    assert steps[0] == 3 and steps[-1] == -1 and q in steps
+
+    sizes.clear()
+    out = power_refine(b, stack, q)
+    # the stack holds, at each step, exactly the blocks still refining
+    assert sizes == [sum(s >= t for s in steps) for t in range(max(steps) + 1)]
+    assert np.array_equal(out[-1], np.zeros((5, 2)))
+    monkeypatch.undo()
+    _assert_stack_matches_blocks(b, stack, q)
+
+
+def test_power_refine_stack_of_zero_blocks_and_q0(monkeypatch):
+    rng = np.random.default_rng(10)
+    b = rng.standard_normal((5, 4))
+    stack = _candidate_stack(4, 2)
+    sizes = _count_qr_blocks(monkeypatch)
+    np.testing.assert_array_equal(power_refine(b, stack, 0), b @ stack)
+    out = power_refine(np.zeros((5, 4)), stack, 7)
+    assert sizes == []
+    assert out.shape == (6, 5, 2) and not np.any(out)
+
+
+def test_proxy_loss_matches_per_candidate_loop():
+    rng = np.random.default_rng(11)
+    for i in range(32):
+        a, sk, k = random_instance(rng)
+        s = sk.dense()
+        if i % 4 == 1:
+            s[1:] = 0.0            # rank(S A) <= 1, often below k
+        elif i % 4 == 2:
+            s[:] = 0.0             # B = 0
+        for eps in (0.2, 0.05):
+            cfg = ProxyConfig(eps, subset_cap=5000)
+            b = a @ rowspace_projector(s @ a)
+            q = q_iterations(eps, a.shape[1], cfg.q_constant)
+            best_loss, best_proj = math.inf, None
+            for cols in combinations(range(a.shape[1]), k):
+                z = power_refine(b, np.eye(a.shape[1])[:, list(cols)], q)
+                proj = rowspace_projector(z.T)
+                loss = fro_sq(b - proj @ b)
+                if loss < best_loss:
+                    best_loss, best_proj = loss, proj
+            ref = fro_sq(a - best_proj @ b)
+            assert abs(proxy_loss(s, a, k, cfg) - ref) <= 1e-14 * fro_sq(a)
 
 
 def test_proxy_zero_sketched_matrix():
