@@ -19,14 +19,19 @@ from .sketching import _dense
 
 DEFAULT_Q_CONSTANT = 4.0
 
-# Successive-span change below this, three times in a row, counts as
-# converged.  The span metric k - ||Q_old^T Q_new||_F^2 cannot resolve
-# 1e-26: its rounding floor is one ulp of k (2.2e-16 at k = 1), so an
-# exact span reads 0 or a few 1e-16 depending on rounding, and only the
-# reads at or below zero count.  Blocks with rank(SA) < k < n never
-# stall, and rank(SA) = k blocks stuck one ulp above zero run all q steps
-# (ROADMAP item 2 replaces this rule).
-_SPAN_STALL_TOL = 1e-26
+# A refinement step counts as stalled when the captured energy
+# ||B^T Q||_F^2 ends at most this share of ||B||_F^2 (a few ulps of that
+# sum) above the highest energy the block reached before; three stalled
+# steps in a row stop the block.  The energy never falls in exact
+# arithmetic; measuring from the highest value keeps rounding dips from
+# counting as progress (a converged rank-1 block can cycle through three
+# rounding states whose energy rises 6.5 eps ||B||_F^2 once per cycle, and
+# would never stall against the previous step alone).  Any stop keeps the
+# lower side of the bracket (a rank-k projector inside col(B) never beats
+# the truncated SVD); a stalled block's energy deficit is at most
+# floor / (1 - rho), rho = (sigma_{k+1} / sigma_k)^2, and at most the gap
+# sigma_k^2 - sigma_{k+1}^2 as rho -> 1.  q stays the cap.
+_ENERGY_STALL_RTOL = 4 * np.finfo(float).eps
 
 
 @dataclass
@@ -104,73 +109,59 @@ def candidate_bases(b: np.ndarray, k: int, cfg: ProxyConfig) -> np.ndarray:
 
 
 def power_refine(b: np.ndarray, p: np.ndarray, q: int) -> np.ndarray:
-    """Refine the block ``B @ P`` by ``q`` steps of ``Z <- (B B^T) Z``.
+    """Refine the block ``B @ P`` by up to ``q`` steps of ``Z <- (B B^T) Z``.
 
-    Returns a matrix with the column space of ``(B B^T)^q B P``.  For
-    ``q = 0`` this is literally ``B @ P``; for ``q >= 1`` the iteration is
-    run with per-step orthonormalization (raw products lose every
+    Returns a matrix with the column space of ``(B B^T)^t B P``, t <= q.
+    For ``q = 0`` this is literally ``B @ P``; for ``q >= 1`` the iteration
+    is run with per-step orthonormalization (raw products lose every
     subdominant direction to roundoff once its amplified ratio drops below
-    machine precision) and stops early once the span stalls: a change
-    ``k - ||Q_old^T Q_new||_F^2`` below ``_SPAN_STALL_TOL`` three steps in
-    a row.  That change cannot fall below one ulp of k except by rounding
-    to zero, so a block with rank(B) < k < n, or one stuck one ulp above
-    zero, runs all q steps (ROADMAP item 2).  An all-zero block comes
-    back as zeros without reaching the QR.
+    machine precision) and stops early once the captured energy
+    ``||B^T Q||_F^2`` stalls: three steps in a row that end at most
+    ``_ENERGY_STALL_RTOL * ||B||_F^2`` above the highest energy the block
+    reached before.  The energy comes from the ``B^T Q`` product the next
+    step needs anyway, and the stall is tested before that step's QR.  An
+    all-zero block comes back as zeros without reaching the QR.
 
     ``p`` may also be a ``(C, d, k)`` stack of starting blocks; the result
     is then the stack of the blocks refined one by one.  Each step makes
     one stacked QR over the blocks still live, each block keeps its own
-    stall count, and a block that stalls leaves the stack.  A single
-    block (C = 1) takes the per-block loop, which costs less per step.
+    stall count, and a block that stalls leaves the stack.  A single block
+    is refined as a stack of one.
     """
     if q < 0:
         raise ValueError(f"q must be >= 0, got {q}")
-    z = b @ p
     if q == 0:
-        return z
-    if z.ndim == 2:
-        return z if np.abs(z).max() == 0.0 else _refine_block(b, z, q)
-    if len(z) == 1:
-        return z if np.abs(z).max() == 0.0 else _refine_block(b, z[0], q)[None]
+        return b @ p
+    if p.ndim == 2:
+        return power_refine(b, p[None], q)[0]
 
+    z = b @ p
     n, k = z.shape[1:]
-    k = min(n, k)  # the columns of a reduced QR
-    out = np.zeros((len(z), n, k))
+    out = np.zeros((len(z), n, min(n, k)))  # the columns of a reduced QR
     live = np.flatnonzero(np.abs(z).max(axis=(1, 2)) != 0.0)
     if live.size == 0:
         return out
+    floor = _ENERGY_STALL_RTOL * fro_sq(b)
     qmat, _ = np.linalg.qr(z[live])
+    energy = np.full(live.size, -np.inf)
     stalled = np.zeros(live.size, dtype=np.int64)
     for _ in range(q):
-        qnew, _ = np.linalg.qr(b @ (b.T @ qmat))
-        overlap = (qmat.swapaxes(-1, -2) @ qnew).reshape(live.size, 1, k * k)
-        # one dot product per block, the sum fro_sq takes in _refine_block,
-        # so every block stops at the same step as it does there
-        change = k - (overlap @ overlap.swapaxes(-1, -2))[:, 0, 0]
-        qmat = qnew
-        stalled = np.where(change < _SPAN_STALL_TOL, stalled + 1, 0)
+        btq = b.T @ qmat
+        flat = btq.reshape(live.size, 1, -1)
+        e = (flat @ flat.swapaxes(-1, -2))[:, 0, 0]  # ||B^T Q||_F^2 per block
+        stalled = np.where(e - energy <= floor, stalled + 1, 0)
+        energy = np.maximum(energy, e)
         done = stalled >= 3
         if done.any():
             out[live[done]] = qmat[done]
-            live, qmat, stalled = live[~done], qmat[~done], stalled[~done]
+            keep = ~done
+            live, qmat, btq = live[keep], qmat[keep], btq[keep]
+            energy, stalled = energy[keep], stalled[keep]
             if live.size == 0:
-                break
+                return out
+        qmat, _ = np.linalg.qr(b @ btq)
     out[live] = qmat
     return out
-
-
-def _refine_block(b: np.ndarray, z: np.ndarray, q: int) -> np.ndarray:
-    """:func:`power_refine` on one nonzero block ``z = B @ P``."""
-    qmat, _ = np.linalg.qr(z)
-    stalled = 0
-    for _ in range(q):
-        qnew, _ = np.linalg.qr(b @ (b.T @ qmat))
-        change = qmat.shape[1] - fro_sq(qmat.T @ qnew)
-        qmat = qnew
-        stalled = stalled + 1 if change < _SPAN_STALL_TOL else 0
-        if stalled >= 3:
-            break
-    return qmat
 
 
 def proxy_loss(sketch, a: np.ndarray, k: int, cfg: ProxyConfig) -> float:

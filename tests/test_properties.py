@@ -84,3 +84,18 @@ def test_proxy_bracket_holds_at_every_scale(inst, scale):
     cfg = ProxyConfig(0.1)
     delta = (proxy_loss(s, a, k, cfg) - sketch_loss(s, a, k)) / fro_sq(a)
     assert -1e-9 <= delta <= cfg.epsilon + 1e-9
+
+
+@settings(PROPERTY, max_examples=60)
+@given(instances(), scales)
+def test_proxy_at_eps_001_is_bracketed_and_scale_free(inst, scale):
+    # the energy stall floor is relative to ||B||_F^2, so refinement stops
+    # at the same step, and the relative proxy agrees, at every scale
+    a, s, k = inst
+    cfg = ProxyConfig(0.01)
+    unit = proxy_loss(s, a, k, cfg) / fro_sq(a)
+    a = scale * a
+    relative = proxy_loss(s, a, k, cfg) / fro_sq(a)
+    assert abs(relative - unit) <= 1e-8
+    delta = relative - sketch_loss(s, a, k) / fro_sq(a)
+    assert -1e-9 <= delta <= cfg.epsilon + 1e-9

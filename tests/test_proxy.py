@@ -221,6 +221,25 @@ def test_power_refine_stack_of_zero_blocks_and_q0(monkeypatch):
     assert out.shape == (6, 5, 2) and not np.any(out)
 
 
+def test_power_refine_stops_on_exact_and_rank_deficient_blocks(monkeypatch):
+    # Once a block captures all of B's energy, the energy stall stops it
+    # within a few steps, both when rank(B) < k < n (no rank-k span to
+    # converge to) and when rank(B) = k; q at eps = 0.01 and d = 6 is 2,559.
+    rng = np.random.default_rng(12)
+    q = q_iterations(0.01, 6)
+    sizes = _count_qr_blocks(monkeypatch)
+    for rank, k in [(2, 3)] * 25 + [(1, 1)] * 25:
+        a = rng.standard_normal((6, 6))
+        s = rng.standard_normal((rank, 6))
+        b = a @ rowspace_projector(s @ a)
+        sizes.clear()
+        out = power_refine(b, _candidate_stack(6, k), q)
+        assert len(sizes) <= 8
+        for z in out:
+            proj = rowspace_projector(z.T)
+            assert fro_sq(b - proj @ b) <= 1e-12 * fro_sq(b)
+
+
 def test_proxy_loss_matches_per_candidate_loop():
     rng = np.random.default_rng(11)
     for i in range(32):
