@@ -12,6 +12,8 @@ recurrence rather than a factorization.  Numeric code uses :mod:`.linalg`.
 import numpy as np
 
 SINGULAR_ATOL = 1e-12
+# Largest k the free-coefficient singularity test gives verdicts for.
+SINGULAR_MAX_K = 16
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -74,12 +76,20 @@ def is_numerically_singular(m: np.ndarray) -> bool:
     ``|c_k| <= SINGULAR_ATOL`` there, so the verdict does not depend on
     the scale of M.  The zero matrix is singular.
 
-    Supported for k <= 16 only.  ``|det(M / ||M||_F)|`` shrinks like
-    ``k^(-k/2)`` even for the identity, so from k = 19 on every matrix,
-    ``np.eye(k)`` included, is flagged singular.  A size-aware threshold
-    does not fix this: scaled by the identity's determinant, it no longer
-    flags the rank-1 all-ones matrix (whose computed free coefficient is
-    rounding noise near 1e-19) at most sizes from k = 19 to 48."""
+    Supported for k <= ``SINGULAR_MAX_K`` = 16 only; a larger M raises
+    ``ValueError``.  ``|det(M / ||M||_F)|`` shrinks like ``k^(-k/2)`` even
+    for the identity, so from k = 19 on every matrix, ``np.eye(k)``
+    included, would be flagged singular.  A size-aware threshold does not
+    fix this: scaled by the identity's determinant, it no longer flags the
+    rank-1 all-ones matrix (whose computed free coefficient is rounding
+    noise near 1e-19) at most sizes from k = 19 to 48."""
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.shape[0] > SINGULAR_MAX_K:
+        raise ValueError(
+            f"the free-coefficient singularity test supports k <= "
+            f"{SINGULAR_MAX_K}, got a {m.shape[0]}x{m.shape[0]} matrix")
     unit, norm = _normalized(m)
     return norm == 0.0 or abs(charpoly_free_coeff(unit)) <= SINGULAR_ATOL
 
@@ -147,10 +157,10 @@ def charpoly_inverse(m: np.ndarray) -> np.ndarray:
     ------
     SingularMatrixError
         If ``|c_k|`` of the normalized matrix is at most ``SINGULAR_ATOL``.
+    ValueError
+        If M is not square or is larger than ``SINGULAR_MAX_K``.
     """
     m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if is_numerically_singular(m):
         raise SingularMatrixError("free coefficient below singularity threshold")
     unit, norm = _normalized(m)

@@ -21,7 +21,8 @@ _MAX_DIM = 2**40
 
 
 class MatrixFormatError(ValueError):
-    """Raised for bad magic, truncated payloads, or dimension overflow."""
+    """Raised for bad magic, truncated payloads, dimension overflow, or a
+    malformed sketch document."""
 
 
 def write_matrix(path, a) -> None:
@@ -68,10 +69,28 @@ def save_sketch(path, sketch: SparseSketch) -> None:
 
 
 def load_sketch(path) -> SparseSketch:
-    """Load a sparse sketch saved by :func:`save_sketch`."""
-    doc = json.loads(Path(path).read_text())
-    return SparseSketch(
-        doc["m"], doc["n"], doc["s"],
-        np.array(doc["pattern"], dtype=np.int64),
-        np.array(doc["values"], dtype=np.float64),
-    )
+    """Load a sparse sketch saved by :func:`save_sketch`.
+
+    A file that is not JSON, a document that is not an object, a missing
+    field, or fields that do not form a valid sketch raise
+    :class:`MatrixFormatError` naming the path.
+    """
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise MatrixFormatError(f"{path}: not a JSON sketch ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise MatrixFormatError(
+            f"{path}: sketch must be a JSON object, got {type(doc).__name__}")
+    missing = [f for f in ("m", "n", "s", "pattern", "values") if f not in doc]
+    if missing:
+        raise MatrixFormatError(
+            f"{path}: sketch lacks field(s) {', '.join(missing)}")
+    try:
+        return SparseSketch(
+            doc["m"], doc["n"], doc["s"],
+            np.array(doc["pattern"], dtype=np.int64),
+            np.array(doc["values"], dtype=np.float64),
+        )
+    except (TypeError, ValueError) as exc:
+        raise MatrixFormatError(f"{path}: invalid sketch ({exc})") from exc

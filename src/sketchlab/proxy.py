@@ -2,10 +2,11 @@
 
 The true loss truncates ``B = A P_rowspace(SA)`` to rank k through an SVD.
 The proxy replaces the SVD with arithmetic-only machinery (deterministic
-standard-basis starting blocks, block power refinement, and a best-of
-selection over candidates); its projectors come from :mod:`.linalg`.  With
-enough refinement steps the proxy over-estimates the true loss by at most
-``epsilon`` and never under-estimates it.
+standard-basis starting blocks, block power refinement, and selection of
+the refined block that captures the most energy of B); the projector onto
+the row space of SA comes from :mod:`.linalg`.  With enough refinement
+steps the proxy over-estimates the true loss by at most ``epsilon`` and
+never under-estimates it.
 """
 
 import math
@@ -120,7 +121,10 @@ def power_refine(b: np.ndarray, p: np.ndarray, q: int) -> np.ndarray:
     ``_ENERGY_STALL_RTOL * ||B||_F^2`` above the highest energy the block
     reached before.  The energy comes from the ``B^T Q`` product the next
     step needs anyway, and the stall is tested before that step's QR.  An
-    all-zero block comes back as zeros without reaching the QR.
+    all-zero block comes back as zeros without reaching the QR.  So for
+    ``q >= 1`` every returned block either has orthonormal columns (``Q^T Q
+    = I``, ``min(n, k)`` of them for an n-row ``B``) or is all zero, and
+    ``Q Q^T`` is its projector.
 
     ``p`` may also be a ``(C, d, k)`` stack of starting blocks; the result
     is then the stack of the blocks refined one by one.  Each step makes
@@ -168,21 +172,16 @@ def proxy_loss(sketch, a: np.ndarray, k: int, cfg: ProxyConfig) -> float:
     """Arithmetic-only over-estimate of the sketch-and-solve loss.
 
     Pipeline: project ``a`` onto the row space of ``SA``; refine every
-    candidate starting block; keep the refined block whose column space
-    captures ``B`` best; report the residual against ``a``.  The result
-    exceeds the true loss by at most ``cfg.epsilon`` (and is never below
-    it) when the candidate enumeration is exhaustive.
+    candidate starting block; keep the refined block ``Q`` that captures
+    the most energy ``||B^T Q||_F^2`` (it is orthonormal or zero, so this
+    is the least residual ``||B - Q Q^T B||_F^2``); report the residual
+    against ``a``.  The result exceeds the true loss by at most
+    ``cfg.epsilon`` (and is never below it) when the candidate enumeration
+    is exhaustive.
     """
     sa = _dense(sketch) @ a
     b = a @ rowspace_projector(sa)
     q = q_iterations(cfg.epsilon, a.shape[1], cfg.q_constant)
-
-    best_loss = math.inf
-    best_proj = None
-    for z in power_refine(b, candidate_bases(b, k, cfg), q):
-        proj = rowspace_projector(z.T)
-        loss = fro_sq(b - proj @ b)
-        if loss < best_loss:
-            best_loss = loss
-            best_proj = proj
-    return fro_sq(a - best_proj @ b)
+    qs = power_refine(b, candidate_bases(b, k, cfg), q)
+    best = qs[np.argmax(np.square(b.T @ qs).sum(axis=(1, 2)))]
+    return fro_sq(a - best @ (best.T @ b))

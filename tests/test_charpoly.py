@@ -86,6 +86,15 @@ def test_singularity_test_accepts_well_conditioned_up_to_size_16():
         assert not is_numerically_singular(m)
 
 
+@pytest.mark.parametrize("k", [17, 19, 20])
+def test_singularity_test_and_inverse_refuse_sizes_above_16(k):
+    # a named error, not the wrong SingularMatrixError verdict on eye(k)
+    for fn in (is_numerically_singular, charpoly_inverse):
+        with pytest.raises(ValueError, match="supports k <= 16") as exc:
+            fn(np.eye(k))
+        assert not isinstance(exc.value, SingularMatrixError)
+
+
 @pytest.mark.parametrize("scale", [1e-200, 1e-100, 1e100, 1e200])
 def test_singularity_test_and_inverse_are_scale_free(scale):
     m = np.random.default_rng(10).standard_normal((4, 4))

@@ -62,6 +62,21 @@ def test_sketch_round_trip(tmp_path):
     assert (back.m, back.n, back.s) == (sk.m, sk.n, sk.s)
 
 
+@pytest.mark.parametrize("text, match", [
+    ("[1, 2]", "must be a JSON object, got list"),
+    ('{"m": 3, "s": 1, "values": []}', r"lacks field\(s\) n, pattern$"),
+    ('{"m": 3, ', "not a JSON sketch"),
+    (json.dumps({"m": 3, "n": 2, "s": 1, "pattern": None,
+                 "values": [[1.0], [2.0]]}), "invalid sketch"),
+])
+def test_load_sketch_rejects_malformed_documents(tmp_path, text, match):
+    path = tmp_path / "sk.json"
+    path.write_text(text)
+    with pytest.raises(MatrixFormatError, match=match) as exc:
+        load_sketch(path)
+    assert str(exc.value).startswith(f"{path}: ")
+
+
 def test_named_streams_are_deterministic_and_distinct():
     a1 = named_stream(7, "alpha").standard_normal(4)
     a2 = named_stream(7, "alpha").standard_normal(4)

@@ -164,6 +164,7 @@ def _assert_stack_matches_blocks(b, stack, q):
             continue
         np.testing.assert_allclose(rowspace_projector(z.T),
                                    rowspace_projector(one.T), atol=1e-12)
+    return out
 
 
 def test_power_refine_stack_matches_block_by_block():
@@ -177,7 +178,10 @@ def test_power_refine_stack_matches_block_by_block():
         if rng.random() < 0.3:
             b[:, rng.choice(d, size=d - k, replace=False)] = 0.0
         for q in (1, 4, 60):
-            _assert_stack_matches_blocks(b, _candidate_stack(d, k), q)
+            out = _assert_stack_matches_blocks(b, _candidate_stack(d, k), q)
+            # the contract proxy_loss selects by: orthonormal or all zero
+            for z in out[np.abs(out).max(axis=(1, 2)) != 0.0]:
+                assert np.abs(z.T @ z - np.eye(z.shape[1])).max() <= 1e-12
 
 
 def test_power_refine_stack_mixes_stalled_running_and_zero_blocks(monkeypatch):
