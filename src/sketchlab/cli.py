@@ -198,9 +198,11 @@ def _cmd_proxy_check(cfg, seed):
         for eps in cfg["epsilons"]:
             pc = ProxyConfig(eps, cfg["subset_cap"], cfg["q_constant"])
             row[f"delta_eps_{eps}"] = proxy_loss(sketch, a, k, pc) - true_loss
+        # the same for every epsilon; where False only the factor 1 + d holds
+        row["exhaustive"] = pc.exhaustive(a.shape[1], k)
         rows.append(row)
     ok = True
-    metrics = {}
+    metrics = {"greedy_instances": sum(not row["exhaustive"] for row in rows)}
     for eps in cfg["epsilons"]:
         deltas = [row[f"delta_eps_{eps}"] for row in rows]
         metrics[f"max_delta_eps_{eps}"] = max(deltas)

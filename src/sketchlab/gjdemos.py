@@ -3,12 +3,14 @@
 Each driver runs a concrete arithmetic-and-branches program against the
 trace API and returns both the numeric result and the populated trace.
 Passing a :class:`~sketchlab.gjtrace.FloatBackend` instead of a fresh
-trace replays the identical execution on plain floats.
+trace replays the identical execution on plain floats, and an
+:class:`~sketchlab.gjtrace.ExactBackend` replays it in exact rationals.
 
 Rank tests inside the traced routines branch on exact zero (the sign test
 pair ``c >= 0`` and ``-c >= 0``), matching the arithmetic-only model; the
-numeric modules use thresholded surrogates instead.  Drivers are meant for
-generic inputs where the two agree.
+routines are :mod:`sketchlab.charpoly`'s Faddeev-LeVerrier recurrence.  On
+a trace or float backend those tests see rounded values, so the demos
+are meant for generic inputs where float and exact rank decisions agree.
 """
 
 import math
@@ -16,6 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .charpoly import _mat_mul, _mat_transpose, _projection
 from .gjtrace import Trace, gj_argmin, gj_min
 from .proxy import q_iterations
 
@@ -41,28 +44,6 @@ def _lift_consts(tr, arr):
     return [[tr.const(v) for v in row] for row in arr]
 
 
-def _identity(tr, k):
-    return [[tr.const(1.0 if i == j else 0.0) for j in range(k)] for i in range(k)]
-
-
-def _mat_mul(x, y):
-    rows, inner, cols = len(x), len(y), len(y[0])
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = x[i][0] * y[0][j]
-            for t in range(1, inner):
-                acc = acc + x[i][t] * y[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def _mat_transpose(x):
-    return [[x[i][j] for i in range(len(x))] for j in range(len(x[0]))]
-
-
 def _mat_vec(m, v):
     out = []
     for row in m:
@@ -80,57 +61,6 @@ def _sum_squares(m):
             sq = v * v
             acc = sq if acc is None else acc + sq
     return acc
-
-
-def _fl_last(tr, m):
-    """Free coefficient ``c_k`` and final matrix ``B_k`` of the
-    Faddeev-LeVerrier recurrence, all divisions by loop constants only."""
-    k = len(m)
-    b = _identity(tr, k)
-    c = None
-    for i in range(1, k + 1):
-        mb = _mat_mul(m, b)
-        trace_val = mb[0][0]
-        for t in range(1, k):
-            trace_val = trace_val + mb[t][t]
-        c = (-trace_val) / float(i)
-        if i < k:
-            b = [
-                [mb[r][s] + c if r == s else mb[r][s] for s in range(k)]
-                for r in range(k)
-            ]
-    return c, b
-
-
-def _nonzero_test(tr, c):
-    """Exact rank test: c != 0, via the sign-test pair (both always run)."""
-    ge = tr.branch(c)
-    le = tr.branch(-c)
-    return not (ge and le)
-
-
-def _traced_projection(tr, rows, width):
-    """Greedy row basis plus row-space projector, division performed last.
-
-    Returns (projector matrix, numerator matrix, denominator scalar); for
-    an empty basis the projector is all zeros and the denominator is 1.
-    """
-    kept = []
-    for row in rows:
-        candidate = kept + [row]
-        gram = _mat_mul(candidate, _mat_transpose(candidate))
-        c, _ = _fl_last(tr, gram)
-        if _nonzero_test(tr, c):
-            kept = candidate
-    if not kept:
-        zero = [[tr.const(0.0) for _ in range(width)] for _ in range(width)]
-        return zero, zero, tr.const(1.0)
-    gram = _mat_mul(kept, _mat_transpose(kept))
-    c, b_last = _fl_last(tr, gram)
-    neg_b = [[-v for v in row] for row in b_last]
-    numer = _mat_mul(_mat_mul(_mat_transpose(kept), neg_b), kept)
-    proj = [[v / c for v in row] for row in numer]
-    return proj, numer, c
 
 
 def power_trace(m, pi, q, tr=None):
@@ -162,7 +92,7 @@ def rowspace_projection_trace(z, tr=None):
     tr = tr if tr is not None else Trace()
     z = np.asarray(z, dtype=np.float64)
     rows = _lift_inputs(tr, z, "z")
-    proj, _, _ = _traced_projection(tr, rows, z.shape[1])
+    proj, _, _ = _projection(tr, rows)
     return _num_mat(proj), tr
 
 
@@ -227,7 +157,7 @@ def proxy_pipeline_trace(sketch, a, k, epsilon, q_constant=1.0,
     a_t = _lift_consts(tr, a)
 
     sa = _mat_mul(s_t, a_t)
-    _, proj_num, proj_den = _traced_projection(tr, sa, d)
+    _, proj_num, proj_den = _projection(tr, sa)
     bn = _mat_mul(a_t, proj_num)  # numerator of B; denominator is proj_den
 
     q = q_iterations(epsilon, d, q_constant)
@@ -240,7 +170,7 @@ def proxy_pipeline_trace(sketch, a, k, epsilon, q_constant=1.0,
     losses, parts = [], []
     for cols in candidates:
         z_cols = [[w[i][c] for c in cols] for i in range(n)]
-        _, z_num, z_den = _traced_projection(tr, _mat_transpose(z_cols), n)
+        _, z_num, z_den = _projection(tr, _mat_transpose(z_cols))
         nzb = _mat_mul(z_num, bn)
         resid = [
             [z_den * bn[i][j] - nzb[i][j] for j in range(d)] for i in range(n)

@@ -11,6 +11,7 @@ float arithmetic exactly.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -207,3 +208,16 @@ class FloatBackend:
 
     def branch(self, v: float) -> bool:
         return v >= 0.0
+
+
+class ExactBackend(FloatBackend):
+    """:class:`FloatBackend`'s exact twin: inputs and constants become
+    ``Fraction`` (exact for every finite float), so each operation is
+    exact and each branch is an exact sign test, as the arithmetic-only
+    model assumes."""
+
+    def input(self, name: str, value: float) -> Fraction:
+        return Fraction(float(value))
+
+    def const(self, value) -> Fraction:
+        return Fraction(float(value))

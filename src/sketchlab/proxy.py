@@ -51,6 +51,11 @@ class ProxyConfig:
         if self.q_constant <= 0:
             raise ValueError(f"q_constant must be > 0, got {self.q_constant}")
 
+    def exhaustive(self, d: int, k: int) -> bool:
+        """Whether all C(d, k) candidate subsets fit under ``subset_cap``;
+        if not, one greedy block stands in, within a factor 1 + d only."""
+        return math.comb(d, k) <= self.subset_cap
+
 
 def q_iterations(epsilon: float, d: int, q_constant: float = DEFAULT_Q_CONSTANT) -> int:
     """Number of power-refinement steps: ceil(c/eps * ln(max(d,2)/eps)),
@@ -103,7 +108,7 @@ def candidate_bases(b: np.ndarray, k: int, cfg: ProxyConfig) -> np.ndarray:
     d = b.shape[1]
     if not (1 <= k < d):
         raise ValueError(f"need 1 <= k < d, got k={k}, d={d}")
-    if math.comb(d, k) <= cfg.subset_cap:
+    if cfg.exhaustive(d, k):
         return np.eye(d)[:, list(combinations(range(d), k))].transpose(1, 0, 2)
     _, _, vh = np.linalg.svd(b, full_matrices=False)
     return greedy_pivot_columns(vh[:k])[None]

@@ -74,8 +74,6 @@ def test_inverse_rejects_singular():
 
 
 def test_singularity_test_accepts_well_conditioned_up_to_size_16():
-    # the supported range: |det(M / ||M||_F)| shrinks like k^(-k/2), so
-    # from k = 19 on even the identity is flagged
     rng = np.random.default_rng(11)
     for k in range(2, 17):
         assert not is_numerically_singular(np.eye(k))
@@ -87,12 +85,34 @@ def test_singularity_test_accepts_well_conditioned_up_to_size_16():
 
 
 @pytest.mark.parametrize("k", [17, 19, 20])
-def test_singularity_test_and_inverse_refuse_sizes_above_16(k):
-    # a named error, not the wrong SingularMatrixError verdict on eye(k)
-    for fn in (is_numerically_singular, charpoly_inverse):
-        with pytest.raises(ValueError, match="supports k <= 16") as exc:
-            fn(np.eye(k))
-        assert not isinstance(exc.value, SingularMatrixError)
+def test_exact_verdicts_hold_above_size_16(k):
+    # no size limit: |det(M / ||M||_F)| shrinking like k^(-k/2) does not
+    # matter to an exact zero test
+    assert not is_numerically_singular(np.eye(k))
+    np.testing.assert_array_equal(charpoly_inverse(np.eye(k)), np.eye(k))
+    assert is_numerically_singular(np.ones((k, k)))
+
+
+def test_near_singular_matrix_is_inverted_exactly():
+    # det = 2^-40: nonsingular in exact arithmetic, and each entry of the
+    # result is the correctly rounded entry of the exact inverse
+    e = 2.0**-40
+    m = np.array([[1.0, 2.0], [2.0, 4.0 + e]])
+    assert not is_numerically_singular(m)
+    assert charpoly_free_coeff(m) == e
+    np.testing.assert_array_equal(charpoly_inverse(m),
+                                  np.array([[4.0 + e, -2.0], [-2.0, 1.0]]) / e)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("fn", [charpoly_coefficients, charpoly_free_coeff,
+                                is_numerically_singular, charpoly_inverse,
+                                greedy_row_basis, projection_rowspace])
+def test_non_finite_entries_are_rejected(fn, bad):
+    m = np.eye(3)
+    m[1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        fn(m)
 
 
 @pytest.mark.parametrize("scale", [1e-200, 1e-100, 1e100, 1e200])
@@ -127,7 +147,9 @@ def test_greedy_basis_full_rank_keeps_all():
 
 def test_greedy_basis_rank_two():
     rng = np.random.default_rng(5)
-    factors = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 6))
+    # small-integer factors: exactly rank 2, not only up to rounding
+    factors = (rng.integers(-3, 4, (4, 2)).astype(float)
+               @ rng.integers(-3, 4, (2, 6)))
     y = greedy_row_basis(factors)
     assert y.shape[0] == 2
     np.testing.assert_allclose(rowspace_projector_svd(y),
@@ -154,7 +176,8 @@ def test_projection_matches_pinv_route():
     rng = np.random.default_rng(7)
     for _ in range(25):
         rank = int(rng.integers(1, 4))
-        z = rng.standard_normal((4, rank)) @ rng.standard_normal((rank, 6))
+        z = (rng.integers(-3, 4, (4, rank)).astype(float)
+             @ rng.integers(-3, 4, (rank, 6)))
         np.testing.assert_allclose(projection_rowspace(z), pinv(z) @ z, atol=1e-7)
 
 

@@ -6,7 +6,9 @@ import sympy
 
 from sketchlab import gjdemos
 from sketchlab.charpoly import projection_rowspace
-from sketchlab.gjtrace import FloatBackend, Trace, gj_min, pdim_bound
+from sketchlab.gjtrace import ExactBackend, FloatBackend, Trace, gj_min, pdim_bound
+
+from oracles import rowspace_projector_svd
 
 
 def test_input_and_const_degrees():
@@ -136,6 +138,7 @@ def test_projection_trace_degree_and_numeric():
         proj, tr = gjdemos.rowspace_projection_trace(z)
         assert tr.max_degree == 2 * k
         np.testing.assert_allclose(proj, projection_rowspace(z), atol=1e-9)
+        np.testing.assert_allclose(proj, rowspace_projector_svd(z), atol=1e-9)
 
 
 def test_traced_run_is_bit_identical_to_float_run():
@@ -211,3 +214,6 @@ def test_proxy_pipeline_trace_matches_numeric_and_stays_within_budget():
     replay, _ = gjdemos.proxy_pipeline_trace(sk, a, k=1, epsilon=0.5,
                                              q_constant=1.0, tr=FloatBackend())
     assert replay == value
+    exact, _ = gjdemos.proxy_pipeline_trace(sk, a, k=1, epsilon=0.5,
+                                            q_constant=1.0, tr=ExactBackend())
+    assert exact == pytest.approx(reference, abs=1e-12)

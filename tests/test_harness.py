@@ -104,6 +104,16 @@ def test_reports_are_deterministic_modulo_wall_clock():
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
 
+def test_proxy_check_counts_greedy_instances():
+    cfg = {"instances": 4, "epsilons": [0.5]}
+    greedy = run_experiment("proxy-check", {**cfg, "subset_cap": 1}, seed=3)
+    assert greedy["metrics"]["greedy_instances"] == 4
+    assert not any(row["exhaustive"] for row in greedy["rows"])
+    default = run_experiment("proxy-check", cfg, seed=3)
+    assert default["metrics"]["greedy_instances"] == 0
+    assert all(row["exhaustive"] for row in default["rows"])
+
+
 def test_report_embeds_config_and_seed():
     report = run_experiment("gj-trace", {"demo": "min-of-r", "r": 4}, seed=9)
     assert report["config"]["demo"] == "min-of-r"
