@@ -3,9 +3,11 @@ r"""Shattered instance families
 
 Lower bounds on learnability come from explicit families of inputs that a
 sketch class can shatter: for every subset there must be a sketch whose
-loss is high exactly on that subset.  Three constructions are built here,
-each paired with the rule that turns a subset into the witnessing sketch,
-and verified subset by subset.
+loss is high exactly on that subset.  Three constructions are built here.
+Each stores one base sketch (the witness for the empty subset) and one
+switch slot per member; the witness for a subset is the base sketch with
+the slots of its members set to 1.  Each family is verified subset by
+subset.
 """
 
 # %%
@@ -14,9 +16,9 @@ import numpy as np
 import sketchlab as sl
 
 # %%
-# Rank-1 family: matrix i has a single unit entry in row i.  The indicator
-# vector of a subset sketches exactly its members to zero loss, everything
-# else keeps loss one.
+# Rank-1 family: matrix i has a single unit entry in row i.  The base sketch
+# is the zero row vector and slot i is its entry i, so a subset's witness is
+# its indicator vector: members get zero loss, everything else keeps loss one.
 
 fam = sl.rank1_family(6, 4)
 sk = sl.subset_sketch(fam, {0, 2, 5})
@@ -30,8 +32,9 @@ print("verification:", {k: report[k] for k in
 
 # %%
 # Dense family: k(n-k) rank-k matrices built by swapping one identity
-# column for a later one.  The sketch keeps an identity block and flags
-# subset members in the extra columns; off-subset losses are exactly 1/k.
+# column for a later one.  The base sketch is an identity block and the
+# slots flag subset members in the extra columns; off-subset losses are
+# exactly 1/k.
 
 dense = sl.dense_family(4, 2)
 report = sl.verify_shattering(dense, gamma=0.2)

@@ -41,7 +41,6 @@ from .shatter import (
     ShatterFamily,
     block_family,
     dense_family,
-    indicator_sketch,
     rank1_family,
     subset_sketch,
     verify_shattering,

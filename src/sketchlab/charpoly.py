@@ -45,24 +45,28 @@ def _fl(tr, m):
 
 
 def _greedy(tr, rows):
-    """Indices of the rows outside the span of the rows kept before them."""
-    kept = []
+    """Indices of the rows outside the span of the rows kept before them,
+    and the ``_fl`` result of the kept rows' Gram matrix (None if none)."""
+    kept, fl = [], None
     for idx, row in enumerate(rows):
         y = [rows[i] for i in kept] + [row]
-        c = _fl(tr, _mat_mul(y, _mat_transpose(y)))[0][-1]
+        out = _fl(tr, _mat_mul(y, _mat_transpose(y)))
+        c = out[0][-1]
         if not (tr.branch(c) & tr.branch(-c)):  # c != 0; & runs both
             kept.append(idx)
-    return kept
+            fl = out
+    return kept, fl
 
 
 def _projection(tr, rows):
     """(projector, numerator, denominator) of ``Y^T (Y Y^T)^{-1} Y``, Y the
     greedy basis of ``rows``, dividing last; zero over 1 if Y is empty."""
-    kept = [rows[i] for i in _greedy(tr, rows)]
-    if not kept:
+    idx, fl = _greedy(tr, rows)
+    if not idx:
         zero = [[tr.const(0.0) for _ in rows[0]] for _ in rows[0]]
         return zero, zero, tr.const(1.0)
-    coeffs, b_last = _fl(tr, _mat_mul(kept, _mat_transpose(kept)))
+    kept = [rows[i] for i in idx]
+    coeffs, b_last = fl
     neg_b = [[-v for v in row] for row in b_last]
     numer = _mat_mul(_mat_mul(_mat_transpose(kept), neg_b), kept)
     return [[v / coeffs[-1] for v in row] for row in numer], numer, coeffs[-1]
@@ -112,7 +116,7 @@ def charpoly_inverse(m: np.ndarray) -> np.ndarray:
 
 def greedy_row_basis(z: np.ndarray) -> np.ndarray:
     """Rows of ``z`` outside the exact span of the rows kept before them."""
-    return as_matrix(z)[_greedy(ExactBackend(), _exact(z, square=False)[0])]
+    return as_matrix(z)[_greedy(ExactBackend(), _exact(z, square=False)[0])[0]]
 
 
 def projection_rowspace(z: np.ndarray) -> np.ndarray:

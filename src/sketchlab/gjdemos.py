@@ -14,7 +14,9 @@ are meant for generic inputs where float and exact rank decisions agree.
 """
 
 import math
+from functools import reduce
 from itertools import combinations
+from operator import add
 
 import numpy as np
 
@@ -44,34 +46,15 @@ def _lift_consts(tr, arr):
     return [[tr.const(v) for v in row] for row in arr]
 
 
-def _mat_vec(m, v):
-    out = []
-    for row in m:
-        acc = row[0] * v[0]
-        for t in range(1, len(v)):
-            acc = acc + row[t] * v[t]
-        out.append(acc)
-    return out
-
-
-def _sum_squares(m):
-    acc = None
-    for row in m:
-        for v in row:
-            sq = v * v
-            acc = sq if acc is None else acc + sq
-    return acc
-
-
 def power_trace(m, pi, q, tr=None):
     """Trace ``M^q @ pi`` on traced inputs; entry degrees reach q + 1."""
     tr = tr if tr is not None else Trace()
     m_t = _lift_inputs(tr, m, "m")
     pi = np.asarray(pi, dtype=np.float64)
-    x = [tr.input(f"p{i}", pi[i]) for i in range(pi.size)]
+    x = [[tr.input(f"p{i}", pi[i])] for i in range(pi.size)]
     for _ in range(q):
-        x = _mat_vec(m_t, x)
-    return np.array([_num(v) for v in x]), tr
+        x = _mat_mul(m_t, x)
+    return _num_mat(x)[:, 0], tr
 
 
 def min_trace(values, tr=None):
@@ -118,7 +101,7 @@ def knapsack_trace(values, costs, capacity, rho, tr=None):
     for i in range(r):
         for j in range(i + 1, r):
             t_ij = math.log(values[j] / values[i]) / math.log(costs[j] / costs[i])
-            rho_at_least = tr.branch(rho_v - t_ij)
+            rho_at_least = tr.branch(rho_v - tr.const(t_ij))
             out = rho_at_least if costs[j] > costs[i] else not rho_at_least
             ge[i][j] = out
             ge[j][i] = not out
@@ -176,7 +159,8 @@ def proxy_pipeline_trace(sketch, a, k, epsilon, q_constant=1.0,
             [z_den * bn[i][j] - nzb[i][j] for j in range(d)] for i in range(n)
         ]
         den = z_den * proj_den
-        losses.append(_sum_squares(resid) / (den * den))
+        losses.append(reduce(add, (v * v for row in resid for v in row))
+                      / (den * den))
         parts.append((nzb, den))
     best = gj_argmin(tr, losses)
 
@@ -184,6 +168,6 @@ def proxy_pipeline_trace(sketch, a, k, epsilon, q_constant=1.0,
     final = [
         [den * a_t[i][j] - nzb[i][j] for j in range(d)] for i in range(n)
     ]
-    proxy = _sum_squares(final) / (den * den)
-    tr.branch(proxy - loss_threshold)
+    proxy = reduce(add, (v * v for row in final for v in row)) / (den * den)
+    tr.branch(proxy - tr.const(loss_threshold))
     return _num(proxy), tr

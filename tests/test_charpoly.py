@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sketchlab import charpoly
 from sketchlab.charpoly import (
     CharpolyOverflowError,
     SingularMatrixError,
@@ -158,6 +159,21 @@ def test_greedy_basis_rank_two():
 
 def test_greedy_basis_zero_matrix():
     assert greedy_row_basis(np.zeros((3, 4))).shape == (0, 4)
+
+
+def test_projection_reuses_the_last_kept_recurrence(monkeypatch):
+    sizes = []
+    fl = charpoly._fl
+
+    def counting_fl(tr, m):
+        sizes.append(len(m))
+        return fl(tr, m)
+
+    monkeypatch.setattr(charpoly, "_fl", counting_fl)
+    z = np.random.default_rng(11).standard_normal((4, 6))
+    np.testing.assert_allclose(projection_rowspace(z),
+                               rowspace_projector_svd(z), atol=1e-10)
+    assert sizes == [1, 2, 3, 4]
 
 
 def test_projection_single_basis_row():

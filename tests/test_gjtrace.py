@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -217,3 +218,31 @@ def test_proxy_pipeline_trace_matches_numeric_and_stays_within_budget():
     exact, _ = gjdemos.proxy_pipeline_trace(sk, a, k=1, epsilon=0.5,
                                             q_constant=1.0, tr=ExactBackend())
     assert exact == pytest.approx(reference, abs=1e-12)
+
+
+class _BranchTypes(ExactBackend):
+    """Exact backend that records the type of every branch argument."""
+
+    def __init__(self):
+        self.types = set()
+
+    def branch(self, v):
+        self.types.add(type(v))
+        return super().branch(v)
+
+
+def test_exact_replays_branch_on_exact_values():
+    from sketchlab.sketching import random_sparse_sketch
+    from sketchlab.synth import random_unit_matrix
+
+    tr = _BranchTypes()
+    gjdemos.knapsack_trace([3.0, 5.0, 2.0, 4.0], [1.0, 2.0, 3.0, 4.0],
+                           capacity=7.0, rho=1.0, tr=tr)
+    assert tr.types == {Fraction}
+
+    rng = np.random.default_rng(6)
+    tr = _BranchTypes()
+    gjdemos.proxy_pipeline_trace(random_sparse_sketch(2, 3, 1, rng),
+                                 random_unit_matrix(rng, 3, 3), k=1,
+                                 epsilon=0.5, tr=tr)
+    assert tr.types == {Fraction}

@@ -7,20 +7,11 @@ from sketchlab.linalg import fro_sq, svd
 from sketchlab.shatter import (
     block_family,
     dense_family,
-    indicator_sketch,
     rank1_family,
     subset_sketch,
     verify_shattering,
 )
 from sketchlab.sketching import sketch_loss
-
-
-def test_indicator_sketch_values():
-    np.testing.assert_array_equal(indicator_sketch({0, 2}, 4), [1, 0, 1, 0])
-    np.testing.assert_array_equal(indicator_sketch((), 3), [0, 0, 0])
-    np.testing.assert_array_equal(indicator_sketch(range(3), 3), [1, 1, 1])
-    with pytest.raises(ValueError):
-        indicator_sketch({4}, 4)
 
 
 def test_rank1_family_structure():
@@ -79,6 +70,32 @@ def test_block_family_with_s_equal_k_matches_dense():
     assert len(dense.matrices) == len(block.matrices)
     for a, b in zip(dense.matrices, block.matrices):
         np.testing.assert_array_equal(a, b)
+    for bits in itertools.product([0, 1], repeat=len(dense.matrices)):
+        subset = [i for i, bit in enumerate(bits) if bit]
+        np.testing.assert_array_equal(subset_sketch(dense, subset).dense(),
+                                      subset_sketch(block, subset).dense())
+
+
+@pytest.mark.parametrize("fam", [rank1_family(5, 3), dense_family(5, 2),
+                                 block_family(8, 2, 1)],
+                         ids=lambda fam: fam.builder)
+def test_subset_sketch_switches_exactly_the_subset_slots(fam):
+    assert len(fam.slots) == len(fam.matrices)
+    rng = np.random.default_rng(1)
+    for _ in range(10):
+        subset = [i for i in range(len(fam.slots)) if rng.random() < 0.5]
+        sk = subset_sketch(fam, subset)
+        np.testing.assert_array_equal(sk.pattern, fam.base.pattern)
+        changed = {tuple(p) for p in np.argwhere(sk.values != fam.base.values)}
+        assert changed == {tuple(fam.slots[i]) for i in subset}
+        assert all(sk.values[tuple(fam.slots[i])] == 1.0 for i in subset)
+
+
+def test_subset_sketch_rejects_out_of_range_positions():
+    fam = block_family(8, 2, 1)
+    for bad in ([len(fam.matrices)], [0, -1]):
+        with pytest.raises(ValueError, match="out of range"):
+            subset_sketch(fam, bad)
 
 
 def test_block_family_size_and_sparsity():
