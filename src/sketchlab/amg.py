@@ -15,7 +15,10 @@ from scipy.linalg import solve_triangular
 from .linalg import RANK_RTOL, svd
 from .train import TrainConfig, finite_difference_sgd
 
-_DIVERGENCE_NORM = 1e12
+# An iterate diverges once its norm passes this multiple of the problem's
+# own scale ||x0|| + ||b|| / ||A||_F (the second term is at most ||x*||),
+# so the guard reads the same at every scale of b and x0.
+_DIVERGENCE_RATIO = 1e12
 
 
 class DivergenceError(ArithmeticError):
@@ -131,15 +134,18 @@ def amg_loss(prob: AMGProblem, q: int) -> float:
     Raises
     ------
     DivergenceError
-        If an iterate's norm passes 1e12.
+        If an iterate's norm is not finite or passes 1e12 times
+        ``||x0|| + ||b|| / ||A||_F``.
     """
     if q < 0:
         raise ValueError(f"q must be >= 0, got {q}")
     x = prob.x0
+    limit = _DIVERGENCE_RATIO * (np.linalg.norm(x) + np.linalg.norm(prob.b)
+                                 / np.linalg.norm(prob.a))
     for i in range(q):
         x = amg_step(prob, x)
         norm = float(np.linalg.norm(x))
-        if not np.isfinite(norm) or norm > _DIVERGENCE_NORM:
+        if not np.isfinite(norm) or norm > limit:
             raise DivergenceError(f"iterate norm {norm:.3e} after cycle {i + 1}")
     r = prob.a @ x - prob.b
     return float(r @ r)

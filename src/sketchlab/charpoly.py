@@ -59,17 +59,16 @@ def _greedy(tr, rows):
 
 
 def _projection(tr, rows):
-    """(projector, numerator, denominator) of ``Y^T (Y Y^T)^{-1} Y``, Y the
-    greedy basis of ``rows``, dividing last; zero over 1 if Y is empty."""
+    """(numerator, denominator) of ``Y^T (Y Y^T)^{-1} Y``, Y the greedy
+    basis of ``rows``, for the caller to divide last; zero over 1 if Y is
+    empty."""
     idx, fl = _greedy(tr, rows)
     if not idx:
-        zero = [[tr.const(0.0) for _ in rows[0]] for _ in rows[0]]
-        return zero, zero, tr.const(1.0)
+        return [[tr.const(0.0) for _ in rows[0]] for _ in rows[0]], tr.const(1.0)
     kept = [rows[i] for i in idx]
     coeffs, b_last = fl
     neg_b = [[-v for v in row] for row in b_last]
-    numer = _mat_mul(_mat_mul(_mat_transpose(kept), neg_b), kept)
-    return [[v / coeffs[-1] for v in row] for row in numer], numer, coeffs[-1]
+    return _mat_mul(_mat_mul(_mat_transpose(kept), neg_b), kept), coeffs[-1]
 
 
 def _exact(m, square=True):
@@ -121,4 +120,5 @@ def greedy_row_basis(z: np.ndarray) -> np.ndarray:
 
 def projection_rowspace(z: np.ndarray) -> np.ndarray:
     """``Y^T (Y Y^T)^{-1} Y = pinv(z) @ z``, ``Y = greedy_row_basis(z)``."""
-    return _floats(_projection(ExactBackend(), _exact(z, square=False)[0])[0])
+    numer, denom = _projection(ExactBackend(), _exact(z, square=False)[0])
+    return _floats([[v / denom for v in row] for row in numer])

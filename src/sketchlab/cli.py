@@ -12,6 +12,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -58,11 +59,17 @@ def _merge_defaults(cfg: dict, defaults: dict, errors: list) -> dict:
     return out
 
 
-def _check_pos_int(cfg, keys, errors):
+def _check_int(cfg, keys, errors, least=1):
     for key in keys:
         v = cfg.get(key)
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            errors.append(f"{key} must be a positive integer, got {v!r}")
+        if not isinstance(v, int) or isinstance(v, bool) or v < least:
+            errors.append(f"{key} must be an integer >= {least}, got {v!r}")
+
+
+def _check_real(cfg, key, ok, rule, errors):
+    v = cfg.get(key)
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not ok(v):
+        errors.append(f"{key} must be a number {rule}, got {v!r}")
 
 
 # ---------------------------------------------------------------- commands
@@ -73,7 +80,7 @@ def _cmd_gen_data(cfg, seed):
         "kind": "spiked", "count": 16, "n": 8, "d": 8, "k": 2,
         "noise": 0.1, "out_dir": None,
     }, errors)
-    _check_pos_int(cfg, ("count", "n", "d", "k"), errors)
+    _check_int(cfg, ("count", "n", "d", "k"), errors)
     if cfg["kind"] not in ("spiked", "gaussian"):
         errors.append(f"kind must be 'spiked' or 'gaussian', got {cfg['kind']!r}")
     if (cfg["kind"] == "spiked" and isinstance(cfg["k"], int)
@@ -119,7 +126,7 @@ def _cmd_train(cfg, seed):
         "holdout": 0, "sketch_out": None,
     }, errors)
     mats = _load_dataset(cfg, errors)
-    _check_pos_int(cfg, ("m", "k", "s", "epochs", "batch_size"), errors)
+    _check_int(cfg, ("m", "k", "s", "epochs", "batch_size"), errors)
     if isinstance(cfg["m"], int) and isinstance(cfg["s"], int) and cfg["s"] > cfg["m"]:
         errors.append(f"s={cfg['s']} exceeds m={cfg['m']}")
     if isinstance(cfg["m"], int) and isinstance(cfg["k"], int) and cfg["k"] > cfg["m"]:
@@ -158,7 +165,7 @@ def _cmd_eval(cfg, seed):
         "data_dir": None, "data_files": None, "sketch": None, "k": None,
     }, errors)
     mats = _load_dataset(cfg, errors)
-    _check_pos_int(cfg, ("k",), errors)
+    _check_int(cfg, ("k",), errors)
     if not cfg["sketch"]:
         errors.append("sketch path is required")
     if errors:
@@ -178,7 +185,7 @@ def _cmd_proxy_check(cfg, seed):
         "q_constant": 4.0, "n_range": [3, 9], "d_range": [3, 7],
         "m_max": 4, "k_max": 3,
     }, errors)
-    _check_pos_int(cfg, ("instances", "subset_cap"), errors)
+    _check_int(cfg, ("instances", "subset_cap"), errors)
     if not cfg["epsilons"] or not all(0 < e < 1 for e in cfg["epsilons"]):
         errors.append(f"epsilons must lie in (0, 1), got {cfg['epsilons']!r}")
     if errors:
@@ -217,7 +224,7 @@ def _cmd_shatter_verify(cfg, seed):
         "family": "rank1", "n": 6, "d": 4, "k": 2, "s": 1,
         "gamma": 0.1, "subset_budget": 256,
     }, errors)
-    _check_pos_int(cfg, ("n", "d", "k", "s", "subset_budget"), errors)
+    _check_int(cfg, ("n", "d", "k", "s", "subset_budget"), errors)
     if cfg["family"] not in ("rank1", "dense", "block"):
         errors.append(f"family must be rank1|dense|block, got {cfg['family']!r}")
     if errors:
@@ -243,6 +250,13 @@ def _cmd_gj_trace(cfg, seed):
     demos = ("power", "min-of-r", "projection", "knapsack", "proxy-pipeline")
     if cfg["demo"] not in demos:
         errors.append(f"demo must be one of {demos}, got {cfg['demo']!r}")
+    _check_int(cfg, ("k", "r", "items", "m", "n", "d"), errors)
+    _check_int(cfg, ("q",), errors, least=0)
+    _check_real(cfg, "epsilon", lambda v: 0 < v <= 1, "in (0, 1]", errors)
+    _check_real(cfg, "q_constant", lambda v: 0 < v < math.inf, "in (0, inf)",
+                errors)
+    if isinstance(cfg["m"], int) and isinstance(cfg["n"], int) and cfg["m"] > cfg["n"]:
+        errors.append(f"m={cfg['m']} exceeds n={cfg['n']}")
     if errors:
         raise ConfigError(errors)
 
@@ -277,7 +291,10 @@ def _cmd_amg_check(cfg, seed):
     cfg = _merge_defaults(cfg, {
         "instances": 100, "n_max": 20, "m_max": 8, "s_max": 3, "noise": 0.1,
     }, errors)
-    _check_pos_int(cfg, ("instances", "n_max", "m_max", "s_max"), errors)
+    _check_int(cfg, ("instances", "s_max"), errors)
+    _check_int(cfg, ("n_max",), errors, least=4)
+    _check_int(cfg, ("m_max",), errors, least=2)
+    _check_real(cfg, "noise", lambda v: 0 <= v < math.inf, "in [0, inf)", errors)
     if errors:
         raise ConfigError(errors)
 

@@ -24,6 +24,9 @@ from .charpoly import _mat_mul, _mat_transpose, _projection
 from .gjtrace import Trace, gj_argmin, gj_min
 from .proxy import q_iterations
 
+# The pipeline's final predicate compares the proxy loss with this constant.
+_LOSS_THRESHOLD = 0.5
+
 
 def _num(v):
     return v.numeric if hasattr(v, "numeric") else float(v)
@@ -75,8 +78,8 @@ def rowspace_projection_trace(z, tr=None):
     tr = tr if tr is not None else Trace()
     z = np.asarray(z, dtype=np.float64)
     rows = _lift_inputs(tr, z, "z")
-    proj, _, _ = _projection(tr, rows)
-    return _num_mat(proj), tr
+    numer, denom = _projection(tr, rows)
+    return _num_mat([[v / denom for v in row] for row in numer]), tr
 
 
 def knapsack_trace(values, costs, capacity, rho, tr=None):
@@ -116,8 +119,7 @@ def knapsack_trace(values, costs, capacity, rho, tr=None):
     return total, tr
 
 
-def proxy_pipeline_trace(sketch, a, k, epsilon, q_constant=1.0,
-                         loss_threshold=0.5, tr=None):
+def proxy_pipeline_trace(sketch, a, k, epsilon, q_constant=1.0, tr=None):
     """Trace the full proxy-loss pipeline on a tiny instance.
 
     The sketch slot values are the traced inputs; the data matrix, the
@@ -125,7 +127,7 @@ def proxy_pipeline_trace(sketch, a, k, epsilon, q_constant=1.0,
     computed division-last, so the degree stays proportional to
     ``m * k * q`` instead of compounding through nested quotients.
     Returns the numeric proxy loss and the trace (the final comparison
-    against ``loss_threshold`` is included).
+    against ``_LOSS_THRESHOLD`` is included).
     """
     tr = tr if tr is not None else Trace()
     a = np.asarray(a, dtype=np.float64)
@@ -140,7 +142,7 @@ def proxy_pipeline_trace(sketch, a, k, epsilon, q_constant=1.0,
     a_t = _lift_consts(tr, a)
 
     sa = _mat_mul(s_t, a_t)
-    _, proj_num, proj_den = _projection(tr, sa)
+    proj_num, proj_den = _projection(tr, sa)
     bn = _mat_mul(a_t, proj_num)  # numerator of B; denominator is proj_den
 
     q = q_iterations(epsilon, d, q_constant)
@@ -153,7 +155,7 @@ def proxy_pipeline_trace(sketch, a, k, epsilon, q_constant=1.0,
     losses, parts = [], []
     for cols in candidates:
         z_cols = [[w[i][c] for c in cols] for i in range(n)]
-        _, z_num, z_den = _projection(tr, _mat_transpose(z_cols))
+        z_num, z_den = _projection(tr, _mat_transpose(z_cols))
         nzb = _mat_mul(z_num, bn)
         resid = [
             [z_den * bn[i][j] - nzb[i][j] for j in range(d)] for i in range(n)
@@ -169,5 +171,5 @@ def proxy_pipeline_trace(sketch, a, k, epsilon, q_constant=1.0,
         [den * a_t[i][j] - nzb[i][j] for j in range(d)] for i in range(n)
     ]
     proxy = reduce(add, (v * v for row in final for v in row)) / (den * den)
-    tr.branch(proxy - tr.const(loss_threshold))
+    tr.branch(proxy - tr.const(_LOSS_THRESHOLD))
     return _num(proxy), tr

@@ -1,7 +1,7 @@
 """Instrumented arithmetic for degree and branch-predicate accounting.
 
 A :class:`Trace` interprets a program restricted to {+, -, *, /} and
-"is v >= 0?" branches.  Every value caries conservative numerator and
+"is v >= 0?" branches.  Every value carries conservative numerator and
 denominator degree bounds (no rational-function reduction is attempted),
 and every branch records a canonical fingerprint of its predicate's
 expression DAG, so structurally identical predicates are counted once.
@@ -195,10 +195,6 @@ class FloatBackend:
     Drivers written against the trace API can be replayed bit-for-bit on
     raw floats to check that instrumentation never perturbs execution.
     """
-
-    n_inputs = 0
-    max_degree = 0
-    predicate_count = 0
 
     def input(self, name: str, value: float) -> float:
         return float(value)

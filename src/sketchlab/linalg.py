@@ -73,13 +73,6 @@ def svd(a: np.ndarray) -> SvdResult:
     return SvdResult(u[:, :r], s[:r], vh[:r].T)
 
 
-def rowspace_projector(z: np.ndarray) -> np.ndarray:
-    """Orthogonal projector ``V V^T`` onto the row space of ``z``, with
-    ``V`` from the rank-trimmed :func:`svd` (zero for a zero ``z``)."""
-    v = svd(z).V
-    return v @ v.T
-
-
 def best_rank_k(a: np.ndarray, k: int) -> np.ndarray:
     """Best rank-``k`` approximation of ``a`` in the Frobenius norm.
 

@@ -3,8 +3,8 @@
 The true loss truncates ``B = A P_rowspace(SA)`` to rank k through an SVD.
 The proxy replaces the SVD with arithmetic-only machinery (deterministic
 standard-basis starting blocks, block power refinement, and selection of
-the refined block that captures the most energy of B); the projector onto
-the row space of SA comes from :mod:`.linalg`.  With enough refinement
+the refined block that captures the most energy of B); it starts from the
+same validated row space of SA as the true loss.  With enough refinement
 steps the proxy over-estimates the true loss by at most ``epsilon`` and
 never under-estimates it.
 """
@@ -15,8 +15,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import fro_sq, rowspace_projector
-from .sketching import _dense
+from .linalg import fro_sq
+from .sketching import _sketched_rowspace
 
 DEFAULT_Q_CONSTANT = 4.0
 
@@ -115,34 +115,29 @@ def candidate_bases(b: np.ndarray, k: int, cfg: ProxyConfig) -> np.ndarray:
 
 
 def power_refine(b: np.ndarray, p: np.ndarray, q: int) -> np.ndarray:
-    """Refine the block ``B @ P`` by up to ``q`` steps of ``Z <- (B B^T) Z``.
+    """Refine each block of the ``(C, d, k)`` stack ``p`` by up to ``q >= 1``
+    steps of ``Z <- (B B^T) Z`` from ``Z = B @ P``.
 
-    Returns a matrix with the column space of ``(B B^T)^t B P``, t <= q.
-    For ``q = 0`` this is literally ``B @ P``; for ``q >= 1`` the iteration
-    is run with per-step orthonormalization (raw products lose every
-    subdominant direction to roundoff once its amplified ratio drops below
-    machine precision) and stops early once the captured energy
-    ``||B^T Q||_F^2`` stalls: three steps in a row that end at most
-    ``_ENERGY_STALL_RTOL * ||B||_F^2`` above the highest energy the block
-    reached before.  The energy comes from the ``B^T Q`` product the next
-    step needs anyway, and the stall is tested before that step's QR.  An
-    all-zero block comes back as zeros without reaching the QR.  So for
-    ``q >= 1`` every returned block either has orthonormal columns (``Q^T Q
-    = I``, ``min(n, k)`` of them for an n-row ``B``) or is all zero, and
-    ``Q Q^T`` is its projector.
-
-    ``p`` may also be a ``(C, d, k)`` stack of starting blocks; the result
-    is then the stack of the blocks refined one by one.  Each step makes
-    one stacked QR over the blocks still live, each block keeps its own
-    stall count, and a block that stalls leaves the stack.  A single block
-    is refined as a stack of one.
+    Block c of the result spans the column space of ``(B B^T)^t B P_c``,
+    t <= q.  The iteration runs with per-step orthonormalization (raw
+    products lose every subdominant direction to roundoff once its
+    amplified ratio drops below machine precision) and stops a block early
+    once its captured energy ``||B^T Q||_F^2`` stalls: three steps in a row
+    that end at most ``_ENERGY_STALL_RTOL * ||B||_F^2`` above the highest
+    energy the block reached before.  The energy comes from the ``B^T Q``
+    product the next step needs anyway, and the stall is tested before that
+    step's QR.  Each step makes one stacked QR over the blocks still live,
+    and a block that stalls leaves the stack.  An all-zero block comes back
+    as zeros without reaching the QR.  So every returned block either has
+    orthonormal columns (``Q^T Q = I``, ``min(n, k)`` of them for an n-row
+    ``B``) or is all zero, and ``Q Q^T`` is its projector.
     """
-    if q < 0:
-        raise ValueError(f"q must be >= 0, got {q}")
-    if q == 0:
-        return b @ p
-    if p.ndim == 2:
-        return power_refine(b, p[None], q)[0]
+    if q < 1:
+        raise ValueError(f"q must be >= 1, got {q}")
+    if p.ndim != 3 or p.shape[1] != b.shape[1]:
+        raise ValueError(
+            f"p must be a (C, {b.shape[1]}, k) stack of blocks, got shape {p.shape}"
+        )
 
     z = b @ p
     n, k = z.shape[1:]
@@ -176,16 +171,16 @@ def power_refine(b: np.ndarray, p: np.ndarray, q: int) -> np.ndarray:
 def proxy_loss(sketch, a: np.ndarray, k: int, cfg: ProxyConfig) -> float:
     """Arithmetic-only over-estimate of the sketch-and-solve loss.
 
-    Pipeline: project ``a`` onto the row space of ``SA``; refine every
-    candidate starting block; keep the refined block ``Q`` that captures
-    the most energy ``||B^T Q||_F^2`` (it is orthonormal or zero, so this
-    is the least residual ``||B - Q Q^T B||_F^2``); report the residual
-    against ``a``.  The result exceeds the true loss by at most
-    ``cfg.epsilon`` (and is never below it) when the candidate enumeration
-    is exhaustive.
+    Pipeline: project ``a`` onto the row space of ``SA``, validated as for
+    :func:`.sketching.sketch_loss`; refine every candidate starting block;
+    keep the refined block ``Q`` that captures the most energy
+    ``||B^T Q||_F^2`` (it is orthonormal or zero, so this is the least
+    residual ``||B - Q Q^T B||_F^2``); report the residual against ``a``.
+    The result exceeds the true loss by at most ``cfg.epsilon`` (and is
+    never below it) when the candidate enumeration is exhaustive.
     """
-    sa = _dense(sketch) @ a
-    b = a @ rowspace_projector(sa)
+    v = _sketched_rowspace(a, k, sketch)
+    b = a @ (v @ v.T)
     q = q_iterations(cfg.epsilon, a.shape[1], cfg.q_constant)
     qs = power_refine(b, candidate_bases(b, k, cfg), q)
     best = qs[np.argmax(np.square(b.T @ qs).sum(axis=(1, 2)))]

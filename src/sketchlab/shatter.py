@@ -133,8 +133,8 @@ def verify_shattering(family: ShatterFamily, subset_budget: int = 256,
     For each tested subset ``I`` the sketch is built on the complement, so
     members of ``I`` must incur loss above ``r_i + gamma`` and the rest
     loss below ``r_i - gamma``.  All ``2^N`` subsets are enumerated when
-    the family has at most 14 members; otherwise ``subset_budget`` random
-    subsets are drawn from the given seed.
+    the family has at most 14 members; otherwise ``subset_budget`` (at
+    least 1) random subsets are drawn from the given seed.
 
     Returns a JSON-ready report with per-family margins, including the
     smallest observed off-sketch loss compared against the ``1/k`` and
@@ -145,6 +145,11 @@ def verify_shattering(family: ShatterFamily, subset_budget: int = 256,
 
     if n_members <= 14:
         masks = range(2 ** n_members)
+    elif subset_budget < 1:
+        raise ValueError(
+            f"subset_budget must be >= 1 to sample subsets of {n_members} "
+            f"members, got {subset_budget}"
+        )
     else:
         rng = np.random.default_rng(seed)
         masks = [

@@ -70,8 +70,17 @@ class SparseSketch:
         return SparseSketch(self.m, self.n, self.s, self.pattern, values)
 
 
-def _dense(sketch) -> np.ndarray:
-    return sketch.dense() if hasattr(sketch, "dense") else np.asarray(sketch, float)
+def _dense(sketch, a: np.ndarray) -> np.ndarray:
+    """The dense sketch, checked to fit the finite matrix ``a``."""
+    s_mat = sketch.dense() if hasattr(sketch, "dense") else np.asarray(sketch, float)
+    if s_mat.shape[1] != a.shape[0]:
+        raise ValueError(
+            f"sketch has {s_mat.shape[1]} columns but the matrix has "
+            f"{a.shape[0]} rows"
+        )
+    if not np.isfinite(a).all():
+        raise ValueError("matrix contains non-finite entries")
+    return s_mat
 
 
 def random_sparse_sketch(m: int, n: int, s: int, seed) -> SparseSketch:
@@ -95,13 +104,9 @@ def random_sparse_sketch(m: int, n: int, s: int, seed) -> SparseSketch:
 
 def _sketched_rowspace(a: np.ndarray, k: int, sketch) -> np.ndarray:
     """Validate the inputs and return an orthonormal basis ``V`` (d-by-r)
-    of the row space of ``SA`` at its numerical rank r."""
-    s_mat = _dense(sketch)
-    if s_mat.shape[1] != a.shape[0]:
-        raise ValueError(
-            f"sketch has {s_mat.shape[1]} columns but the matrix has "
-            f"{a.shape[0]} rows"
-        )
+    of the row space of ``SA`` at its numerical rank r; the true loss and
+    the proxy both start from it."""
+    s_mat = _dense(sketch, a)
     if not (1 <= k <= min(a.shape)):
         raise ValueError(f"need 1 <= k <= min(A.shape), got k={k}")
     return svd(s_mat @ a).V
@@ -110,13 +115,11 @@ def _sketched_rowspace(a: np.ndarray, k: int, sketch) -> np.ndarray:
 def sketch_lowrank(a: np.ndarray, k: int, sketch) -> np.ndarray:
     """Sketch-and-solve rank-``k`` approximation of ``a``.
 
-    Steps: form ``SA``; if it vanishes return the zero matrix; otherwise
-    take the SVD ``U S V^T`` of ``SA``, form ``A V``, and return
-    ``[A V]_k V^T``.  The output always has rank at most ``k``.
+    Steps: take the SVD ``U S V^T`` of ``SA``, form ``A V``, and return
+    ``[A V]_k V^T``; when ``SA`` vanishes, ``V`` is empty and the result
+    is the zero matrix.  The output always has rank at most ``k``.
     """
     v = _sketched_rowspace(a, k, sketch)
-    if v.shape[1] == 0:
-        return np.zeros_like(a)
     return best_rank_k(a @ v, k) @ v.T
 
 

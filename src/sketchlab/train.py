@@ -61,7 +61,9 @@ def make_dataset(matrices) -> list[np.ndarray]:
 
 
 def empirical_loss(sketch, data, k: int) -> float:
-    """Mean sketch-and-solve loss over a dataset."""
+    """Mean sketch-and-solve loss over a nonempty dataset."""
+    if not len(data):
+        raise ValueError("dataset must be nonempty")
     return float(np.mean([sketch_loss(sketch, a, k) for a in data]))
 
 
@@ -169,8 +171,8 @@ def few_shot_loss(sketch, a: np.ndarray, k: int) -> float:
     n = a.shape[0]
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    s_mat = _dense(sketch, a)
     u, _, _ = np.linalg.svd(a, full_matrices=True)
-    s_mat = _dense(sketch)
     i0 = np.zeros((k, n))
     i0[:, :k] = np.eye(k)
     m = u[:, :k].T @ s_mat.T @ s_mat @ u

@@ -138,6 +138,16 @@ def test_divergence_is_reported():
         amg_loss(prob, 60)
 
 
+def test_loss_is_scale_invariant_and_the_guard_with_it():
+    # a convergent 12x12 problem (relative loss 2.6e-10 after 3 cycles);
+    # an absolute norm bound called the scaled-up iterates divergent
+    prob = random_amg_problem(np.random.default_rng(0), 12, 4, 1, 1)
+    base = amg_loss(prob, 3)
+    for s in (1e-100, 1e13, 1e100):
+        scaled = AMGProblem(prob.a, s * prob.b, prob.p, 1, 1, s * prob.x0)
+        assert amg_loss(scaled, 3) / s**2 == pytest.approx(base, rel=1e-8)
+
+
 def test_problem_validation():
     rng = np.random.default_rng(9)
     a = np.diag(rng.uniform(1, 2, 4))

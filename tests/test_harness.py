@@ -95,6 +95,27 @@ def test_config_errors_are_collected_all_at_once():
     assert len(exc.value.errors) >= 4
 
 
+@pytest.mark.parametrize("command, cfg, starts", [
+    ("gj-trace", {"demo": "power", "k": 0}, ["k must"]),
+    ("gj-trace", {"demo": "proxy-pipeline", "epsilon": 2}, ["epsilon must"]),
+    ("gj-trace", {"demo": "min-of-r", "r": 0}, ["r must"]),
+    ("gj-trace", {"demo": "proxy-pipeline", "m": 4, "q": -1, "q_constant": 0},
+     ["q must", "q_constant must", "m=4 exceeds n=3"]),
+    ("amg-check", {"n_max": 3}, ["n_max must"]),
+    ("amg-check", {"m_max": 1, "noise": "x", "bogus": 1},
+     ["unknown config key: 'bogus'", "m_max must", "noise must"]),
+])
+def test_bad_keys_are_config_errors_listed_together(tmp_path, capsys, command,
+                                                    cfg, starts):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == len(starts)
+    for line, start in zip(lines, starts):
+        assert line.startswith(f"config error: {start}")
+
+
 def test_reports_are_deterministic_modulo_wall_clock():
     cfg = {"instances": 5, "epsilons": [0.2]}
     r1 = run_experiment("proxy-check", cfg, seed=11)

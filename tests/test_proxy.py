@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sketchlab.charpoly import projection_rowspace
-from sketchlab.linalg import best_rank_k, fro_sq, rowspace_projector, svd
+from sketchlab.linalg import best_rank_k, fro_sq, svd
 from sketchlab.proxy import (
     ProxyConfig,
     candidate_bases,
@@ -16,6 +16,11 @@ from sketchlab.proxy import (
 )
 from sketchlab.sketching import sketch_loss
 from sketchlab.synth import random_instance, random_unit_matrix
+
+
+def _projector(z):
+    v = svd(z).V
+    return v @ v.T
 
 
 def _random_orthonormal_rows(rng, k, d):
@@ -104,19 +109,24 @@ def test_candidate_greedy_fallback_residual_bound():
         assert resid <= (1 + d) * tail + 1e-9
 
 
-def test_power_refine_q0_is_plain_product():
+def test_power_refine_rejects_q_below_one_and_non_stack_blocks():
     rng = np.random.default_rng(3)
     b = rng.standard_normal((5, 4))
-    p = np.eye(4)[:, :2]
-    np.testing.assert_array_equal(power_refine(b, p, 0), b @ p)
+    stack = _candidate_stack(4, 2)
+    for q in (0, -1):
+        with pytest.raises(ValueError, match="q must be >= 1"):
+            power_refine(b, stack, q)
+    for p in (stack[0], stack[:, :3], stack[None]):
+        with pytest.raises(ValueError, match=r"p must be a \(C, 4, k\) stack"):
+            power_refine(b, p, 3)
 
 
 def test_power_refine_rank_one_fixed_point():
     b = np.zeros((4, 4))
     b[0, 0] = 1.0
     p = np.eye(4)[:, :1]
-    for q in (0, 1, 5, 50):
-        z = power_refine(b, p, q)
+    for q in (1, 5, 50):
+        z = power_refine(b, p[None], q)[0]
         assert np.abs(z[1:]).max() == 0.0
         proj = projection_rowspace(z.T)
         np.testing.assert_allclose(proj @ b, b, atol=1e-12)
@@ -130,7 +140,7 @@ def test_power_refine_converges_to_top_subspace():
         u = np.linalg.svd(b)[0][:, :k]
         p = np.zeros((6, k))
         p[np.arange(k), np.arange(k)] = 1.0
-        z = power_refine(b, p, 4000)
+        z = power_refine(b, p[None], 4000)[0]
         qz = np.linalg.qr(z)[0]
         cosines = np.linalg.svd(u.T @ qz, compute_uv=False)
         angles = np.sqrt(np.clip(1.0 - cosines**2, 0.0, None))
@@ -158,12 +168,12 @@ def _assert_stack_matches_blocks(b, stack, q):
     out = power_refine(b, stack, q)
     assert out.shape == (len(stack), b.shape[0], min(b.shape[0], stack.shape[2]))
     for z, p in zip(out, stack):
-        one = power_refine(b, p, q)
+        one = power_refine(b, p[None], q)[0]
         if not np.any(b @ p):
             assert not np.any(z) and not np.any(one)
             continue
-        np.testing.assert_allclose(rowspace_projector(z.T),
-                                   rowspace_projector(one.T), atol=1e-12)
+        np.testing.assert_allclose(_projector(z.T), _projector(one.T),
+                                   atol=1e-12)
     return out
 
 
@@ -201,7 +211,7 @@ def test_power_refine_stack_mixes_stalled_running_and_zero_blocks(monkeypatch):
     steps = []
     for p in stack:
         sizes.clear()
-        power_refine(b, p, q)
+        power_refine(b, p[None], q)
         steps.append(len(sizes) - 1)   # QR calls after the first
     assert steps[0] == 3 and steps[-1] == -1 and q in steps
 
@@ -219,7 +229,8 @@ def test_power_refine_stack_of_zero_blocks_and_q0(monkeypatch):
     b = rng.standard_normal((5, 4))
     stack = _candidate_stack(4, 2)
     sizes = _count_qr_blocks(monkeypatch)
-    np.testing.assert_array_equal(power_refine(b, stack, 0), b @ stack)
+    with pytest.raises(ValueError, match="q must be >= 1"):
+        power_refine(b, stack, 0)
     out = power_refine(np.zeros((5, 4)), stack, 7)
     assert sizes == []
     assert out.shape == (6, 5, 2) and not np.any(out)
@@ -235,12 +246,12 @@ def test_power_refine_stops_on_exact_and_rank_deficient_blocks(monkeypatch):
     for rank, k in [(2, 3)] * 25 + [(1, 1)] * 25:
         a = rng.standard_normal((6, 6))
         s = rng.standard_normal((rank, 6))
-        b = a @ rowspace_projector(s @ a)
+        b = a @ _projector(s @ a)
         sizes.clear()
         out = power_refine(b, _candidate_stack(6, k), q)
         assert len(sizes) <= 8
         for z in out:
-            proj = rowspace_projector(z.T)
+            proj = _projector(z.T)
             assert fro_sq(b - proj @ b) <= 1e-12 * fro_sq(b)
 
 
@@ -255,12 +266,12 @@ def test_proxy_loss_matches_per_candidate_loop():
             s[:] = 0.0             # B = 0
         for eps in (0.2, 0.05):
             cfg = ProxyConfig(eps, subset_cap=5000)
-            b = a @ rowspace_projector(s @ a)
+            b = a @ _projector(s @ a)
             q = q_iterations(eps, a.shape[1], cfg.q_constant)
             best_loss, best_proj = math.inf, None
             for cols in combinations(range(a.shape[1]), k):
-                z = power_refine(b, np.eye(a.shape[1])[:, list(cols)], q)
-                proj = rowspace_projector(z.T)
+                p = np.eye(a.shape[1])[:, list(cols)]
+                proj = _projector(power_refine(b, p[None], q)[0].T)
                 loss = fro_sq(b - proj @ b)
                 if loss < best_loss:
                     best_loss, best_proj = loss, proj
@@ -317,3 +328,18 @@ def test_proxy_config_validation():
         ProxyConfig(0.1, subset_cap=0)
     with pytest.raises(ValueError):
         ProxyConfig(0.1, q_constant=0.0)
+
+
+@pytest.mark.parametrize("sketch, a, k, match", [
+    (np.ones((2, 5)), np.ones((4, 3)), 1,
+     "sketch has 5 columns but the matrix has 4 rows"),
+    (np.ones((2, 4)), np.ones((4, 3)), 0, r"need 1 <= k <= min\(A.shape\)"),
+    (np.ones((2, 4)), np.ones((4, 3)), 4, r"need 1 <= k <= min\(A.shape\)"),
+    (np.ones((2, 4)), np.full((4, 3), np.nan), 1, "non-finite"),
+    (np.ones((2, 4)), np.full((4, 3), -np.inf), 1, "non-finite"),
+], ids=["width", "k-zero", "k-above-min", "nan", "inf"])
+def test_proxy_loss_rejects_what_sketch_loss_rejects(sketch, a, k, match):
+    with pytest.raises(ValueError, match=match):
+        sketch_loss(sketch, a, k)
+    with pytest.raises(ValueError, match=match):
+        proxy_loss(sketch, a, k, ProxyConfig(0.5))

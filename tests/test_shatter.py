@@ -161,3 +161,12 @@ def test_verify_shattering_reports_failure():
     fam = rank1_family(3, 2)
     report = verify_shattering(fam, gamma=0.6)  # margin wider than the gap
     assert not report["all_pass"]
+
+
+def test_verify_shattering_rejects_an_empty_sampling_budget():
+    # 16 members are sampled, not enumerated: no subset checked is no pass
+    fam = rank1_family(16, 2)
+    for budget in (0, -3):
+        with pytest.raises(ValueError, match="subset_budget must be >= 1"):
+            verify_shattering(fam, subset_budget=budget)
+    assert verify_shattering(fam, subset_budget=1)["subsets_checked"] == 1

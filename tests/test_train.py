@@ -188,3 +188,14 @@ def test_few_shot_loss_matches_independent_svd_route():
     i0[:, :k] = np.eye(k)
     expected = fro_sq(u_full[:, :k].T @ s_mat.T @ s_mat @ u_full - i0)
     assert abs(few_shot_loss(sk, a, k) - expected) <= 1e-8
+
+
+def test_few_shot_and_empirical_loss_name_bad_inputs():
+    rng = np.random.default_rng(16)
+    a = random_unit_matrix(rng, 6, 4)
+    with pytest.raises(ValueError, match="sketch has 5 columns but .* 6 rows"):
+        few_shot_loss(np.ones((2, 5)), a, 2)
+    with pytest.raises(ValueError, match="non-finite"):
+        few_shot_loss(np.ones((2, 6)), np.full((6, 4), np.nan), 2)
+    with pytest.raises(ValueError, match="dataset must be nonempty"):
+        empirical_loss(random_sparse_sketch(3, 6, 1, 2), [], 2)
