@@ -3,8 +3,9 @@ r"""Learning the sketch from data
 
 When inputs share structure (here: a common low-rank row space plus
 noise), the values of the sparse sketch can be trained on past inputs and
-transfer to unseen ones.  The sparsity pattern stays frozen; finite
-differences drive SGD because the loss is only piecewise smooth.
+transfer to unseen ones.  The sparsity pattern stays frozen; SGD follows
+the closed-form gradient of the loss in the slot values, which exists
+wherever the rank of SA and the gap below its top k directions hold.
 """
 
 # %%

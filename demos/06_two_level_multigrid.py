@@ -39,8 +39,8 @@ for q in range(6):
 
 # %%
 # The prolongation values sit on a frozen aggregation pattern and can be
-# trained across a family of right-hand sides with the same
-# finite-difference loop used for sketch values.
+# trained across a family of right-hand sides by finite-difference descent
+# (sketch values train on their closed-form gradient instead).
 
 problems = [
     sl.AMGProblem(prob.a, rng.standard_normal(16), prob.p, 1, 1,

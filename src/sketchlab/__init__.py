@@ -52,6 +52,7 @@ from .sketching import (
     sketch_lowrank,
     sketch_lowrank_via_projection,
     sketch_loss,
+    sketch_loss_and_grad,
 )
 from .train import (
     TrainConfig,

@@ -4,13 +4,13 @@ One cycle is ``s1`` forward Gauss-Seidel sweeps, a coarse correction
 through the prolongation matrix, then ``s2`` more sweeps.  The error
 propagates linearly, so the same step has a closed matrix form around the
 exact solution; checking the two against each other is the module's
-central identity.
+central identity.  A problem forms ``L^{-1}`` (L the lower-triangular part
+of A) and ``P^T A P`` once, so a sweep is a matrix-vector product.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .linalg import RANK_RTOL, svd
 from .train import TrainConfig, finite_difference_sgd
@@ -30,14 +30,25 @@ def _has_zero_diagonal(a: np.ndarray) -> bool:
     return bool(np.abs(np.diag(a)).min() <= RANK_RTOL * np.abs(a).max())
 
 
+def solve_triangular(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``L X = B`` by forward substitution, for ``L`` lower triangular
+    with a nonzero diagonal; ``B`` may be a vector or a matrix of columns."""
+    x = np.array(b, dtype=np.float64)
+    for i in range(x.shape[0]):
+        x[i] = (x[i] - lower[i, :i] @ x[:i]) / lower[i, i]
+    return x
+
+
 @dataclass
 class AMGProblem:
     """Square system with a prolongation and smoothing counts.
 
     ``a`` is n-by-n with a numerically invertible lower-triangular part,
     ``p`` is the n-by-m prolongation (its nonzero positions are the frozen
-    training pattern), and ``x0`` the initial guess.  ``coarse`` holds
-    ``P^T A P``, formed once; it must have full numerical rank m.
+    training pattern), and ``x0`` the initial guess.  ``lower_inv`` holds
+    ``L^{-1}`` for the lower-triangular part L of A, and ``coarse`` holds
+    ``P^T A P``; both are formed once, and the coarse matrix must have full
+    numerical rank m.
     """
 
     a: np.ndarray
@@ -46,6 +57,7 @@ class AMGProblem:
     s1: int
     s2: int
     x0: np.ndarray = field(default=None)
+    lower_inv: np.ndarray = field(init=False, repr=False)
     coarse: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -69,13 +81,10 @@ class AMGProblem:
             raise ValueError(f"x0 has length {self.x0.size}, expected {n}")
         if _has_zero_diagonal(self.a):
             raise ValueError("diagonal of A is numerically singular")
+        self.lower_inv = solve_triangular(np.tril(self.a), np.eye(n))
         self.coarse = self.p.T @ self.a @ self.p
         if svd(self.coarse).singular_values.size < self.p.shape[1]:
             raise ValueError("coarse matrix P^T A P is numerically singular")
-
-    def lower(self) -> np.ndarray:
-        """Lower-triangular part of A, diagonal included."""
-        return np.tril(self.a)
 
     def solution(self) -> np.ndarray:
         """Exact solution of ``A x = b`` (elimination oracle)."""
@@ -89,23 +98,21 @@ class AMGProblem:
         return AMGProblem(self.a, self.b, p, self.s1, self.s2, self.x0)
 
 
-def smoothing_sweep(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+def smoothing_sweep(prob: AMGProblem, x: np.ndarray) -> np.ndarray:
     """One forward Gauss-Seidel sweep: ``x + L^{-1}(b - A x)`` with L the
     lower-triangular part of A.  The error contracts by ``I - L^{-1} A``."""
-    if _has_zero_diagonal(a):
-        raise ValueError("zero diagonal entry; sweep undefined")
-    return x + solve_triangular(np.tril(a), b - a @ x, lower=True)
+    return x + prob.lower_inv @ (prob.b - prob.a @ x)
 
 
 def amg_step(prob: AMGProblem, x: np.ndarray) -> np.ndarray:
     """One explicit cycle: s1 sweeps, a coarse correction solved against
     ``prob.coarse`` (full rank, checked by :class:`AMGProblem`), s2 sweeps."""
     for _ in range(prob.s1):
-        x = smoothing_sweep(prob.a, prob.b, x)
+        x = smoothing_sweep(prob, x)
     residual = prob.b - prob.a @ x
     x = x + prob.p @ np.linalg.solve(prob.coarse, prob.p.T @ residual)
     for _ in range(prob.s2):
-        x = smoothing_sweep(prob.a, prob.b, x)
+        x = smoothing_sweep(prob, x)
     return x
 
 
@@ -117,7 +124,7 @@ def amg_step_error_form(prob: AMGProblem, x: np.ndarray,
                   (I - L^{-1}A)^{s1} (x - x*).
     """
     eye = np.eye(prob.a.shape[0])
-    smoother = eye - solve_triangular(prob.lower(), prob.a, lower=True)
+    smoother = eye - prob.lower_inv @ prob.a
     corrector = eye - prob.p @ np.linalg.solve(prob.coarse, prob.p.T @ prob.a)
     propagate = (
         np.linalg.matrix_power(smoother, prob.s2)
@@ -154,7 +161,7 @@ def amg_loss(prob: AMGProblem, q: int) -> float:
 def train_prolongation(problems, cfg: TrainConfig, q: int = 1,
                        history: list | None = None):
     """Fit shared prolongation values over a family of problems by
-    finite-difference SGD on the mean cycle loss.
+    finite-difference gradient descent on the mean cycle loss.
 
     All problems must share one P pattern.  Returns the trained flat value
     vector; apply it with :meth:`AMGProblem.with_prolongation_values`.
@@ -165,7 +172,7 @@ def train_prolongation(problems, cfg: TrainConfig, q: int = 1,
             raise ValueError("problems must share one prolongation pattern")
     init = problems[0].p[mask]
 
-    def loss(vals, _b, _e):
+    def loss(vals):
         return float(np.mean([
             amg_loss(prob.with_prolongation_values(vals), q)
             for prob in problems

@@ -66,6 +66,15 @@ def _check_int(cfg, keys, errors, least=1):
             errors.append(f"{key} must be an integer >= {least}, got {v!r}")
 
 
+def _check_range(cfg, key, least, errors):
+    v = cfg.get(key)
+    if (not isinstance(v, (list, tuple)) or len(v) != 2
+            or not all(isinstance(x, int) and not isinstance(x, bool) for x in v)
+            or not least <= v[0] <= v[1]):
+        errors.append(f"{key} must be a pair [lo, hi] of integers with "
+                      f"{least} <= lo <= hi, got {v!r}")
+
+
 def _check_real(cfg, key, ok, rule, errors):
     v = cfg.get(key)
     if isinstance(v, bool) or not isinstance(v, (int, float)) or not ok(v):
@@ -185,9 +194,14 @@ def _cmd_proxy_check(cfg, seed):
         "q_constant": 4.0, "n_range": [3, 9], "d_range": [3, 7],
         "m_max": 4, "k_max": 3,
     }, errors)
-    _check_int(cfg, ("instances", "subset_cap"), errors)
+    _check_int(cfg, ("instances", "subset_cap", "m_max", "k_max"), errors)
     if not cfg["epsilons"] or not all(0 < e < 1 for e in cfg["epsilons"]):
         errors.append(f"epsilons must lie in (0, 1), got {cfg['epsilons']!r}")
+    _check_range(cfg, "n_range", 1, errors)
+    _check_range(cfg, "d_range", 2, errors)  # instances have k < d
+    if (all(isinstance(cfg[key], int) for key in ("k_max", "m_max"))
+            and 1 <= cfg["m_max"] < cfg["k_max"]):
+        errors.append(f"k_max={cfg['k_max']} exceeds m_max={cfg['m_max']}")
     if errors:
         raise ConfigError(errors)
 
@@ -227,6 +241,7 @@ def _cmd_shatter_verify(cfg, seed):
     _check_int(cfg, ("n", "d", "k", "s", "subset_budget"), errors)
     if cfg["family"] not in ("rank1", "dense", "block"):
         errors.append(f"family must be rank1|dense|block, got {cfg['family']!r}")
+    _check_real(cfg, "gamma", lambda v: 0 < v < 1, "in (0, 1)", errors)
     if errors:
         raise ConfigError(errors)
 

@@ -179,7 +179,7 @@ def proxy_loss(sketch, a: np.ndarray, k: int, cfg: ProxyConfig) -> float:
     The result exceeds the true loss by at most ``cfg.epsilon`` (and is
     never below it) when the candidate enumeration is exhaustive.
     """
-    v = _sketched_rowspace(a, k, sketch)
+    v = _sketched_rowspace(a, k, sketch).V
     b = a @ (v @ v.T)
     q = q_iterations(cfg.epsilon, a.shape[1], cfg.q_constant)
     qs = power_refine(b, candidate_bases(b, k, cfg), q)

@@ -5,14 +5,16 @@ sparsity pattern (``s`` nonzero slots per column) and freely settable slot
 values; the slot values are what gets trained.  ``sketch_lowrank``
 implements the classic sketch-and-solve rank-``k`` approximation: sketch
 the input down to ``S @ A``, take its SVD, and solve the small problem in
-the sketched row space; its projection form shares that one SVD of ``SA``.
+the sketched row space; its projection form shares that one SVD of ``SA``,
+and so does ``sketch_loss_and_grad``, the loss with its closed-form
+gradient in the dense sketch.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import best_rank_k, fro_sq, svd
+from .linalg import SvdResult, best_rank_k, fro_sq, svd
 
 
 @dataclass(eq=False)
@@ -71,8 +73,13 @@ class SparseSketch:
 
 
 def _dense(sketch, a: np.ndarray) -> np.ndarray:
-    """The dense sketch, checked to fit the finite matrix ``a``."""
-    s_mat = sketch.dense() if hasattr(sketch, "dense") else np.asarray(sketch, float)
+    """The finite dense sketch, checked to fit the finite matrix ``a``."""
+    if hasattr(sketch, "dense"):
+        s_mat = sketch.dense()
+    else:
+        s_mat = np.asarray(sketch, float)
+        if not np.isfinite(s_mat).all():
+            raise ValueError("sketch contains non-finite entries")
     if s_mat.shape[1] != a.shape[0]:
         raise ValueError(
             f"sketch has {s_mat.shape[1]} columns but the matrix has "
@@ -102,14 +109,15 @@ def random_sparse_sketch(m: int, n: int, s: int, seed) -> SparseSketch:
     return SparseSketch(m, n, s, pattern, values)
 
 
-def _sketched_rowspace(a: np.ndarray, k: int, sketch) -> np.ndarray:
-    """Validate the inputs and return an orthonormal basis ``V`` (d-by-r)
-    of the row space of ``SA`` at its numerical rank r; the true loss and
-    the proxy both start from it."""
+def _sketched_rowspace(a: np.ndarray, k: int, sketch) -> SvdResult:
+    """Validate the inputs and return the rank-trimmed SVD
+    ``U Sigma V^T`` of ``SA``; ``V`` (d-by-r) is an orthonormal basis of its
+    row space.  The true loss, its gradient and the proxy all start from
+    it."""
     s_mat = _dense(sketch, a)
     if not (1 <= k <= min(a.shape)):
         raise ValueError(f"need 1 <= k <= min(A.shape), got k={k}")
-    return svd(s_mat @ a).V
+    return svd(s_mat @ a)
 
 
 def sketch_lowrank(a: np.ndarray, k: int, sketch) -> np.ndarray:
@@ -119,14 +127,14 @@ def sketch_lowrank(a: np.ndarray, k: int, sketch) -> np.ndarray:
     ``[A V]_k V^T``; when ``SA`` vanishes, ``V`` is empty and the result
     is the zero matrix.  The output always has rank at most ``k``.
     """
-    v = _sketched_rowspace(a, k, sketch)
+    v = _sketched_rowspace(a, k, sketch).V
     return best_rank_k(a @ v, k) @ v.T
 
 
 def sketch_lowrank_via_projection(a: np.ndarray, k: int, sketch) -> np.ndarray:
     """Equivalent form of :func:`sketch_lowrank`: ``[A P]_k`` where
     ``P = V V^T`` projects onto the row space of ``SA``."""
-    v = _sketched_rowspace(a, k, sketch)
+    v = _sketched_rowspace(a, k, sketch).V
     return best_rank_k(a @ (v @ v.T), k)
 
 
@@ -137,6 +145,35 @@ def sketch_loss(sketch, a: np.ndarray, k: int) -> float:
     [0, 1]; in general it never exceeds ``fro_sq(a)``.
     """
     return fro_sq(a - sketch_lowrank(a, k, sketch))
+
+
+def sketch_loss_and_grad(sketch, a: np.ndarray, k: int) -> tuple[float, np.ndarray]:
+    """The loss of :func:`sketch_loss` and its gradient in the dense
+    m-by-n sketch ``S``.
+
+    With ``K = A A^T`` the loss is ``||A||_F^2`` minus the top ``k``
+    eigenvalues of the pencil ``(S K^2 S^T, S K S^T)``.  The thin SVD
+    ``U Sigma V^T`` of ``SA`` whitens the pencil into ``(AV)^T (AV)``.
+    With ``W diag(sigma) Z^T`` the SVD of ``AV`` cut to its top
+    ``min(k, rank)`` terms, ``X = U Sigma^{-1} Z`` and ``Y = X^T S``, the
+    eigenvalue gradients sum to ``dL/dS = -2 X (Y K^2 - Lambda Y K)`` with
+    ``Lambda = diag(sigma^2)``.  Since ``Y K = diag(sigma) W^T``, row i of
+    the bracket, ``sigma_i w_i^T (K - sigma_i^2 I)``, equals
+    ``sigma_i w_i^T R A^T`` for the loss residual ``R = A - [AV]_k V^T``;
+    so neither ``K`` nor that cancelling difference is formed.
+
+    The gradient is exact wherever the rank of ``SA`` is locally constant
+    and ``sigma_k > sigma_{k+1}``.  Sketch rows with no part in ``SA``'s
+    left singular space (empty rows among them) get zero.
+    """
+    u, sv_sa, v = _sketched_rowspace(a, k, sketch)
+    w, sv, z = svd(a @ v)
+    r = min(k, sv.size)
+    w, sv, z = w[:, :r], sv[:r], z[:, :r]
+    resid = a - ((w * sv) @ z.T) @ v.T
+    x = (u / sv_sa) @ z
+    grad = -2.0 * (x * sv) @ ((w.T @ resid) @ a.T)
+    return fro_sq(resid), grad
 
 
 def rank1_closed_form_loss(a: np.ndarray, w: np.ndarray) -> float:

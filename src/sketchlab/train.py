@@ -1,9 +1,12 @@
 """Training loop for learned sparse sketches.
 
-The sparsity pattern stays frozen; only slot values move.  Gradients of the
-sketch-and-solve loss are estimated by central finite differences on each
-slot value, since the truncation step inside the pipeline is only piecewise
-smooth and differentiating through the SVD buys nothing at desk scale.
+The sparsity pattern stays frozen; only slot values move.  ``sgd_train``
+follows the closed-form gradient of the sketch-and-solve loss
+(:func:`~sketchlab.sketching.sketch_loss_and_grad`), read off at the slot
+positions: one loss-and-gradient call per matrix and batch.  The generic
+:func:`finite_difference_sgd` estimates gradients by central differences;
+``amg.train_prolongation`` trains with it, and the tests check
+``sgd_train`` against it.
 """
 
 from dataclasses import dataclass
@@ -11,12 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import fro_sq
-from .sketching import SparseSketch, _dense, sketch_loss
+from .sketching import SparseSketch, _dense, sketch_loss, sketch_loss_and_grad
 
 
 @dataclass
 class TrainConfig:
-    """Hyperparameters for finite-difference SGD."""
+    """Hyperparameters for mini-batch SGD.
+
+    ``fd_step`` is the central-difference step of
+    :func:`finite_difference_sgd`; :func:`sgd_train` does not use it.
+    """
 
     epochs: int
     step_size: float
@@ -67,37 +74,34 @@ def empirical_loss(sketch, data, k: int) -> float:
     return float(np.mean([sketch_loss(sketch, a, k) for a in data]))
 
 
-def finite_difference_sgd(values, loss_fn, cfg: TrainConfig, n_batches: int = 1,
-                          history: list | None = None,
-                          full_loss_fn=None) -> np.ndarray:
-    """Generic mini-batch SGD with central finite-difference gradients.
+def finite_difference_sgd(values, loss_fn, cfg: TrainConfig,
+                          history: list | None = None) -> np.ndarray:
+    """Generic gradient descent with central finite-difference gradients.
 
-    ``loss_fn(values, batch_index, epoch)`` evaluates the batch loss at a
-    flat parameter vector.  After each epoch the full loss (via
-    ``full_loss_fn`` or batch 0) is appended to ``history`` when given.
-    Aborts with a diagnostic if a loss evaluates non-finite.
+    ``loss_fn(values)`` evaluates the loss at a flat parameter vector; one
+    step per epoch.  After each epoch the loss is appended to ``history``
+    when given.  Aborts with a diagnostic if a loss evaluates non-finite.
     """
     vals = np.array(values, dtype=np.float64).ravel()
     h = cfg.fd_step
     for epoch in range(cfg.epochs):
-        for b in range(n_batches):
-            grad = np.empty_like(vals)
-            for j in range(vals.size):
-                orig = vals[j]
-                vals[j] = orig + h
-                up = loss_fn(vals, b, epoch)
-                vals[j] = orig - h
-                down = loss_fn(vals, b, epoch)
-                vals[j] = orig
-                if not (np.isfinite(up) and np.isfinite(down)):
-                    raise FloatingPointError(
-                        f"non-finite loss at epoch {epoch}, batch {b}, "
-                        f"parameter {j}: up={up}, down={down}"
-                    )
-                grad[j] = (up - down) / (2.0 * h)
-            vals -= cfg.step_size * grad
+        grad = np.empty_like(vals)
+        for j in range(vals.size):
+            orig = vals[j]
+            vals[j] = orig + h
+            up = loss_fn(vals)
+            vals[j] = orig - h
+            down = loss_fn(vals)
+            vals[j] = orig
+            if not (np.isfinite(up) and np.isfinite(down)):
+                raise FloatingPointError(
+                    f"non-finite loss at epoch {epoch}, parameter {j}: "
+                    f"up={up}, down={down}"
+                )
+            grad[j] = (up - down) / (2.0 * h)
+        vals -= cfg.step_size * grad
         if history is not None:
-            full = full_loss_fn(vals) if full_loss_fn else loss_fn(vals, 0, epoch)
+            full = loss_fn(vals)
             if not np.isfinite(full):
                 raise FloatingPointError(
                     f"non-finite loss after epoch {epoch}: {full}"
@@ -108,35 +112,45 @@ def finite_difference_sgd(values, loss_fn, cfg: TrainConfig, n_batches: int = 1,
 
 def sgd_train(pattern: SparseSketch, data, k: int, cfg: TrainConfig,
               history: list | None = None) -> SparseSketch:
-    """Train the slot values of ``pattern`` by finite-difference SGD on the
-    mean sketch-and-solve loss.
+    """Train the slot values of ``pattern`` by mini-batch SGD on the mean
+    sketch-and-solve loss, with its closed-form gradient.
 
-    The returned sketch has exactly the input pattern.  With a fixed
-    config the whole trajectory is deterministic.  Per-epoch training
-    losses are appended to ``history`` when a list is passed.
+    Each step averages the per-matrix gradients at the slot positions over
+    one batch of a fresh per-epoch shuffle.  The returned sketch has
+    exactly the input pattern.  With a fixed config the whole trajectory is
+    deterministic.  Per-epoch training losses are appended to ``history``
+    when a list is passed.  Aborts with a diagnostic if a loss or a
+    gradient evaluates non-finite.
     """
     rng = np.random.default_rng(cfg.seed)
     order = np.arange(len(data))
     batch_size = min(cfg.batch_size, len(data))
     n_batches = (len(data) + batch_size - 1) // batch_size
-    shape = pattern.values.shape
-
-    # One shuffle per epoch, drawn up front so loss_fn stays pure.
+    slots = (pattern.pattern, np.arange(pattern.n)[:, None])
     perms = [rng.permutation(order) for _ in range(max(cfg.epochs, 1))]
-
-    def batch_loss(vals, b, epoch):
-        sk = pattern.with_values(vals.reshape(shape))
-        idx = perms[epoch][b * batch_size:(b + 1) * batch_size]
-        return float(np.mean([sketch_loss(sk, data[i], k) for i in idx]))
-
-    def full_loss(vals):
-        return empirical_loss(pattern.with_values(vals.reshape(shape)), data, k)
-
-    trained = finite_difference_sgd(
-        pattern.values, batch_loss, cfg, n_batches=n_batches,
-        history=history, full_loss_fn=full_loss,
-    )
-    return pattern.with_values(trained.reshape(shape))
+    vals = pattern.values.copy()
+    for epoch in range(cfg.epochs):
+        for b in range(n_batches):
+            s_mat = pattern.with_values(vals).dense()
+            idx = perms[epoch][b * batch_size:(b + 1) * batch_size]
+            grad = np.zeros_like(vals)
+            for i in idx:
+                loss, g = sketch_loss_and_grad(s_mat, data[i], k)
+                if not (np.isfinite(loss) and np.isfinite(g).all()):
+                    raise FloatingPointError(
+                        f"non-finite loss or gradient at epoch {epoch}, "
+                        f"batch {b}, matrix {i}: loss={loss}"
+                    )
+                grad += g[slots]
+            vals -= cfg.step_size * (grad / idx.size)
+        if history is not None:
+            full = empirical_loss(pattern.with_values(vals), data, k)
+            if not np.isfinite(full):
+                raise FloatingPointError(
+                    f"non-finite loss after epoch {epoch}: {full}"
+                )
+            history.append(float(full))
+    return pattern.with_values(vals)
 
 
 def safeguard(learned: SparseSketch, oblivious: SparseSketch) -> SparseSketch:

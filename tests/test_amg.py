@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,7 +24,7 @@ def test_sweep_solves_lower_triangular_exactly():
     a = np.tril(rng.standard_normal((5, 5))) + 3.0 * np.eye(5)
     x_star = rng.standard_normal(5)
     b = a @ x_star
-    out = smoothing_sweep(a, b, np.zeros(5))
+    out = smoothing_sweep(AMGProblem(a, b, np.eye(5), 1, 0), np.zeros(5))
     np.testing.assert_allclose(out, x_star, atol=1e-12)
 
 
@@ -28,17 +33,45 @@ def test_sweep_fixed_point_and_error_form():
     a = np.diag(rng.uniform(1, 2, 6)) + 0.1 * rng.standard_normal((6, 6))
     x_star = rng.standard_normal(6)
     b = a @ x_star
-    np.testing.assert_allclose(smoothing_sweep(a, b, x_star), x_star, atol=1e-12)
+    prob = AMGProblem(a, b, np.eye(6), 1, 0)
+    np.testing.assert_allclose(smoothing_sweep(prob, x_star), x_star, atol=1e-12)
     x = rng.standard_normal(6)
     prop = np.eye(6) - np.linalg.solve(np.tril(a), a)
     expected = x_star + prop @ (x - x_star)
-    np.testing.assert_allclose(smoothing_sweep(a, b, x), expected, atol=1e-10)
+    np.testing.assert_allclose(smoothing_sweep(prob, x), expected, atol=1e-10)
 
 
 def test_sweep_rejects_zero_diagonal():
     a = np.array([[1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
-        smoothing_sweep(a, np.ones(2), np.zeros(2))
+        smoothing_sweep(AMGProblem(a, np.ones(2), np.eye(2), 1, 0), np.zeros(2))
+
+
+def test_sweep_matches_triangular_solve_on_graded_diagonal():
+    # the zero-diagonal guard admits a spread of at most 1e10, so the
+    # diagonal spans nine decades; off-diagonals follow the grading
+    rng = np.random.default_rng(12)
+    n = 12
+    diag = np.geomspace(1e-6, 1e3, n)
+    a = np.outer(np.sqrt(diag), np.sqrt(diag)) * 0.3 * rng.standard_normal((n, n))
+    np.fill_diagonal(a, diag)
+    b, x = rng.standard_normal(n), rng.standard_normal(n)
+    out = smoothing_sweep(AMGProblem(a, b, np.eye(n), 1, 0), x)
+    ref = x + np.linalg.solve(np.tril(a), b - a @ x)
+    assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sketchlab; print('scipy.linalg' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_step_fixed_point():

@@ -2,9 +2,8 @@
 unnoticed.
 
 Each demo runs in its own interpreter with ``src`` on the path and must
-exit 0.  Demos 02 (learned sketches) and 03 (proxy calibration sweep) are
-left out: they take about 7 to 11 s each, against about 1 s for the
-others.
+exit 0.  Demo 03 (proxy calibration sweep) is left out: it takes about
+11 s, against 1 to 2 s for the others.
 """
 
 import os
@@ -19,6 +18,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("name", [
     "01_sketch_and_solve.py",
+    "02_learned_sketches.py",
     "04_complexity_tracer.py",
     "05_shattering_families.py",
     "06_two_level_multigrid.py",

@@ -104,6 +104,14 @@ def test_config_errors_are_collected_all_at_once():
     ("amg-check", {"n_max": 3}, ["n_max must"]),
     ("amg-check", {"m_max": 1, "noise": "x", "bogus": 1},
      ["unknown config key: 'bogus'", "m_max must", "noise must"]),
+    ("proxy-check", {"k_max": 0}, ["k_max must"]),
+    ("proxy-check", {"n_range": [3, 2], "m_max": 0},
+     ["m_max must", "n_range must"]),
+    ("proxy-check", {"d_range": [1, 4], "n_range": [2, "x"]},
+     ["n_range must", "d_range must"]),
+    ("proxy-check", {"k_max": 5}, ["k_max=5 exceeds m_max=4"]),
+    ("shatter-verify", {"gamma": "x"}, ["gamma must"]),
+    ("shatter-verify", {"n": 0, "gamma": 1.0}, ["n must", "gamma must"]),
 ])
 def test_bad_keys_are_config_errors_listed_together(tmp_path, capsys, command,
                                                     cfg, starts):

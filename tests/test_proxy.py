@@ -14,7 +14,7 @@ from sketchlab.proxy import (
     proxy_loss,
     q_iterations,
 )
-from sketchlab.sketching import sketch_loss
+from sketchlab.sketching import sketch_loss, sketch_loss_and_grad
 from sketchlab.synth import random_instance, random_unit_matrix
 
 
@@ -337,9 +337,12 @@ def test_proxy_config_validation():
     (np.ones((2, 4)), np.ones((4, 3)), 4, r"need 1 <= k <= min\(A.shape\)"),
     (np.ones((2, 4)), np.full((4, 3), np.nan), 1, "non-finite"),
     (np.ones((2, 4)), np.full((4, 3), -np.inf), 1, "non-finite"),
-], ids=["width", "k-zero", "k-above-min", "nan", "inf"])
+    (np.full((2, 4), np.nan), np.ones((4, 3)), 1, "sketch contains non-finite"),
+], ids=["width", "k-zero", "k-above-min", "nan", "inf", "sketch-nan"])
 def test_proxy_loss_rejects_what_sketch_loss_rejects(sketch, a, k, match):
     with pytest.raises(ValueError, match=match):
         sketch_loss(sketch, a, k)
+    with pytest.raises(ValueError, match=match):
+        sketch_loss_and_grad(sketch, a, k)
     with pytest.raises(ValueError, match=match):
         proxy_loss(sketch, a, k, ProxyConfig(0.5))

@@ -106,10 +106,28 @@ def test_sgd_pattern_immutable_and_deterministic():
     assert len(h1) == 3
 
 
+def test_sgd_train_follows_finite_difference_sgd_on_full_batches():
+    rng = np.random.default_rng(17)
+    data = make_dataset([rng.standard_normal((6, 5)) for _ in range(3)])
+    sk = random_sparse_sketch(3, 6, 2, 18)
+    cfg = TrainConfig(epochs=3, step_size=0.2, batch_size=3, seed=19)
+
+    def mean_loss(vals):
+        return empirical_loss(sk.with_values(vals.reshape(sk.values.shape)),
+                              data, 2)
+
+    h_closed, h_fd = [], []
+    closed = sgd_train(sk, data, 2, cfg, history=h_closed)
+    fd = finite_difference_sgd(sk.values, mean_loss, cfg, history=h_fd)
+    np.testing.assert_allclose(closed.values.ravel(), fd, rtol=1e-9)
+    np.testing.assert_allclose(h_closed, h_fd, rtol=1e-9)
+    assert h_closed[-1] < mean_loss(sk.values)
+
+
 def test_fd_sgd_aborts_on_non_finite_loss():
     cfg = TrainConfig(1, 0.1, 1)
 
-    def bad_loss(vals, b, e):
+    def bad_loss(vals):
         return float("nan")
 
     with pytest.raises(FloatingPointError):
