@@ -26,8 +26,9 @@ class DivergenceError(ArithmeticError):
 
 
 def _has_zero_diagonal(a: np.ndarray) -> bool:
-    """Diagonal entry at or below ``RANK_RTOL * max|A|``."""
-    return bool(np.abs(np.diag(a)).min() <= RANK_RTOL * np.abs(a).max())
+    """Diagonal entry ``a_ii`` at or below ``RANK_RTOL * max_j |a_ij|``, so a
+    graded A is judged row by row, not against its largest entry."""
+    return bool((np.abs(np.diag(a)) <= RANK_RTOL * np.abs(a).max(axis=1)).any())
 
 
 def solve_triangular(lower: np.ndarray, b: np.ndarray) -> np.ndarray:

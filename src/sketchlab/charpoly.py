@@ -37,7 +37,7 @@ def _fl(tr, m):
     coeffs = []
     for i in range(1, k + 1):
         mb = _mat_mul(m, b)
-        coeffs.append((-reduce(add, (mb[t][t] for t in range(k)))) / i)
+        coeffs.append((-reduce(add, (mb[t][t] for t in range(k)))) / tr.const(i))
         if i < k:
             b = [[v + coeffs[-1] if r == s else v for s, v in enumerate(row)]
                  for r, row in enumerate(mb)]

@@ -131,8 +131,8 @@ def _cmd_train(cfg, seed):
     errors = []
     cfg = _merge_defaults(cfg, {
         "data_dir": None, "data_files": None, "m": None, "k": None, "s": 1,
-        "epochs": 10, "step_size": 0.1, "batch_size": 8, "fd_step": 1e-5,
-        "holdout": 0, "sketch_out": None,
+        "epochs": 10, "step_size": 0.1, "batch_size": 8, "holdout": 0,
+        "sketch_out": None,
     }, errors)
     mats = _load_dataset(cfg, errors)
     _check_int(cfg, ("m", "k", "s", "epochs", "batch_size"), errors)
@@ -149,16 +149,16 @@ def _cmd_train(cfg, seed):
         raise ConfigError(errors)
 
     data = make_dataset(mats)
-    holdout = data[len(data) - cfg["holdout"]:] if cfg["holdout"] else []
-    train_set = data[:len(data) - cfg["holdout"]] if cfg["holdout"] else data
+    cut = len(data) - cfg["holdout"]
+    train_set, holdout = data[:cut], data[cut:]
     pattern = random_sparse_sketch(cfg["m"], data[0].shape[0], cfg["s"],
                                    named_stream(seed, "sketch-init"))
     tc = TrainConfig(cfg["epochs"], cfg["step_size"], cfg["batch_size"],
-                     cfg["fd_step"], seed)
+                     seed=seed)
     history: list = []
     initial = empirical_loss(pattern, train_set, cfg["k"])
     trained = sgd_train(pattern, train_set, cfg["k"], tc, history=history)
-    final = empirical_loss(trained, train_set, cfg["k"])
+    final = history[-1]
     metrics = {"initial_loss": initial, "final_loss": final}
     if holdout:
         metrics["holdout_loss"] = empirical_loss(trained, holdout, cfg["k"])

@@ -5,6 +5,9 @@ trace API and returns both the numeric result and the populated trace.
 Passing a :class:`~sketchlab.gjtrace.FloatBackend` instead of a fresh
 trace replays the identical execution on plain floats, and an
 :class:`~sketchlab.gjtrace.ExactBackend` replays it in exact rationals.
+Every driver lifts its constants with ``tr.const`` and reads its results
+with ``float()`` (``charpoly._floats`` for matrices), so the same code
+serves all three.
 
 Rank tests inside the traced routines branch on exact zero (the sign test
 pair ``c >= 0`` and ``-c >= 0``), matching the arithmetic-only model; the
@@ -20,20 +23,12 @@ from operator import add
 
 import numpy as np
 
-from .charpoly import _mat_mul, _mat_transpose, _projection
+from .charpoly import _floats, _mat_mul, _mat_transpose, _projection
 from .gjtrace import Trace, gj_argmin, gj_min
 from .proxy import q_iterations
 
 # The pipeline's final predicate compares the proxy loss with this constant.
 _LOSS_THRESHOLD = 0.5
-
-
-def _num(v):
-    return v.numeric if hasattr(v, "numeric") else float(v)
-
-
-def _num_mat(m):
-    return np.array([[_num(v) for v in row] for row in m])
 
 
 def _lift_inputs(tr, arr, prefix):
@@ -57,14 +52,14 @@ def power_trace(m, pi, q, tr=None):
     x = [[tr.input(f"p{i}", pi[i])] for i in range(pi.size)]
     for _ in range(q):
         x = _mat_mul(m_t, x)
-    return _num_mat(x)[:, 0], tr
+    return _floats(x)[:, 0], tr
 
 
 def min_trace(values, tr=None):
     """Trace the all-pairs minimum of ``r`` inputs; C(r, 2) predicates."""
     tr = tr if tr is not None else Trace()
     lifted = [tr.input(f"v{i}", v) for i, v in enumerate(values)]
-    return _num(gj_min(tr, lifted)), tr
+    return float(gj_min(tr, lifted)), tr
 
 
 def rowspace_projection_trace(z, tr=None):
@@ -79,7 +74,7 @@ def rowspace_projection_trace(z, tr=None):
     z = np.asarray(z, dtype=np.float64)
     rows = _lift_inputs(tr, z, "z")
     numer, denom = _projection(tr, rows)
-    return _num_mat([[v / denom for v in row] for row in numer]), tr
+    return _floats([[v / denom for v in row] for row in numer]), tr
 
 
 def knapsack_trace(values, costs, capacity, rho, tr=None):
@@ -172,4 +167,4 @@ def proxy_pipeline_trace(sketch, a, k, epsilon, q_constant=1.0, tr=None):
     ]
     proxy = reduce(add, (v * v for row in final for v in row)) / (den * den)
     tr.branch(proxy - tr.const(_LOSS_THRESHOLD))
-    return _num(proxy), tr
+    return float(proxy), tr

@@ -7,6 +7,12 @@ and every branch records a canonical fingerprint of its predicate's
 expression DAG, so structurally identical predicates are counted once.
 The trace is execution-path-faithful: the ``numeric`` field follows plain
 float arithmetic exactly.
+
+A program written against the trace API runs unchanged on :class:`Trace`,
+:class:`FloatBackend` and :class:`ExactBackend`.  Every number enters it
+through ``const`` or ``input`` (an operator refuses a raw number, so no
+float can slip into an exact replay), and ``float()`` reads a value out
+on any of the three.
 """
 
 import math
@@ -30,39 +36,23 @@ class TracedValue:
     def degree(self) -> int:
         return max(self.num_deg, self.den_deg)
 
-    def _coerce(self, other):
-        if isinstance(other, TracedValue):
-            if other.trace is not self.trace:
-                raise ValueError("cannot mix values from different traces")
-            return other
-        return self.trace.const(other)
-
     def __add__(self, other):
-        return self.trace.op(self, self._coerce(other), "+")
-
-    def __radd__(self, other):
-        return self.trace.op(self._coerce(other), self, "+")
+        return self.trace.op(self, other, "+")
 
     def __sub__(self, other):
-        return self.trace.op(self, self._coerce(other), "-")
-
-    def __rsub__(self, other):
-        return self.trace.op(self._coerce(other), self, "-")
+        return self.trace.op(self, other, "-")
 
     def __mul__(self, other):
-        return self.trace.op(self, self._coerce(other), "*")
-
-    def __rmul__(self, other):
-        return self.trace.op(self._coerce(other), self, "*")
+        return self.trace.op(self, other, "*")
 
     def __truediv__(self, other):
-        return self.trace.op(self, self._coerce(other), "/")
-
-    def __rtruediv__(self, other):
-        return self.trace.op(self._coerce(other), self, "/")
+        return self.trace.op(self, other, "/")
 
     def __neg__(self):
         return self.trace.const(-1.0) * self
+
+    def __float__(self):
+        return self.numeric
 
 
 class Trace:
@@ -78,7 +68,7 @@ class Trace:
 
     def __init__(self):
         self._node_ids: dict[tuple, int] = {}
-        self._input_names: set[str] = set()
+        self.n_inputs = 0
         self.predicate_nodes: set[int] = set()
         self.max_degree = 0
 
@@ -95,48 +85,42 @@ class Trace:
 
     def input(self, name: str, value: float) -> TracedValue:
         """Register a named input (degree 1) with its concrete value."""
-        if name in self._input_names:
+        if ("in", name) in self._node_ids:
             raise ValueError(f"duplicate input name: {name!r}")
-        self._input_names.add(name)
+        self.n_inputs += 1
         return self._make(("in", name), 1, 0, value)
 
     def const(self, value) -> TracedValue:
         """A constant of the program (degree 0)."""
+        if isinstance(value, TracedValue):  # float() would drop its degrees
+            raise TypeError("Trace.const takes a number, not a traced value")
         return self._make(("const", float(value)), 0, 0, value)
 
     def op(self, a: TracedValue, b: TracedValue, kind: str) -> TracedValue:
-        """Apply one arithmetic operation; degree bounds compose
-        conservatively (no cancellation is assumed)."""
-        if kind == "+":
-            numeric = a.numeric + b.numeric
-            degs = (max(a.num_deg + b.den_deg, b.num_deg + a.den_deg),
-                    a.den_deg + b.den_deg)
-        elif kind == "-":
-            numeric = a.numeric - b.numeric
-            degs = (max(a.num_deg + b.den_deg, b.num_deg + a.den_deg),
-                    a.den_deg + b.den_deg)
-        elif kind == "*":
-            numeric = a.numeric * b.numeric
-            degs = (a.num_deg + b.num_deg, a.den_deg + b.den_deg)
-        elif kind == "/":
-            numeric = a.numeric / b.numeric  # ZeroDivisionError on 0 is intended
-            degs = (a.num_deg + b.den_deg, a.den_deg + b.num_deg)
+        """Apply one of ``+ - * /``; degree bounds compose conservatively
+        (no cancellation is assumed), and ``/`` is ``*`` by the divisor
+        with its degrees swapped."""
+        if not (isinstance(a, TracedValue) and isinstance(b, TracedValue)):
+            raise TypeError(f"{type(a).__name__} {kind} {type(b).__name__}: "
+                            "lift every number with Trace.const")
+        if a.trace is not self or b.trace is not self:
+            raise ValueError("cannot mix values from different traces")
+        b_num, b_den = (b.den_deg, b.num_deg) if kind == "/" else (b.num_deg, b.den_deg)
+        if kind in ("+", "-"):
+            numeric = a.numeric + b.numeric if kind == "+" else a.numeric - b.numeric
+            num_deg = max(a.num_deg + b_den, b_num + a.den_deg)
         else:
-            raise ValueError(f"unknown operation kind: {kind!r}")
-        if kind in ("+", "*"):
-            key = (kind,) + tuple(sorted((a.node, b.node)))
-        else:
-            key = (kind, a.node, b.node)
-        return self._make(key, degs[0], degs[1], numeric)
+            # ZeroDivisionError on a zero divisor is intended
+            numeric = a.numeric * b.numeric if kind == "*" else a.numeric / b.numeric
+            num_deg = a.num_deg + b_num
+        key = ((kind, *sorted((a.node, b.node))) if kind in ("+", "*")
+               else (kind, a.node, b.node))
+        return self._make(key, num_deg, a.den_deg + b_den, numeric)
 
     def branch(self, v: TracedValue) -> bool:
         """Record the predicate "v >= 0" and return its concrete outcome."""
         self.predicate_nodes.add(v.node)
         return v.numeric >= 0.0
-
-    @property
-    def n_inputs(self) -> int:
-        return len(self._input_names)
 
     @property
     def predicate_count(self) -> int:

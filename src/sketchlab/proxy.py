@@ -100,14 +100,15 @@ def candidate_bases(b: np.ndarray, k: int, cfg: ProxyConfig) -> np.ndarray:
     """Starting blocks for the power refinement, as a ``(C, d, k)`` stack.
 
     When the number of k-subsets of the d standard-basis vectors fits under
-    ``cfg.subset_cap``, all C(d, k) of them are returned.  Otherwise a
+    ``cfg.subset_cap``, all C(d, k) of them are returned (at k = d, the
+    identity alone; C(d, d) = 1 fits every cap).  Otherwise a
     single block (C = 1) is chosen greedily from the top-k right singular
     rows of ``b``; it still keeps the refined loss within a factor 1 + d of
     optimal.
     """
     d = b.shape[1]
-    if not (1 <= k < d):
-        raise ValueError(f"need 1 <= k < d, got k={k}, d={d}")
+    if not (1 <= k <= d):
+        raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
     if cfg.exhaustive(d, k):
         return np.eye(d)[:, list(combinations(range(d), k))].transpose(1, 0, 2)
     _, _, vh = np.linalg.svd(b, full_matrices=False)

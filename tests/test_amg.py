@@ -45,18 +45,24 @@ def test_sweep_rejects_zero_diagonal():
     a = np.array([[1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
         smoothing_sweep(AMGProblem(a, np.ones(2), np.eye(2), 1, 0), np.zeros(2))
+    # the guard is row-relative: 1e-12 of its own row is zero, at any scale
+    a = np.array([[1e6, 0.0], [1.0, 1e-12]])
+    with pytest.raises(ValueError, match="diagonal of A is numerically singular"):
+        AMGProblem(a, np.ones(2), np.ones((2, 1)), 1, 0)
 
 
 def test_sweep_matches_triangular_solve_on_graded_diagonal():
-    # the zero-diagonal guard admits a spread of at most 1e10, so the
-    # diagonal spans nine decades; off-diagonals follow the grading
+    # the zero-diagonal guard judges each row on its own, so the diagonal
+    # spans twelve decades; off-diagonals follow the grading.  A coarse
+    # space of one column of ones is well conditioned (P = I is not: its
+    # coarse matrix is A itself)
     rng = np.random.default_rng(12)
     n = 12
-    diag = np.geomspace(1e-6, 1e3, n)
+    diag = np.geomspace(1e-6, 1e6, n)
     a = np.outer(np.sqrt(diag), np.sqrt(diag)) * 0.3 * rng.standard_normal((n, n))
     np.fill_diagonal(a, diag)
     b, x = rng.standard_normal(n), rng.standard_normal(n)
-    out = smoothing_sweep(AMGProblem(a, b, np.eye(n), 1, 0), x)
+    out = smoothing_sweep(AMGProblem(a, b, np.ones((n, 1)), 1, 0), x)
     ref = x + np.linalg.solve(np.tril(a), b - a @ x)
     assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref)
 

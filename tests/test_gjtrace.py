@@ -50,7 +50,7 @@ def test_degree_bound_never_decreases():
     seen = [tr.max_degree]
     v = x
     for _ in range(5):
-        v = v * x + 1.0
+        v = v * x + tr.const(1.0)
         seen.append(tr.max_degree)
     assert seen == sorted(seen)
 
@@ -69,19 +69,40 @@ def test_cross_trace_mixing_rejected():
         t1.input("x", 1.0) + t2.input("y", 1.0)
 
 
+def test_raw_numbers_must_be_lifted_with_const():
+    tr = Trace()
+    x = tr.input("x", 1.0)
+    for raw in (1.0, 2, np.float64(0.5), Fraction(1, 3)):
+        with pytest.raises(TypeError, match=r"Trace\.const"):
+            x + raw
+        with pytest.raises(TypeError):
+            raw * x
+    with pytest.raises(TypeError, match=r"Trace\.const"):
+        tr.op(1.0, x, "-")
+    with pytest.raises(TypeError, match="not a traced value"):
+        tr.const(x)
+    assert (x + tr.const(1.0)).numeric == 2.0
+
+
+def test_float_reads_a_value_on_every_backend():
+    for tr in (Trace(), FloatBackend(), ExactBackend()):
+        x = tr.input("x", 0.5)
+        assert float(x * x / tr.const(3.0)) == 0.25 / 3.0
+
+
 def test_branch_deduplication():
     tr = Trace()
     x = tr.input("x", 2.0)
     y = tr.input("y", 5.0)
-    assert tr.branch(x * y - 3.0)
-    assert tr.branch(x * y - 3.0)
+    assert tr.branch(x * y - tr.const(3.0))
+    assert tr.branch(x * y - tr.const(3.0))
     assert tr.predicate_count == 1
     # commutative operands canonicalize to one node
-    tr.branch(y * x - 3.0)
+    tr.branch(y * x - tr.const(3.0))
     assert tr.predicate_count == 1
     # structurally distinct but algebraically equal: conservatively two
-    tr.branch((x + y) * x - 3.0)
-    tr.branch(x * x + y * x - 3.0)
+    tr.branch((x + y) * x - tr.const(3.0))
+    tr.branch(x * x + y * x - tr.const(3.0))
     assert tr.predicate_count == 3
 
 
@@ -188,7 +209,7 @@ def test_degree_bounds_sound_against_symbolic_oracle():
 def test_report_schema():
     tr = Trace()
     x = tr.input("x", 1.0)
-    tr.branch(x - 2.0)
+    tr.branch(x - tr.const(2.0))
     report = tr.report(n_params=1)
     assert set(report) == {"n_inputs", "max_degree", "predicate_count",
                            "pdim_bound"}

@@ -198,3 +198,75 @@ def test_train_rejects_oversized_holdout(tmp_path):
                  "holdout": 4}
     with pytest.raises(ConfigError, match="holdout"):
         run_experiment("train", train_cfg, seed=2)
+
+
+def test_train_holdout_is_eval_of_the_trained_sketch(tmp_path):
+    data = tmp_path / "data"
+    run_experiment("gen-data", {"kind": "gaussian", "count": 5, "n": 5, "d": 4,
+                                "out_dir": str(data)}, seed=2)
+    cfg = {"data_dir": str(data), "m": 3, "k": 2, "epochs": 2, "holdout": 2,
+           "sketch_out": str(tmp_path / "sk.json")}
+    report = run_experiment("train", cfg, seed=2)
+    metrics, rows = report["metrics"], report["rows"]
+    assert [row["epoch"] for row in rows] == [0, 1]
+    assert metrics["final_loss"] == rows[-1]["train_loss"]
+    held = sorted(str(p) for p in data.glob("*.sklb"))[-2:]
+    evaluated = run_experiment("eval", {"data_files": held, "k": 2,
+                                        "sketch": cfg["sketch_out"]}, seed=2)
+    assert metrics["holdout_loss"] == evaluated["metrics"]["mean_loss"]
+
+
+def test_train_rejects_the_unused_fd_step_key(tmp_path):
+    data = tmp_path / "data"
+    run_experiment("gen-data", {"kind": "gaussian", "count": 2, "n": 5, "d": 4,
+                                "out_dir": str(data)}, seed=2)
+    with pytest.raises(ConfigError) as exc:
+        run_experiment("train", {"data_dir": str(data), "m": 3, "k": 2,
+                                 "fd_step": 1e-5}, seed=2)
+    assert exc.value.errors == ["unknown config key: 'fd_step'"]
+
+
+def test_config_root_must_be_an_object(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text("[1, 2]")
+    assert main(["gj-trace", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == \
+        "config error: config root must be a JSON object\n"
+
+
+@pytest.mark.parametrize("cfg, expect", [
+    ({"demo": "power", "k": 3, "q": 4},
+     {"max_degree": 5, "predicate_count": 0, "n_inputs": 12}),
+    ({"demo": "projection", "k": 3},
+     {"max_degree": 6, "n_inputs": 9}),
+    ({"demo": "knapsack", "items": 5},
+     {"max_degree": 1, "predicate_count": 10, "n_inputs": 1}),
+    ({"demo": "proxy-pipeline", "n": 4, "d": 3, "m": 2},
+     {"n_inputs": 4}),
+], ids=["power", "projection", "knapsack", "proxy-pipeline"])
+def test_gj_trace_demos_report_their_closed_form_counts(cfg, expect):
+    # power: q + 1; projection: 2k; knapsack: C(items, 2) degree-1
+    # predicates on one input; pipeline: one input per sketch column
+    report = run_experiment("gj-trace", cfg, seed=3)
+    assert report["pass"]
+    assert {key: report["metrics"][key] for key in expect} == expect
+
+
+@pytest.mark.parametrize("family", ["dense", "block"])
+def test_shatter_verify_dense_and_block_families(family):
+    report = run_experiment("shatter-verify", {"family": family, "n": 6, "k": 2,
+                                               "gamma": 0.1}, seed=1)
+    metrics = report["metrics"]
+    assert report["pass"] and metrics["all_pass"]
+    assert metrics["family"] == f"{family}-subset"
+    assert metrics["subsets_checked"] == 2 ** metrics["N"]
+    assert metrics["min_margin"] >= metrics["gamma"]
+
+
+def test_amg_check_passes_on_random_problems():
+    report = run_experiment("amg-check", {"instances": 6, "n_max": 12}, seed=4)
+    assert report["pass"]
+    assert len(report["rows"]) == 6
+    for row in report["rows"]:
+        assert row["deviation"] <= row["allowed"]
+        assert row["fixed_point_error"] <= 1e-10

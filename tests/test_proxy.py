@@ -279,6 +279,23 @@ def test_proxy_loss_matches_per_candidate_loop():
             assert abs(proxy_loss(s, a, k, cfg) - ref) <= 1e-14 * fro_sq(a)
 
 
+def test_proxy_loss_at_k_equal_d():
+    # k = d needs no truncation: the one candidate is the identity and
+    # the proxy reads the true loss, at any scale and any rank of SA
+    rng = np.random.default_rng(12)
+    cfg = ProxyConfig(0.5)
+    assert candidate_bases(rng.standard_normal((6, 3)), 3, cfg).tolist() == [
+        np.eye(3).tolist()]
+    for i in range(40):
+        a = rng.standard_normal((6, 3)) * 10.0 ** rng.choice([-50, 0, 50])
+        s = rng.standard_normal((int(rng.integers(1, 5)), 6))
+        if i % 5 == 0:
+            s[:] = 0.0
+        for eps in (0.5, 0.01):
+            delta = proxy_loss(s, a, 3, ProxyConfig(eps)) - sketch_loss(s, a, 3)
+            assert abs(delta) <= 1e-14 * fro_sq(a)
+
+
 def test_proxy_zero_sketched_matrix():
     rng = np.random.default_rng(5)
     a = random_unit_matrix(rng, 5, 4)
