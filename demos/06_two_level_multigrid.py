@@ -39,8 +39,8 @@ for q in range(6):
 
 # %%
 # The prolongation values sit on a frozen aggregation pattern and can be
-# trained across a family of right-hand sides by finite-difference descent
-# (sketch values train on their closed-form gradient instead).
+# trained across a family of right-hand sides by mini-batch SGD on the
+# closed-form gradient of the cycle loss, as sketch values are.
 
 problems = [
     sl.AMGProblem(prob.a, rng.standard_normal(16), prob.p, 1, 1,

@@ -6,6 +6,7 @@ from .amg import (
     AMGProblem,
     DivergenceError,
     amg_loss,
+    amg_loss_and_grad,
     amg_step,
     amg_step_error_form,
     smoothing_sweep,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import RANK_RTOL, svd
-from .train import TrainConfig, finite_difference_sgd
+from .train import TrainConfig, _descend, _nonempty
 
 # An iterate diverges once its norm passes this multiple of the problem's
 # own scale ||x0|| + ||b|| / ||A||_F (the second term is at most ||x*||),
@@ -159,24 +159,52 @@ def amg_loss(prob: AMGProblem, q: int) -> float:
     return float(r @ r)
 
 
+def amg_loss_and_grad(prob: AMGProblem, q: int) -> tuple[float, np.ndarray]:
+    """:func:`amg_loss`, with its checks, and its gradient in P from one
+    reverse pass: a sweep pulls the adjoint g back to ``g - A^T L^{-T} g``,
+    and the coarse step ``z = y + P e`` (``e = G P^T r``, ``r = b - A y``,
+    ``G = (P^T A P)^{-1}``) pulls it back to ``g - A^T P h`` with
+    ``h = G^T P^T g``, adding ``(g - A^T P h) e^T + (r - A P e) h^T``."""
+    loss = amg_loss(prob, q)
+    a, p, x, steps = prob.a, prob.p, prob.x0, []
+    for _ in range(q):
+        for _ in range(prob.s1):
+            x = smoothing_sweep(prob, x)
+        r = prob.b - a @ x
+        e = np.linalg.solve(prob.coarse, p.T @ r)
+        steps.append((r, e))
+        x = x + p @ e
+        for _ in range(prob.s2):
+            x = smoothing_sweep(prob, x)
+    g, grad = 2.0 * a.T @ (a @ x - prob.b), np.zeros_like(p)
+    sweep_t = np.eye(len(x)) - a.T @ prob.lower_inv.T
+    for r, e in reversed(steps):
+        g = np.linalg.matrix_power(sweep_t, prob.s2) @ g
+        h = np.linalg.solve(prob.coarse.T, p.T @ g)
+        g = g - a.T @ (p @ h)
+        grad += np.outer(g, e) + np.outer(r - a @ (p @ e), h)
+        g = np.linalg.matrix_power(sweep_t, prob.s1) @ g
+    return loss, grad
+
+
 def train_prolongation(problems, cfg: TrainConfig, q: int = 1,
                        history: list | None = None):
-    """Fit shared prolongation values over a family of problems by
-    finite-difference gradient descent on the mean cycle loss.
+    """Fit shared prolongation values over problems that share one P
+    pattern, by ``sgd_train``'s mini-batch SGD on the mean cycle loss with
+    the gradient of :func:`amg_loss_and_grad`.  Returns the flat value
+    vector; apply it with :meth:`AMGProblem.with_prolongation_values`."""
+    mask = _nonempty(problems)[0].p != 0.0
+    if any(not np.array_equal(prob.p != 0.0, mask) for prob in problems):
+        raise ValueError("problems must share one prolongation pattern")
 
-    All problems must share one P pattern.  Returns the trained flat value
-    vector; apply it with :meth:`AMGProblem.with_prolongation_values`.
-    """
-    mask = problems[0].p != 0.0
-    for prob in problems[1:]:
-        if not np.array_equal(prob.p != 0.0, mask):
-            raise ValueError("problems must share one prolongation pattern")
-    init = problems[0].p[mask]
+    def batch_grads(vals, idx):
+        for i in idx:
+            loss, g = amg_loss_and_grad(problems[i].with_prolongation_values(vals), q)
+            yield loss, g[mask]
 
-    def loss(vals):
-        return float(np.mean([
-            amg_loss(prob.with_prolongation_values(vals), q)
-            for prob in problems
-        ]))
+    def mean_loss(vals):
+        return np.mean([amg_loss(prob.with_prolongation_values(vals), q)
+                        for prob in problems])
 
-    return finite_difference_sgd(init, loss, cfg, history=history)
+    return _descend(problems[0].p[mask], problems, cfg, batch_grads, mean_loss,
+                    history)

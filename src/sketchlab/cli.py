@@ -136,10 +136,18 @@ def _cmd_train(cfg, seed):
     }, errors)
     mats = _load_dataset(cfg, errors)
     _check_int(cfg, ("m", "k", "s", "epochs", "batch_size"), errors)
+    _check_real(cfg, "step_size", lambda v: 0 < v < math.inf, "in (0, inf)",
+                errors)
     if isinstance(cfg["m"], int) and isinstance(cfg["s"], int) and cfg["s"] > cfg["m"]:
         errors.append(f"s={cfg['s']} exceeds m={cfg['m']}")
     if isinstance(cfg["m"], int) and isinstance(cfg["k"], int) and cfg["k"] > cfg["m"]:
         errors.append(f"k={cfg['k']} exceeds m={cfg['m']}")
+    if mats:
+        n, d = mats[0].shape
+        if isinstance(cfg["m"], int) and cfg["m"] > n:
+            errors.append(f"m={cfg['m']} exceeds the data's n={n}")
+        if isinstance(cfg["k"], int) and cfg["k"] > min(n, d):
+            errors.append(f"k={cfg['k']} exceeds min(n, d)={min(n, d)}")
     if mats and not (0 <= cfg["holdout"] < len(mats)):
         errors.append(
             f"holdout={cfg['holdout']} must leave at least one training "

@@ -3,10 +3,9 @@
 The sparsity pattern stays frozen; only slot values move.  ``sgd_train``
 follows the closed-form gradient of the sketch-and-solve loss
 (:func:`~sketchlab.sketching.sketch_loss_and_grad`), read off at the slot
-positions: one loss-and-gradient call per matrix and batch.  The generic
-:func:`finite_difference_sgd` estimates gradients by central differences;
-``amg.train_prolongation`` trains with it, and the tests check
-``sgd_train`` against it.
+positions: one loss-and-gradient call per matrix and batch.  Its
+mini-batch loop also trains ``amg.train_prolongation`` on the closed-form
+gradient of the cycle loss.
 """
 
 from dataclasses import dataclass
@@ -21,8 +20,8 @@ from .sketching import SparseSketch, _dense, sketch_loss, sketch_loss_and_grad
 class TrainConfig:
     """Hyperparameters for mini-batch SGD.
 
-    ``fd_step`` is the central-difference step of
-    :func:`finite_difference_sgd`; :func:`sgd_train` does not use it.
+    ``fd_step`` is a central-difference step, validated but read by no
+    package code; it is kept for callers that still pass it.
     """
 
     epochs: int
@@ -42,15 +41,20 @@ class TrainConfig:
             raise ValueError(f"fd_step must be in (0, 1e-3], got {self.fd_step}")
 
 
+def _nonempty(data):
+    """``data`` itself, after checking that it holds at least one item."""
+    if not len(data):
+        raise ValueError("dataset must be nonempty")
+    return data
+
+
 def make_dataset(matrices) -> list[np.ndarray]:
     """Validate and normalize a training set.
 
     All matrices must share one shape; each is rescaled to unit squared
     Frobenius norm.
     """
-    mats = [np.array(m, dtype=np.float64) for m in matrices]
-    if not mats:
-        raise ValueError("dataset must be nonempty")
+    mats = _nonempty([np.array(m, dtype=np.float64) for m in matrices])
     shape = mats[0].shape
     out = []
     for i, m in enumerate(mats):
@@ -69,88 +73,58 @@ def make_dataset(matrices) -> list[np.ndarray]:
 
 def empirical_loss(sketch, data, k: int) -> float:
     """Mean sketch-and-solve loss over a nonempty dataset."""
-    if not len(data):
-        raise ValueError("dataset must be nonempty")
-    return float(np.mean([sketch_loss(sketch, a, k) for a in data]))
+    return float(np.mean([sketch_loss(sketch, a, k) for a in _nonempty(data)]))
 
 
-def finite_difference_sgd(values, loss_fn, cfg: TrainConfig,
-                          history: list | None = None) -> np.ndarray:
-    """Generic gradient descent with central finite-difference gradients.
-
-    ``loss_fn(values)`` evaluates the loss at a flat parameter vector; one
-    step per epoch.  After each epoch the loss is appended to ``history``
-    when given.  Aborts with a diagnostic if a loss evaluates non-finite.
+def _descend(vals, data, cfg: TrainConfig, batch_grads, mean_loss,
+             history: list | None) -> np.ndarray:
+    """Mini-batch descent shared by :func:`sgd_train` and
+    ``amg.train_prolongation``: each epoch shuffles ``data`` afresh and
+    steps once per batch ``idx`` against the mean gradient of the
+    ``(loss, grad)`` pairs that ``batch_grads(vals, idx)`` yields.  With a
+    fixed config the trajectory is deterministic.  ``mean_loss(vals)`` is
+    appended to ``history`` after each epoch when a list is passed.
+    Aborts with a diagnostic if a loss or a gradient evaluates non-finite.
     """
-    vals = np.array(values, dtype=np.float64).ravel()
-    h = cfg.fd_step
+    n = len(_nonempty(data))
+    rng = np.random.default_rng(cfg.seed)
+    vals = np.array(vals, dtype=np.float64)
     for epoch in range(cfg.epochs):
-        grad = np.empty_like(vals)
-        for j in range(vals.size):
-            orig = vals[j]
-            vals[j] = orig + h
-            up = loss_fn(vals)
-            vals[j] = orig - h
-            down = loss_fn(vals)
-            vals[j] = orig
-            if not (np.isfinite(up) and np.isfinite(down)):
-                raise FloatingPointError(
-                    f"non-finite loss at epoch {epoch}, parameter {j}: "
-                    f"up={up}, down={down}"
-                )
-            grad[j] = (up - down) / (2.0 * h)
-        vals -= cfg.step_size * grad
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            losses, grads = zip(*batch_grads(vals, idx))
+            grad = sum(grads)
+            if not (np.isfinite(losses).all() and np.isfinite(grad).all()):
+                raise FloatingPointError(f"non-finite loss or gradient at epoch "
+                                         f"{epoch}, items {idx.tolist()}: {losses}")
+            vals -= cfg.step_size * (grad / idx.size)
         if history is not None:
-            full = loss_fn(vals)
-            if not np.isfinite(full):
-                raise FloatingPointError(
-                    f"non-finite loss after epoch {epoch}: {full}"
-                )
-            history.append(float(full))
+            history.append(float(mean_loss(vals)))
+            if not np.isfinite(history[-1]):
+                raise FloatingPointError(f"non-finite loss after epoch "
+                                         f"{epoch}: {history[-1]}")
     return vals
 
 
 def sgd_train(pattern: SparseSketch, data, k: int, cfg: TrainConfig,
               history: list | None = None) -> SparseSketch:
     """Train the slot values of ``pattern`` by mini-batch SGD on the mean
-    sketch-and-solve loss, with its closed-form gradient.
-
-    Each step averages the per-matrix gradients at the slot positions over
-    one batch of a fresh per-epoch shuffle.  The returned sketch has
-    exactly the input pattern.  With a fixed config the whole trajectory is
-    deterministic.  Per-epoch training losses are appended to ``history``
-    when a list is passed.  Aborts with a diagnostic if a loss or a
-    gradient evaluates non-finite.
+    sketch-and-solve loss, with its closed-form gradient at the slot
+    positions.  The returned sketch has exactly the input pattern; the
+    loop, ``history`` and the aborts are those of :func:`_descend`.
     """
-    rng = np.random.default_rng(cfg.seed)
-    order = np.arange(len(data))
-    batch_size = min(cfg.batch_size, len(data))
-    n_batches = (len(data) + batch_size - 1) // batch_size
     slots = (pattern.pattern, np.arange(pattern.n)[:, None])
-    perms = [rng.permutation(order) for _ in range(max(cfg.epochs, 1))]
-    vals = pattern.values.copy()
-    for epoch in range(cfg.epochs):
-        for b in range(n_batches):
-            s_mat = pattern.with_values(vals).dense()
-            idx = perms[epoch][b * batch_size:(b + 1) * batch_size]
-            grad = np.zeros_like(vals)
-            for i in idx:
-                loss, g = sketch_loss_and_grad(s_mat, data[i], k)
-                if not (np.isfinite(loss) and np.isfinite(g).all()):
-                    raise FloatingPointError(
-                        f"non-finite loss or gradient at epoch {epoch}, "
-                        f"batch {b}, matrix {i}: loss={loss}"
-                    )
-                grad += g[slots]
-            vals -= cfg.step_size * (grad / idx.size)
-        if history is not None:
-            full = empirical_loss(pattern.with_values(vals), data, k)
-            if not np.isfinite(full):
-                raise FloatingPointError(
-                    f"non-finite loss after epoch {epoch}: {full}"
-                )
-            history.append(float(full))
-    return pattern.with_values(vals)
+
+    def batch_grads(vals, idx):
+        s_mat = pattern.with_values(vals).dense()
+        for i in idx:
+            loss, g = sketch_loss_and_grad(s_mat, data[i], k)
+            yield loss, g[slots]
+
+    return pattern.with_values(_descend(
+        pattern.values, data, cfg, batch_grads,
+        lambda v: empirical_loss(pattern.with_values(v), data, k), history))
 
 
 def safeguard(learned: SparseSketch, oblivious: SparseSketch) -> SparseSketch:
@@ -187,7 +161,5 @@ def few_shot_loss(sketch, a: np.ndarray, k: int) -> float:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     s_mat = _dense(sketch, a)
     u, _, _ = np.linalg.svd(a, full_matrices=True)
-    i0 = np.zeros((k, n))
-    i0[:, :k] = np.eye(k)
     m = u[:, :k].T @ s_mat.T @ s_mat @ u
-    return fro_sq(m - i0)
+    return fro_sq(m - np.eye(k, n))

@@ -80,3 +80,35 @@ def rowspace_projector_svd(z, rtol=1e-10):
         return np.zeros((z.shape[1], z.shape[1]))
     vh = vh[: int(np.sum(s > rtol * s[0]))]
     return vh.T @ vh
+
+
+def central_difference_grad(loss_fn, values, h):
+    """Gradient of ``loss_fn`` at a flat parameter vector by central
+    differences with step ``h``, one coordinate at a time."""
+    vals = np.array(values, dtype=np.float64).ravel()
+    grad = np.empty_like(vals)
+    for j in range(vals.size):
+        orig = vals[j]
+        vals[j] = orig + h
+        up = loss_fn(vals)
+        vals[j] = orig - h
+        down = loss_fn(vals)
+        vals[j] = orig
+        if not (np.isfinite(up) and np.isfinite(down)):
+            raise FloatingPointError(
+                f"non-finite loss at parameter {j}: up={up}, down={down}"
+            )
+        grad[j] = (up - down) / (2.0 * h)
+    return grad
+
+
+def finite_difference_sgd(values, loss_fn, cfg, history=None):
+    """Full-batch gradient descent on central-difference gradients: one
+    step of ``cfg.step_size`` per epoch with step ``cfg.fd_step``, and the
+    loss after each epoch appended to ``history`` when given."""
+    vals = np.array(values, dtype=np.float64).ravel()
+    for _ in range(cfg.epochs):
+        vals -= cfg.step_size * central_difference_grad(loss_fn, vals, cfg.fd_step)
+        if history is not None:
+            history.append(float(loss_fn(vals)))
+    return vals

@@ -5,11 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sketchlab.amg import (
     AMGProblem,
     DivergenceError,
     amg_loss,
+    amg_loss_and_grad,
     amg_step,
     amg_step_error_form,
     smoothing_sweep,
@@ -17,6 +20,8 @@ from sketchlab.amg import (
 )
 from sketchlab.synth import random_amg_problem
 from sketchlab.train import TrainConfig
+
+from oracles import central_difference_grad, finite_difference_sgd
 
 
 def test_sweep_solves_lower_triangular_exactly():
@@ -212,3 +217,61 @@ def test_train_prolongation_reduces_loss():
         amg_loss(pr.with_prolongation_values(vals), 1) for pr in problems
     ])
     assert after < before
+
+
+def _family(rng, n, m, count):
+    """``count`` problems on one A and one P pattern, with their own b and x0."""
+    base = random_amg_problem(rng, n, m, 1, 1)
+    return [AMGProblem(base.a, rng.standard_normal(n), base.p, 1, 1,
+                       rng.standard_normal(n)) for _ in range(count)]
+
+
+def test_train_prolongation_follows_finite_difference_sgd_on_full_batches():
+    problems = _family(np.random.default_rng(11), 8, 3, 3)
+    mask = problems[0].p != 0.0
+    cfg = TrainConfig(epochs=3, step_size=0.05, batch_size=4, seed=12)
+
+    def mean_loss(vals):
+        return np.mean([amg_loss(pr.with_prolongation_values(vals), 1)
+                        for pr in problems])
+
+    h_closed, h_fd = [], []
+    closed = train_prolongation(problems, cfg, q=1, history=h_closed)
+    fd = finite_difference_sgd(problems[0].p[mask], mean_loss, cfg, history=h_fd)
+    np.testing.assert_allclose(closed, fd, rtol=1e-9)
+    np.testing.assert_allclose(h_closed, h_fd, rtol=1e-9)
+    assert h_closed[-1] < mean_loss(problems[0].p[mask])
+
+
+def test_train_prolongation_rejects_empty_and_mixed_families():
+    with pytest.raises(ValueError, match="dataset must be nonempty"):
+        train_prolongation([], TrainConfig(1, 0.1, 1))
+    problems = _family(np.random.default_rng(13), 8, 3, 2)
+    other = random_amg_problem(np.random.default_rng(14), 8, 2, 1, 1)
+    with pytest.raises(ValueError, match="share one prolongation pattern"):
+        train_prolongation(problems + [other], TrainConfig(1, 0.1, 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(0, 2),
+       st.integers(0, 2), st.integers(1, 3))
+def test_closed_form_prolongation_gradient_matches_central_differences(
+        seed, n, s1, s2, q):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, n))
+    try:
+        prob = random_amg_problem(rng, n, m, s1, s2, noise=0.5)
+        loss, grad = amg_loss_and_grad(prob, q)
+    except (ValueError, DivergenceError):
+        assume(False)
+    assert loss == amg_loss(prob, q)
+    # unconverged: once q cycles leave under 1e-6 of the initial squared
+    # residual, the differences read their own rounding, not the slope
+    r0 = prob.a @ prob.x0 - prob.b
+    assume(loss >= 1e-6 * (r0 @ r0))
+    mask = prob.p != 0.0
+    vals = prob.p[mask]
+    fd = central_difference_grad(
+        lambda v: amg_loss(prob.with_prolongation_values(v), q), vals,
+        1e-6 * np.linalg.norm(vals))
+    assert np.linalg.norm(grad[mask] - fd) <= 1e-5 * np.linalg.norm(fd)

@@ -124,6 +124,27 @@ def test_bad_keys_are_config_errors_listed_together(tmp_path, capsys, command,
         assert line.startswith(f"config error: {start}")
 
 
+@pytest.mark.parametrize("cfg, starts", [
+    ({"m": 6, "k": 2}, ["m=6 exceeds the data's n=5"]),
+    ({"m": 3, "k": 3}, ["k=3 exceeds min(n, d)=2"]),
+    ({"m": 3, "k": 2, "step_size": 0}, ["step_size must"]),
+    ({"m": 3, "k": 2, "step_size": "x"}, ["step_size must"]),
+    ({"m": 6, "k": 6, "step_size": -1.0},
+     ["step_size must", "m=6 exceeds the data's n=5", "k=6 exceeds min(n, d)=2"]),
+])
+def test_train_config_errors_against_the_data_are_listed_together(
+        tmp_path, capsys, cfg, starts):
+    for i in range(2):
+        write_matrix(tmp_path / f"mat_{i}.sklb", np.ones((5, 2)) + i)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"data_dir": str(tmp_path), **cfg}))
+    assert main(["train", "--config", str(path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == len(starts)
+    for line, start in zip(lines, starts):
+        assert line.startswith(f"config error: {start}")
+
+
 def test_reports_are_deterministic_modulo_wall_clock():
     cfg = {"instances": 5, "epsilons": [0.2]}
     r1 = run_experiment("proxy-check", cfg, seed=11)

@@ -6,15 +6,15 @@ from sketchlab.sketching import random_sparse_sketch, sketch_loss
 from sketchlab.synth import random_instance, random_unit_matrix, zero_valued_sketch
 from sketchlab.train import (
     TrainConfig,
+    _descend,
     empirical_loss,
     few_shot_loss,
-    finite_difference_sgd,
     make_dataset,
     safeguard,
     sgd_train,
 )
 
-from oracles import jacobi_eigh
+from oracles import central_difference_grad, finite_difference_sgd, jacobi_eigh
 
 
 def test_train_config_validation():
@@ -134,6 +134,25 @@ def test_fd_sgd_aborts_on_non_finite_loss():
         finite_difference_sgd(np.ones(2), bad_loss, cfg)
 
 
+def test_descent_aborts_on_non_finite_loss_or_gradient():
+    cfg = TrainConfig(2, 0.1, 2)
+
+    def grads(loss, g):
+        return lambda vals, idx: ((loss, g) for _ in idx)
+
+    for bad in (grads(float("nan"), np.ones(2)), grads(1.0, np.full(2, np.inf))):
+        with pytest.raises(FloatingPointError, match="at epoch 0, items"):
+            _descend(np.ones(2), [0, 1, 2], cfg, bad, lambda v: 1.0, None)
+    with pytest.raises(FloatingPointError, match="after epoch 0"):
+        _descend(np.ones(2), [0, 1, 2], cfg, grads(1.0, np.ones(2)),
+                 lambda v: float("inf"), [])
+
+
+def test_empty_training_sets_are_named():
+    with pytest.raises(ValueError, match="dataset must be nonempty"):
+        sgd_train(random_sparse_sketch(3, 6, 1, 2), [], 2, TrainConfig(1, 0.1, 1))
+
+
 def test_fd_gradient_matches_four_point_stencil():
     rng = np.random.default_rng(10)
     a, sk, k = random_instance(rng)
@@ -147,7 +166,9 @@ def test_fd_gradient_matches_four_point_stencil():
         return sketch_loss(sk.with_values(w), a, k)
 
     x0 = vals[idx]
-    two_point = (loss_at(x0 + h) - loss_at(x0 - h)) / (2 * h)
+    two_point = central_difference_grad(
+        lambda v: sketch_loss(sk.with_values(v.reshape(vals.shape)), a, k),
+        vals, h)[0]
     four_point = (
         -loss_at(x0 + 2 * h) + 8 * loss_at(x0 + h)
         - 8 * loss_at(x0 - h) + loss_at(x0 - 2 * h)
