@@ -5,9 +5,12 @@ through the prolongation matrix, then ``s2`` more sweeps.  The error
 propagates linearly, so the same step has a closed matrix form around the
 exact solution; checking the two against each other is the module's
 central identity.  A problem forms ``L^{-1}`` (L the lower-triangular part
-of A) and ``P^T A P`` once, so a sweep is a matrix-vector product.
+of A) and ``P^T A P`` once, so a sweep is a matrix-vector product; new
+prolongation values form only ``P^T A P`` again and share ``L^{-1}``.  The
+step, the loss and its gradient in P run one cycle and one forward pass.
 """
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,16 +43,24 @@ def solve_triangular(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _coarse_matrix(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``P^T A P``, checked to have full numerical rank m."""
+    coarse = p.T @ a @ p
+    if svd(coarse).singular_values.size < p.shape[1]:
+        raise ValueError("coarse matrix P^T A P is numerically singular")
+    return coarse
+
+
 @dataclass
 class AMGProblem:
     """Square system with a prolongation and smoothing counts.
 
     ``a`` is n-by-n with a numerically invertible lower-triangular part,
-    ``p`` is the n-by-m prolongation (its nonzero positions are the frozen
-    training pattern), and ``x0`` the initial guess.  ``lower_inv`` holds
-    ``L^{-1}`` for the lower-triangular part L of A, and ``coarse`` holds
-    ``P^T A P``; both are formed once, and the coarse matrix must have full
-    numerical rank m.
+    ``p`` is the n-by-m prolongation (its nonzero positions here are the
+    frozen training pattern, which later zero values do not change), and
+    ``x0`` the initial guess.  ``lower_inv`` holds ``L^{-1}`` for the
+    lower-triangular part L of A, and ``coarse`` holds ``P^T A P``; both
+    are formed once, and the coarse matrix must have full numerical rank m.
     """
 
     a: np.ndarray
@@ -60,6 +71,7 @@ class AMGProblem:
     x0: np.ndarray = field(default=None)
     lower_inv: np.ndarray = field(init=False, repr=False)
     coarse: np.ndarray = field(init=False, repr=False)
+    _pattern: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.a = np.asarray(self.a, dtype=np.float64)
@@ -83,20 +95,27 @@ class AMGProblem:
         if _has_zero_diagonal(self.a):
             raise ValueError("diagonal of A is numerically singular")
         self.lower_inv = solve_triangular(np.tril(self.a), np.eye(n))
-        self.coarse = self.p.T @ self.a @ self.p
-        if svd(self.coarse).singular_values.size < self.p.shape[1]:
-            raise ValueError("coarse matrix P^T A P is numerically singular")
+        self.coarse = _coarse_matrix(self.a, self.p)
+        self._pattern = self.p != 0.0
 
     def solution(self) -> np.ndarray:
         """Exact solution of ``A x = b`` (elimination oracle)."""
         return np.linalg.solve(self.a, self.b)
 
     def with_prolongation_values(self, values: np.ndarray) -> "AMGProblem":
-        """Same problem with new values on the frozen P pattern."""
-        mask = self.p != 0.0
-        p = np.zeros_like(self.p)
-        p[mask] = np.asarray(values, dtype=np.float64).ravel()
-        return AMGProblem(self.a, self.b, p, self.s1, self.s2, self.x0)
+        """Same problem with new values on the frozen P pattern, in its
+        row-major order.  Only ``P^T A P`` is formed again; ``lower_inv``
+        and the pattern are shared with this problem."""
+        values = np.asarray(values, dtype=np.float64).ravel()
+        slots = int(np.count_nonzero(self._pattern))
+        if values.size != slots:
+            raise ValueError(f"got {values.size} prolongation values for a "
+                             f"pattern of {slots}")
+        out = copy.copy(self)
+        out.p = np.zeros_like(self.p)
+        out.p[self._pattern] = values
+        out.coarse = _coarse_matrix(self.a, out.p)
+        return out
 
 
 def smoothing_sweep(prob: AMGProblem, x: np.ndarray) -> np.ndarray:
@@ -105,16 +124,24 @@ def smoothing_sweep(prob: AMGProblem, x: np.ndarray) -> np.ndarray:
     return x + prob.lower_inv @ (prob.b - prob.a @ x)
 
 
+def _cycle(prob: AMGProblem, x: np.ndarray):
+    """One cycle from ``x``: s1 sweeps to y, the coarse step ``y + P e``
+    with ``r = b - A y`` and ``e = (P^T A P)^{-1} P^T r``, then s2 sweeps.
+    Returns the new iterate and the coarse step's ``r`` and ``e``."""
+    for _ in range(prob.s1):
+        x = smoothing_sweep(prob, x)
+    r = prob.b - prob.a @ x
+    e = np.linalg.solve(prob.coarse, prob.p.T @ r)
+    x = x + prob.p @ e
+    for _ in range(prob.s2):
+        x = smoothing_sweep(prob, x)
+    return x, r, e
+
+
 def amg_step(prob: AMGProblem, x: np.ndarray) -> np.ndarray:
     """One explicit cycle: s1 sweeps, a coarse correction solved against
     ``prob.coarse`` (full rank, checked by :class:`AMGProblem`), s2 sweeps."""
-    for _ in range(prob.s1):
-        x = smoothing_sweep(prob, x)
-    residual = prob.b - prob.a @ x
-    x = x + prob.p @ np.linalg.solve(prob.coarse, prob.p.T @ residual)
-    for _ in range(prob.s2):
-        x = smoothing_sweep(prob, x)
-    return x
+    return _cycle(prob, x)[0]
 
 
 def amg_step_error_form(prob: AMGProblem, x: np.ndarray,
@@ -135,6 +162,23 @@ def amg_step_error_form(prob: AMGProblem, x: np.ndarray,
     return x_star + propagate @ (x - x_star)
 
 
+def _forward(prob: AMGProblem, q: int):
+    """Run ``q`` cycles from ``prob.x0`` under the divergence guard.
+    Returns the final residual ``A x_q - b`` and each cycle's ``(r, e)``."""
+    if q < 0:
+        raise ValueError(f"q must be >= 0, got {q}")
+    x, steps = prob.x0, []
+    limit = _DIVERGENCE_RATIO * (np.linalg.norm(x) + np.linalg.norm(prob.b)
+                                 / np.linalg.norm(prob.a))
+    for i in range(q):
+        x, r, e = _cycle(prob, x)
+        steps.append((r, e))
+        norm = float(np.linalg.norm(x))
+        if not np.isfinite(norm) or norm > limit:
+            raise DivergenceError(f"iterate norm {norm:.3e} after cycle {i + 1}")
+    return prob.a @ x - prob.b, steps
+
+
 def amg_loss(prob: AMGProblem, q: int) -> float:
     """Squared residual norm ``||A x_q - b||^2`` after ``q`` explicit
     cycles from the initial guess.
@@ -145,46 +189,29 @@ def amg_loss(prob: AMGProblem, q: int) -> float:
         If an iterate's norm is not finite or passes 1e12 times
         ``||x0|| + ||b|| / ||A||_F``.
     """
-    if q < 0:
-        raise ValueError(f"q must be >= 0, got {q}")
-    x = prob.x0
-    limit = _DIVERGENCE_RATIO * (np.linalg.norm(x) + np.linalg.norm(prob.b)
-                                 / np.linalg.norm(prob.a))
-    for i in range(q):
-        x = amg_step(prob, x)
-        norm = float(np.linalg.norm(x))
-        if not np.isfinite(norm) or norm > limit:
-            raise DivergenceError(f"iterate norm {norm:.3e} after cycle {i + 1}")
-    r = prob.a @ x - prob.b
-    return float(r @ r)
+    residual, _ = _forward(prob, q)
+    return float(residual @ residual)
 
 
 def amg_loss_and_grad(prob: AMGProblem, q: int) -> tuple[float, np.ndarray]:
     """:func:`amg_loss`, with its checks, and its gradient in P from one
-    reverse pass: a sweep pulls the adjoint g back to ``g - A^T L^{-T} g``,
-    and the coarse step ``z = y + P e`` (``e = G P^T r``, ``r = b - A y``,
-    ``G = (P^T A P)^{-1}``) pulls it back to ``g - A^T P h`` with
-    ``h = G^T P^T g``, adding ``(g - A^T P h) e^T + (r - A P e) h^T``."""
-    loss = amg_loss(prob, q)
-    a, p, x, steps = prob.a, prob.p, prob.x0, []
-    for _ in range(q):
-        for _ in range(prob.s1):
-            x = smoothing_sweep(prob, x)
-        r = prob.b - a @ x
-        e = np.linalg.solve(prob.coarse, p.T @ r)
-        steps.append((r, e))
-        x = x + p @ e
-        for _ in range(prob.s2):
-            x = smoothing_sweep(prob, x)
-    g, grad = 2.0 * a.T @ (a @ x - prob.b), np.zeros_like(p)
-    sweep_t = np.eye(len(x)) - a.T @ prob.lower_inv.T
+    reverse pass over the same forward pass: a sweep pulls the adjoint g
+    back to ``g - A^T L^{-T} g``, and the coarse step ``z = y + P e``
+    (``e = G P^T r``, ``r = b - A y``, ``G = (P^T A P)^{-1}``) pulls it back
+    to ``g - A^T P h`` with ``h = G^T P^T g``, adding
+    ``(g - A^T P h) e^T + (r - A P e) h^T``."""
+    residual, steps = _forward(prob, q)
+    a, p, lower_inv = prob.a, prob.p, prob.lower_inv
+    g, grad = 2.0 * a.T @ residual, np.zeros_like(p)
     for r, e in reversed(steps):
-        g = np.linalg.matrix_power(sweep_t, prob.s2) @ g
+        for _ in range(prob.s2):
+            g = g - a.T @ (lower_inv.T @ g)
         h = np.linalg.solve(prob.coarse.T, p.T @ g)
         g = g - a.T @ (p @ h)
         grad += np.outer(g, e) + np.outer(r - a @ (p @ e), h)
-        g = np.linalg.matrix_power(sweep_t, prob.s1) @ g
-    return loss, grad
+        for _ in range(prob.s1):
+            g = g - a.T @ (lower_inv.T @ g)
+    return float(residual @ residual), grad
 
 
 def train_prolongation(problems, cfg: TrainConfig, q: int = 1,
@@ -193,8 +220,8 @@ def train_prolongation(problems, cfg: TrainConfig, q: int = 1,
     pattern, by ``sgd_train``'s mini-batch SGD on the mean cycle loss with
     the gradient of :func:`amg_loss_and_grad`.  Returns the flat value
     vector; apply it with :meth:`AMGProblem.with_prolongation_values`."""
-    mask = _nonempty(problems)[0].p != 0.0
-    if any(not np.array_equal(prob.p != 0.0, mask) for prob in problems):
+    mask = _nonempty(problems)[0]._pattern
+    if any(not np.array_equal(prob._pattern, mask) for prob in problems):
         raise ValueError("problems must share one prolongation pattern")
 
     def batch_grads(vals, idx):

@@ -75,9 +75,13 @@ def _check_range(cfg, key, least, errors):
                       f"{least} <= lo <= hi, got {v!r}")
 
 
+def _is_real(v, ok):
+    return not isinstance(v, bool) and isinstance(v, (int, float)) and ok(v)
+
+
 def _check_real(cfg, key, ok, rule, errors):
     v = cfg.get(key)
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not ok(v):
+    if not _is_real(v, ok):
         errors.append(f"{key} must be a number {rule}, got {v!r}")
 
 
@@ -138,6 +142,7 @@ def _cmd_train(cfg, seed):
     _check_int(cfg, ("m", "k", "s", "epochs", "batch_size"), errors)
     _check_real(cfg, "step_size", lambda v: 0 < v < math.inf, "in (0, inf)",
                 errors)
+    _check_int(cfg, ("holdout",), errors, least=0)
     if isinstance(cfg["m"], int) and isinstance(cfg["s"], int) and cfg["s"] > cfg["m"]:
         errors.append(f"s={cfg['s']} exceeds m={cfg['m']}")
     if isinstance(cfg["m"], int) and isinstance(cfg["k"], int) and cfg["k"] > cfg["m"]:
@@ -148,7 +153,7 @@ def _cmd_train(cfg, seed):
             errors.append(f"m={cfg['m']} exceeds the data's n={n}")
         if isinstance(cfg["k"], int) and cfg["k"] > min(n, d):
             errors.append(f"k={cfg['k']} exceeds min(n, d)={min(n, d)}")
-    if mats and not (0 <= cfg["holdout"] < len(mats)):
+    if mats and isinstance(cfg["holdout"], int) and cfg["holdout"] >= len(mats):
         errors.append(
             f"holdout={cfg['holdout']} must leave at least one training "
             f"matrix out of {len(mats)}"
@@ -203,8 +208,13 @@ def _cmd_proxy_check(cfg, seed):
         "m_max": 4, "k_max": 3,
     }, errors)
     _check_int(cfg, ("instances", "subset_cap", "m_max", "k_max"), errors)
-    if not cfg["epsilons"] or not all(0 < e < 1 for e in cfg["epsilons"]):
-        errors.append(f"epsilons must lie in (0, 1), got {cfg['epsilons']!r}")
+    eps = cfg["epsilons"]
+    if (not isinstance(eps, (list, tuple)) or not eps
+            or not all(_is_real(e, lambda v: 0 < v < 1) for e in eps)):
+        errors.append(f"epsilons must be a nonempty list of numbers in (0, 1), "
+                      f"got {eps!r}")
+    _check_real(cfg, "q_constant", lambda v: 0 < v < math.inf, "in (0, inf)",
+                errors)
     _check_range(cfg, "n_range", 1, errors)
     _check_range(cfg, "d_range", 2, errors)  # instances have k < d
     if (all(isinstance(cfg[key], int) for key in ("k_max", "m_max"))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import sketchlab.amg as amg
 from sketchlab.amg import (
     AMGProblem,
     DivergenceError,
@@ -217,6 +218,75 @@ def test_train_prolongation_reduces_loss():
         amg_loss(pr.with_prolongation_values(vals), 1) for pr in problems
     ])
     assert after < before
+
+
+def test_gradient_runs_the_cycles_once(monkeypatch):
+    prob = random_amg_problem(np.random.default_rng(15), 10, 3, 2, 1)
+    calls = []
+
+    def counted(pr, x):
+        calls.append(1)
+        return smoothing_sweep(pr, x)
+
+    monkeypatch.setattr(amg, "smoothing_sweep", counted)
+    amg_loss_and_grad(prob, 3)
+    assert len(calls) == 3 * (prob.s1 + prob.s2)
+
+
+def test_new_prolongation_values_reuse_lower_inv_and_match_a_fresh_problem(
+        monkeypatch):
+    rng = np.random.default_rng(16)
+    prob = random_amg_problem(rng, 12, 4, 2, 1)
+    mask = prob.p != 0.0
+    vals = prob.p[mask] * rng.uniform(0.5, 1.5, mask.sum())
+    fresh_p = np.zeros_like(prob.p)
+    fresh_p[mask] = vals
+    fresh = AMGProblem(prob.a, prob.b, fresh_p, prob.s1, prob.s2, prob.x0)
+
+    def no_solve(*args):
+        raise AssertionError("L^{-1} formed again")
+
+    monkeypatch.setattr(amg, "solve_triangular", no_solve)
+    new = prob.with_prolongation_values(vals)
+    assert new.lower_inv is prob.lower_inv
+    np.testing.assert_array_equal(new.coarse, fresh.coarse)
+    assert amg_loss(new, 2) == amg_loss(fresh, 2)
+    loss, grad = amg_loss_and_grad(new, 2)
+    fresh_loss, fresh_grad = amg_loss_and_grad(fresh, 2)
+    assert loss == fresh_loss
+    np.testing.assert_array_equal(grad, fresh_grad)
+    # one column of values all zero leaves P^T A P rank deficient
+    dead = np.zeros_like(prob.p)
+    dead[mask] = vals
+    dead[:, 0] = 0.0
+    with pytest.raises(ValueError, match="P\\^T A P is numerically singular"):
+        prob.with_prolongation_values(dead[mask])
+
+
+def _zeroed(rng):
+    """Two problems of one family, the first with one prolongation value
+    set to exactly 0, and the full value vector of the second."""
+    problems = _family(rng, 8, 3, 2)
+    vals = problems[1].p[problems[1].p != 0.0]
+    zero_one = vals.copy()
+    zero_one[1] = 0.0
+    return problems[0].with_prolongation_values(zero_one), problems[1], vals
+
+
+def test_zero_values_keep_the_prolongation_pattern():
+    zeroed, other, vals = _zeroed(np.random.default_rng(17))
+    assert np.count_nonzero(zeroed.p) == vals.size - 1
+    again = zeroed.with_prolongation_values(vals)
+    np.testing.assert_array_equal(again.p, other.p)
+    with pytest.raises(ValueError, match=f"got {vals.size - 1} prolongation "
+                                         f"values for a pattern of {vals.size}"):
+        zeroed.with_prolongation_values(vals[1:])
+
+
+def test_train_prolongation_reads_the_pattern_fixed_at_construction():
+    zeroed, other, vals = _zeroed(np.random.default_rng(18))
+    out = train_prolongation([zeroed, other], TrainConfig(2, 0.05, 1), q=1)
+    assert out.shape == vals.shape and out[1] != 0.0
 
 
 def _family(rng, n, m, count):

@@ -3,7 +3,7 @@ unnoticed.
 
 Each demo runs in its own interpreter with ``src`` on the path and must
 exit 0.  Demo 03 (proxy calibration sweep) is left out: it takes about
-11 s, against 1 to 2 s for the others.
+5 s, against 1 to 2 s for the others.
 """
 
 import os

@@ -112,6 +112,14 @@ def test_config_errors_are_collected_all_at_once():
     ("proxy-check", {"k_max": 5}, ["k_max=5 exceeds m_max=4"]),
     ("shatter-verify", {"gamma": "x"}, ["gamma must"]),
     ("shatter-verify", {"n": 0, "gamma": 1.0}, ["n must", "gamma must"]),
+    ("proxy-check", {"q_constant": 0}, ["q_constant must"]),
+    ("proxy-check", {"q_constant": "x", "epsilons": 0.1},
+     ["epsilons must", "q_constant must"]),
+    ("proxy-check", {"epsilons": ["a"]}, ["epsilons must"]),
+    ("train", {"m": 2, "k": 1, "holdout": 1.5},
+     ["data_dir or data_files", "holdout must"]),
+    ("train", {"m": 2, "k": 1, "holdout": "x"},
+     ["data_dir or data_files", "holdout must"]),
 ])
 def test_bad_keys_are_config_errors_listed_together(tmp_path, capsys, command,
                                                     cfg, starts):
@@ -131,6 +139,7 @@ def test_bad_keys_are_config_errors_listed_together(tmp_path, capsys, command,
     ({"m": 3, "k": 2, "step_size": "x"}, ["step_size must"]),
     ({"m": 6, "k": 6, "step_size": -1.0},
      ["step_size must", "m=6 exceeds the data's n=5", "k=6 exceeds min(n, d)=2"]),
+    ({"m": 3, "k": 2, "holdout": 1.5}, ["holdout must"]),
 ])
 def test_train_config_errors_against_the_data_are_listed_together(
         tmp_path, capsys, cfg, starts):
