@@ -1,11 +1,14 @@
 """The one Faddeev-LeVerrier recurrence, generic over the trace API: traced
 by :mod:`sketchlab.gjdemos`, and run exactly on :class:`.gjtrace.ExactBackend`
 by the public functions, whose rank decisions are exact zero tests (no
-threshold, no size limit) and whose results are rounded to float once."""
+threshold, no size limit) and whose results are rounded to float once.
+
+Matrices of backend values are ``dtype=object`` numpy arrays, so ``@`` and
+``np.trace`` run the values' own operators one at a time, row-major.  Build
+each with ``dtype=object`` even of floats: on float64, ``@`` goes through
+BLAS, which sums in another order than the traced program."""
 
 from fractions import Fraction
-from functools import reduce
-from operator import add, mul
 
 import numpy as np
 
@@ -21,26 +24,19 @@ class CharpolyOverflowError(OverflowError):
     """Raised when an exact result does not fit in a float."""
 
 
-def _mat_mul(x, y):
-    return [[reduce(add, map(mul, row, col)) for col in zip(*y)] for row in x]
-
-
-def _mat_transpose(x):
-    return [list(col) for col in zip(*x)]
-
-
 def _fl(tr, m):
     """``[c_1 .. c_k]`` of ``det(lambda*I - M)`` and ``B_k = -c_k M^{-1}``
     from ``B_1 = I, c_i = -tr(M B_i) / i, B_{i+1} = M B_i + c_i I``."""
     k = len(m)
-    b = [[tr.const(float(r == s)) for s in range(k)] for r in range(k)]
+    b = np.array([[tr.const(float(r == s)) for s in range(k)] for r in range(k)],
+                 dtype=object)
     coeffs = []
     for i in range(1, k + 1):
-        mb = _mat_mul(m, b)
-        coeffs.append((-reduce(add, (mb[t][t] for t in range(k)))) / tr.const(i))
+        mb = m @ b
+        coeffs.append(-np.trace(mb) / tr.const(i))
         if i < k:
-            b = [[v + coeffs[-1] if r == s else v for s, v in enumerate(row)]
-                 for r, row in enumerate(mb)]
+            b = mb
+            b.flat[::k + 1] += coeffs[-1]
     return coeffs, b
 
 
@@ -48,9 +44,9 @@ def _greedy(tr, rows):
     """Indices of the rows outside the span of the rows kept before them,
     and the ``_fl`` result of the kept rows' Gram matrix (None if none)."""
     kept, fl = [], None
-    for idx, row in enumerate(rows):
-        y = [rows[i] for i in kept] + [row]
-        out = _fl(tr, _mat_mul(y, _mat_transpose(y)))
+    for idx in range(len(rows)):
+        y = rows[kept + [idx]]
+        out = _fl(tr, y @ y.T)
         c = out[0][-1]
         if not (tr.branch(c) & tr.branch(-c)):  # c != 0; & runs both
             kept.append(idx)
@@ -64,11 +60,10 @@ def _projection(tr, rows):
     empty."""
     idx, fl = _greedy(tr, rows)
     if not idx:
-        return [[tr.const(0.0) for _ in rows[0]] for _ in rows[0]], tr.const(1.0)
-    kept = [rows[i] for i in idx]
+        d = rows.shape[1]
+        return np.full((d, d), tr.const(0.0), dtype=object), tr.const(1.0)
     coeffs, b_last = fl
-    neg_b = [[-v for v in row] for row in b_last]
-    return _mat_mul(_mat_mul(_mat_transpose(kept), neg_b), kept), coeffs[-1]
+    return rows[idx].T @ -b_last @ rows[idx], coeffs[-1]
 
 
 def _exact(m, square=True):
@@ -76,13 +71,14 @@ def _exact(m, square=True):
     m = as_matrix(m)
     if square and m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    scale = max(Fraction(v).denominator for v in m.flat)
-    return [[Fraction(v) * scale for v in row] for row in m.tolist()], scale
+    exact = np.frompyfunc(Fraction, 1, 1)(m)
+    scale = max(v.denominator for v in exact.flat)
+    return exact * scale, scale
 
 
 def _floats(x):
     try:
-        return np.array([[float(v) for v in row] for row in x])
+        return x.astype(float)
     except OverflowError:
         raise CharpolyOverflowError("exact value beyond float range") from None
 
@@ -91,7 +87,8 @@ def charpoly_coefficients(m: np.ndarray) -> np.ndarray:
     """``c_0 = 1, c_1 .. c_k`` of ``det(lambda*I - M)``, ``c_i(D M) / D^i``."""
     rows, scale = _exact(m)
     coeffs, _ = _fl(ExactBackend(), rows)
-    return _floats([[1] + [c / scale**i for i, c in enumerate(coeffs, 1)]])[0]
+    return _floats(np.array([1] + [c / scale**i for i, c in enumerate(coeffs, 1)],
+                            dtype=object))
 
 
 def charpoly_free_coeff(m: np.ndarray) -> float:
@@ -110,7 +107,7 @@ def charpoly_inverse(m: np.ndarray) -> np.ndarray:
     coeffs, b = _fl(ExactBackend(), rows)
     if coeffs[-1] == 0:
         raise SingularMatrixError("free coefficient is exactly zero")
-    return _floats([[-v * scale / coeffs[-1] for v in row] for row in b])
+    return _floats(-b * scale / coeffs[-1])
 
 
 def greedy_row_basis(z: np.ndarray) -> np.ndarray:
@@ -121,4 +118,4 @@ def greedy_row_basis(z: np.ndarray) -> np.ndarray:
 def projection_rowspace(z: np.ndarray) -> np.ndarray:
     """``Y^T (Y Y^T)^{-1} Y = pinv(z) @ z``, ``Y = greedy_row_basis(z)``."""
     numer, denom = _projection(ExactBackend(), _exact(z, square=False)[0])
-    return _floats([[v / denom for v in row] for row in numer])
+    return _floats(numer / denom)

@@ -53,7 +53,7 @@ def named_stream(seed: int, name: str) -> np.random.Generator:
 def _merge_defaults(cfg: dict, defaults: dict, errors: list) -> dict:
     out = dict(defaults)
     for key, value in cfg.items():
-        if key not in defaults and key not in ("command", "seed"):
+        if key not in defaults:
             errors.append(f"unknown config key: {key!r}")
         out[key] = value
     return out
@@ -94,6 +94,7 @@ def _cmd_gen_data(cfg, seed):
         "noise": 0.1, "out_dir": None,
     }, errors)
     _check_int(cfg, ("count", "n", "d", "k"), errors)
+    _check_real(cfg, "noise", lambda v: 0 <= v < math.inf, "in [0, inf)", errors)
     if cfg["kind"] not in ("spiked", "gaussian"):
         errors.append(f"kind must be 'spiked' or 'gaussian', got {cfg['kind']!r}")
     if (cfg["kind"] == "spiked" and isinstance(cfg["k"], int)

@@ -7,7 +7,8 @@ trace replays the identical execution on plain floats, and an
 :class:`~sketchlab.gjtrace.ExactBackend` replays it in exact rationals.
 Every driver lifts its constants with ``tr.const`` and reads its results
 with ``float()`` (``charpoly._floats`` for matrices), so the same code
-serves all three.
+serves all three.  Matrices are ``dtype=object`` arrays of backend values,
+floats included, for the reason :mod:`sketchlab.charpoly` gives.
 
 Rank tests inside the traced routines branch on exact zero (the sign test
 pair ``c >= 0`` and ``-c >= 0``), matching the arithmetic-only model; the
@@ -17,13 +18,11 @@ are meant for generic inputs where float and exact rank decisions agree.
 """
 
 import math
-from functools import reduce
 from itertools import combinations
-from operator import add
 
 import numpy as np
 
-from .charpoly import _floats, _mat_mul, _mat_transpose, _projection
+from .charpoly import _floats, _projection
 from .gjtrace import Trace, gj_argmin, gj_min
 from .proxy import q_iterations
 
@@ -33,15 +32,8 @@ _LOSS_THRESHOLD = 0.5
 
 def _lift_inputs(tr, arr, prefix):
     arr = np.asarray(arr, dtype=np.float64)
-    return [
-        [tr.input(f"{prefix}{i}_{j}", arr[i, j]) for j in range(arr.shape[1])]
-        for i in range(arr.shape[0])
-    ]
-
-
-def _lift_consts(tr, arr):
-    arr = np.asarray(arr, dtype=np.float64)
-    return [[tr.const(v) for v in row] for row in arr]
+    return np.array([[tr.input(f"{prefix}{i}_{j}", v) for j, v in enumerate(row)]
+                     for i, row in enumerate(arr)], dtype=object)
 
 
 def power_trace(m, pi, q, tr=None):
@@ -49,10 +41,10 @@ def power_trace(m, pi, q, tr=None):
     tr = tr if tr is not None else Trace()
     m_t = _lift_inputs(tr, m, "m")
     pi = np.asarray(pi, dtype=np.float64)
-    x = [[tr.input(f"p{i}", pi[i])] for i in range(pi.size)]
+    x = np.array([tr.input(f"p{i}", v) for i, v in enumerate(pi)], dtype=object)
     for _ in range(q):
-        x = _mat_mul(m_t, x)
-    return _floats(x)[:, 0], tr
+        x = m_t @ x
+    return _floats(x), tr
 
 
 def min_trace(values, tr=None):
@@ -71,10 +63,8 @@ def rowspace_projection_trace(z, tr=None):
     matching degree.
     """
     tr = tr if tr is not None else Trace()
-    z = np.asarray(z, dtype=np.float64)
-    rows = _lift_inputs(tr, z, "z")
-    numer, denom = _projection(tr, rows)
-    return _floats([[v / denom for v in row] for row in numer]), tr
+    numer, denom = _projection(tr, _lift_inputs(tr, z, "z"))
+    return _floats(numer / denom), tr
 
 
 def knapsack_trace(values, costs, capacity, rho, tr=None):
@@ -126,45 +116,36 @@ def proxy_pipeline_trace(sketch, a, k, epsilon, q_constant=1.0, tr=None):
     """
     tr = tr if tr is not None else Trace()
     a = np.asarray(a, dtype=np.float64)
-    n, d = a.shape
+    d = a.shape[1]
 
-    s_t = [[tr.const(0.0) for _ in range(sketch.n)] for _ in range(sketch.m)]
+    s_t = np.full((sketch.m, sketch.n), tr.const(0.0), dtype=object)
     for j in range(sketch.n):
         for t in range(sketch.s):
-            s_t[int(sketch.pattern[j, t])][j] = tr.input(
-                f"s{j}_{t}", sketch.values[j, t]
-            )
-    a_t = _lift_consts(tr, a)
+            s_t[sketch.pattern[j, t], j] = tr.input(f"s{j}_{t}", sketch.values[j, t])
+    a_t = np.array([[tr.const(v) for v in row] for row in a], dtype=object)
 
-    sa = _mat_mul(s_t, a_t)
+    sa = s_t @ a_t
     proj_num, proj_den = _projection(tr, sa)
-    bn = _mat_mul(a_t, proj_num)  # numerator of B; denominator is proj_den
+    bn = a_t @ proj_num  # numerator of B; denominator is proj_den
 
     q = q_iterations(epsilon, d, q_constant)
-    bbt = _mat_mul(bn, _mat_transpose(bn))
+    bbt = bn @ bn.T
     w = bn
     for _ in range(q):
-        w = _mat_mul(bbt, w)
+        w = bbt @ w
 
-    candidates = list(combinations(range(d), k))
     losses, parts = [], []
-    for cols in candidates:
-        z_cols = [[w[i][c] for c in cols] for i in range(n)]
-        z_num, z_den = _projection(tr, _mat_transpose(z_cols))
-        nzb = _mat_mul(z_num, bn)
-        resid = [
-            [z_den * bn[i][j] - nzb[i][j] for j in range(d)] for i in range(n)
-        ]
+    for cols in combinations(range(d), k):
+        z_num, z_den = _projection(tr, w[:, cols].T)
+        nzb = z_num @ bn
+        resid = bn * z_den - nzb
         den = z_den * proj_den
-        losses.append(reduce(add, (v * v for row in resid for v in row))
-                      / (den * den))
+        losses.append((resid * resid).sum() / (den * den))
         parts.append((nzb, den))
     best = gj_argmin(tr, losses)
 
     nzb, den = parts[best]
-    final = [
-        [den * a_t[i][j] - nzb[i][j] for j in range(d)] for i in range(n)
-    ]
-    proxy = reduce(add, (v * v for row in final for v in row)) / (den * den)
+    final = a_t * den - nzb
+    proxy = (final * final).sum() / (den * den)
     tr.branch(proxy - tr.const(_LOSS_THRESHOLD))
     return float(proxy), tr

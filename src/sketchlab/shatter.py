@@ -8,6 +8,7 @@ The verifier walks subsets, switches their slots on, and checks the margin
 condition around per-matrix thresholds.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,7 +139,9 @@ def verify_shattering(family: ShatterFamily, subset_budget: int = 256,
 
     Returns a JSON-ready report with per-family margins, including the
     smallest observed off-sketch loss compared against the ``1/k`` and
-    ``1/sqrt(k)`` reference levels.
+    ``1/sqrt(k)`` reference levels.  ``hit_loss_max`` is None when every
+    checked subset holds all members, ``miss_loss_min`` when every one is
+    empty.
     """
     n_members = len(family.matrices)
     k = family.base.m
@@ -187,8 +190,8 @@ def verify_shattering(family: ShatterFamily, subset_budget: int = 256,
         "gamma": gamma,
         "min_margin": float(min_margin),
         "all_pass": bool(all_pass),
-        "hit_loss_max": float(hit_loss_max) if checked else None,
+        "hit_loss_max": float(hit_loss_max) if np.isfinite(hit_loss_max) else None,
         "miss_loss_min": float(miss_loss_min) if np.isfinite(miss_loss_min) else None,
         "one_over_k": 1.0 / k,
-        "one_over_sqrt_k": 1.0 / np.sqrt(k),
+        "one_over_sqrt_k": 1.0 / math.sqrt(k),
     }

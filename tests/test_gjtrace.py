@@ -241,6 +241,28 @@ def test_proxy_pipeline_trace_matches_numeric_and_stays_within_budget():
     assert exact == pytest.approx(reference, abs=1e-12)
 
 
+@pytest.mark.parametrize("n, d, m", [(3, 3, 2), (4, 4, 3)])
+def test_pipeline_float_replays_are_bit_identical_over_draws(n, d, m):
+    # A float64 (not object) array anywhere in the pipeline sends @ through
+    # BLAS, whose summation order differs from the traced one.
+    from sketchlab.proxy import ProxyConfig, proxy_loss
+    from sketchlab.sketching import random_sparse_sketch
+    from sketchlab.synth import random_unit_matrix
+
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        a = random_unit_matrix(rng, n, d)
+        sk = random_sparse_sketch(m, n, 1, rng)
+        value, _ = gjdemos.proxy_pipeline_trace(sk, a, k=1, epsilon=0.5)
+        replay, _ = gjdemos.proxy_pipeline_trace(sk, a, k=1, epsilon=0.5,
+                                                 tr=FloatBackend())
+        assert replay == value
+        exact, _ = gjdemos.proxy_pipeline_trace(sk, a, k=1, epsilon=0.5,
+                                                tr=ExactBackend())
+        reference = proxy_loss(sk, a, 1, ProxyConfig(0.5, 5000, 1.0))
+        assert exact == pytest.approx(reference, abs=1e-12)
+
+
 class _BranchTypes(ExactBackend):
     """Exact backend that records the type of every branch argument."""
 

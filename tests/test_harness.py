@@ -120,6 +120,11 @@ def test_config_errors_are_collected_all_at_once():
      ["data_dir or data_files", "holdout must"]),
     ("train", {"m": 2, "k": 1, "holdout": "x"},
      ["data_dir or data_files", "holdout must"]),
+    ("gen-data", {"noise": "x"}, ["noise must", "out_dir is required"]),
+    ("gen-data", {"noise": -0.1}, ["noise must", "out_dir is required"]),
+    ("gen-data", {"noise": float("inf")}, ["noise must", "out_dir is required"]),
+    ("gj-trace", {"seed": 5}, ["unknown config key: 'seed'"]),
+    ("proxy-check", {"command": "train"}, ["unknown config key: 'command'"]),
 ])
 def test_bad_keys_are_config_errors_listed_together(tmp_path, capsys, command,
                                                     cfg, starts):

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -170,3 +171,15 @@ def test_verify_shattering_rejects_an_empty_sampling_budget():
         with pytest.raises(ValueError, match="subset_budget must be >= 1"):
             verify_shattering(fam, subset_budget=budget)
     assert verify_shattering(fam, subset_budget=1)["subsets_checked"] == 1
+
+
+def test_verify_shattering_reports_none_for_an_empty_side():
+    # seed 16437 draws the full subset of 15 members, seed 55834 the empty one
+    fam = rank1_family(15, 2)
+    full = verify_shattering(fam, subset_budget=1, gamma=0.4, seed=16437)
+    assert full["hit_loss_max"] is None and full["miss_loss_min"] == 1.0
+    empty = verify_shattering(fam, subset_budget=1, gamma=0.4, seed=55834)
+    assert empty["miss_loss_min"] is None and empty["hit_loss_max"] <= 1e-10
+    for report in (full, empty):
+        assert "Infinity" not in json.dumps(report)
+        assert type(report["one_over_sqrt_k"]) is float
