@@ -196,7 +196,7 @@ def _cmd_eval(cfg, seed):
 
     sketch = load_sketch(cfg["sketch"])
     data = make_dataset(mats)
-    losses = [sketch_loss(sketch, a, cfg["k"]) for a in data]
+    losses = sketch_loss(sketch, np.stack(data), cfg["k"]).tolist()
     rows = [{"index": i, "loss": v} for i, v in enumerate(losses)]
     return True, {"mean_loss": float(np.mean(losses))}, rows, cfg
 
@@ -286,7 +286,8 @@ def _cmd_gj_trace(cfg, seed):
         errors.append(f"demo must be one of {demos}, got {cfg['demo']!r}")
     _check_int(cfg, ("k", "r", "items", "m", "n", "d"), errors)
     _check_int(cfg, ("q",), errors, least=0)
-    _check_real(cfg, "epsilon", lambda v: 0 < v <= 1, "in (0, 1]", errors)
+    # the pipeline demo is checked against proxy_loss, which takes eps < 1
+    _check_real(cfg, "epsilon", lambda v: 0 < v < 1, "in (0, 1)", errors)
     _check_real(cfg, "q_constant", lambda v: 0 < v < math.inf, "in (0, inf)",
                 errors)
     if isinstance(cfg["m"], int) and isinstance(cfg["n"], int) and cfg["m"] > cfg["n"]:
@@ -311,13 +312,33 @@ def _cmd_gj_trace(cfg, seed):
                                        capacity=float(np.sum(costs) / 2),
                                        rho=1.0)
     else:
-        a = random_unit_matrix(rng, cfg["n"], cfg["d"])
-        sketch = random_sparse_sketch(cfg["m"], cfg["n"], 1, rng)
-        _, tr = gjdemos.proxy_pipeline_trace(sketch, a, k=1,
-                                             epsilon=cfg["epsilon"],
-                                             q_constant=cfg["q_constant"])
+        return _pipeline_demo(cfg, rng)
     metrics = tr.report(tr.n_inputs)
     return True, metrics, [metrics], cfg
+
+
+def _pipeline_demo(cfg, rng):
+    """Trace the proxy pipeline and report its float value next to
+    ``proxy_loss`` on the same instance.  The trace's counts belong to the
+    path its float values took, so the run passes only if the two agree to
+    1e-8; ``reason`` names a failure."""
+    a = random_unit_matrix(rng, cfg["n"], cfg["d"])
+    sketch = random_sparse_sketch(cfg["m"], cfg["n"], 1, rng)
+    reference = proxy_loss(sketch, a, 1,
+                           ProxyConfig(cfg["epsilon"], q_constant=cfg["q_constant"]))
+    metrics = {}
+    try:
+        value, tr = gjdemos.proxy_pipeline_trace(sketch, a, k=1,
+                                                 epsilon=cfg["epsilon"],
+                                                 q_constant=cfg["q_constant"])
+    except ZeroDivisionError:
+        value, reason = None, "the float trace divided by zero"
+    else:
+        metrics = tr.report(tr.n_inputs)
+        reason = (None if abs(value - reference) <= 1e-8 else
+                  f"traced value differs from proxy_loss by {value - reference:.3e}")
+    metrics.update(value=value, proxy_loss=reference, reason=reason)
+    return reason is None, metrics, [metrics], cfg
 
 
 def _cmd_amg_check(cfg, seed):

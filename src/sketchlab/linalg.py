@@ -1,9 +1,11 @@
 """Dense real-matrix core: validated storage, SVD, truncation, pseudo-inverse.
 
-All routines operate on 2-D float64 ``numpy`` arrays.  ``as_matrix`` is the
+Routines operate on float64 ``numpy`` arrays.  ``as_matrix`` is the
 validating entry point; everything downstream assumes its output format.
-Singular values at or below ``RANK_RTOL`` times the largest one, and all of
-those of a zero matrix, count as zero: the package's one numerical rank rule.
+``svd``, ``best_rank_k`` and ``fro_sq`` also take a stack ``(..., n, d)``
+of matrices and work on each one.  Singular values at or below
+``RANK_RTOL`` times the largest one of their matrix, and all of those of a
+zero matrix, count as zero: the package's one numerical rank rule.
 """
 
 from typing import NamedTuple
@@ -46,7 +48,8 @@ class SvdResult(NamedTuple):
     """Rank-trimmed thin SVD: ``U @ diag(singular_values) @ V.T`` rebuilds
     the input.  ``U`` is n-by-r and ``V`` is d-by-r with orthonormal
     columns; ``singular_values`` is non-increasing with length r, the
-    numerical rank."""
+    numerical rank.  For a stack, r is the largest rank in the stack and
+    each matrix's columns past its own rank are zero."""
 
     U: np.ndarray
     singular_values: np.ndarray
@@ -57,8 +60,11 @@ def svd(a: np.ndarray) -> SvdResult:
     """Singular value decomposition trimmed to the numerical rank.
 
     Values sigma <= RANK_RTOL * sigma_max are treated as zero and their
-    singular vectors dropped.  A matrix without a nonzero entry yields
-    empty factors before any factorization is attempted.
+    singular vectors dropped.  An input without a nonzero entry yields
+    empty factors before any factorization is attempted.  A stack
+    ``(..., n, d)`` is factored in one LAPACK call, each matrix as on its
+    own; its factors are trimmed to the largest rank in the stack, and
+    each matrix's columns past its own rank are masked to zero.
 
     Raises
     ------
@@ -66,32 +72,50 @@ def svd(a: np.ndarray) -> SvdResult:
         If the underlying iteration fails to converge.
     """
     if not np.count_nonzero(a):
-        return SvdResult(np.zeros((a.shape[0], 0)), np.zeros(0),
-                         np.zeros((a.shape[1], 0)))
+        lead = a.shape[:-2]
+        return SvdResult(np.zeros(a.shape[:-1] + (0,)), np.zeros(lead + (0,)),
+                         np.zeros(lead + (a.shape[-1], 0)))
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    r = np.count_nonzero(s > RANK_RTOL * s[0])
-    return SvdResult(u[:, :r], s[:r], vh[:r].T)
+    if a.ndim == 2:
+        r = np.count_nonzero(s > RANK_RTOL * s[0])
+        return SvdResult(u[:, :r], s[:r], vh[:r].T)
+    keep = s > RANK_RTOL * s[..., :1]
+    v = vh.swapaxes(-1, -2)
+    if keep[..., -1].all():  # values are sorted, so every matrix has full rank
+        return SvdResult(u, s, v)
+    r = keep.sum(axis=-1).max()
+    keep = keep[..., :r]
+    cols = keep[..., None, :]
+    return SvdResult(np.where(cols, u[..., :r], 0.0), np.where(keep, s[..., :r], 0.0),
+                     np.where(cols, v[..., :r], 0.0))
 
 
 def best_rank_k(a: np.ndarray, k: int) -> np.ndarray:
     """Best rank-``k`` approximation of ``a`` in the Frobenius norm.
 
     If ``k`` is at least the numerical rank, returns ``a`` up to roundoff.
+    A stack ``(..., n, d)`` gives each matrix's approximation.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     u, s, v = svd(a)
-    r = min(k, s.size)
-    return (u[:, :r] * s[:r]) @ v[:, :r].T
+    return (u[..., :k] * s[..., None, :k]) @ v[..., :k].swapaxes(-1, -2)
 
 
 def pinv(a: np.ndarray) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse via the rank-trimmed SVD."""
+    """Moore-Penrose pseudo-inverse of a 2-D matrix via the rank-trimmed
+    SVD."""
     u, s, v = svd(a)
     return (v / s) @ u.T
 
 
-def fro_sq(a: np.ndarray) -> float:
-    """Squared Frobenius norm (sum of squared entries)."""
-    flat = np.asarray(a).ravel()
-    return float(flat @ flat)
+def fro_sq(a: np.ndarray):
+    """Squared Frobenius norm (sum of squared entries), as a float.  A stack
+    ``(..., n, d)`` gives an array with one per matrix, each from the same
+    BLAS dot as that matrix on its own."""
+    a = np.asarray(a)
+    if a.ndim <= 2:
+        flat = a.ravel()
+        return float(flat @ flat)
+    flat = a.reshape(*a.shape[:-2], 1, -1)
+    return (flat @ flat.swapaxes(-1, -2))[..., 0, 0]

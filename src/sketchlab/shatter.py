@@ -34,8 +34,8 @@ class ShatterFamily:
 
     def __post_init__(self):
         self.slots = np.asarray(self.slots, dtype=np.int64).reshape(-1, 2)
-        losses = [sketch_loss(self.base, a, self.base.m) for a in self.matrices]
-        self.thresholds = np.full(len(self.matrices), min(losses) / 2.0)
+        losses = sketch_loss(self.base, np.stack(self.matrices), self.base.m)
+        self.thresholds = np.full(len(self.matrices), losses.min() / 2.0)
 
 
 def _family(base: SparseSketch, slots, width: int, builder: str) -> ShatterFamily:

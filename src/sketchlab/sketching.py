@@ -8,6 +8,14 @@ the input down to ``S @ A``, take its SVD, and solve the small problem in
 the sketched row space; its projection form shares that one SVD of ``SA``,
 and so does ``sketch_loss_and_grad``, the loss with its closed-form
 gradient in the dense sketch.
+
+The pipeline broadcasts: the sketch may be a ``SparseSketch``, an m-by-n
+matrix or a stack ``(..., m, n)``, and ``A`` an n-by-d matrix or a stack
+``(..., n, d)``.  A stack goes through each step in one numpy call, on the
+masked factors of :func:`~sketchlab.linalg.svd`.  Where its matrices share
+the ranks of SA and of AV cut to k, each gets the bits of its own 2-D
+call; otherwise the masked columns change the shapes BLAS and LAPACK see,
+and the values agree to rounding.
 """
 
 from dataclasses import dataclass, field
@@ -63,8 +71,7 @@ class SparseSketch:
     def dense(self) -> np.ndarray:
         """Materialize the m-by-n matrix."""
         out = np.zeros((self.m, self.n))
-        cols = np.repeat(np.arange(self.n), self.s)
-        out[self.pattern.ravel(), cols] = self.values.ravel()
+        out[self.pattern, np.arange(self.n)[:, None]] = self.values
         return out
 
     def with_values(self, values: np.ndarray) -> "SparseSketch":
@@ -73,17 +80,18 @@ class SparseSketch:
 
 
 def _dense(sketch, a: np.ndarray) -> np.ndarray:
-    """The finite dense sketch, checked to fit the finite matrix ``a``."""
+    """The finite dense sketch, checked to fit the finite matrix ``a``
+    (either may be a stack)."""
     if hasattr(sketch, "dense"):
         s_mat = sketch.dense()
     else:
         s_mat = np.asarray(sketch, float)
         if not np.isfinite(s_mat).all():
             raise ValueError("sketch contains non-finite entries")
-    if s_mat.shape[1] != a.shape[0]:
+    if s_mat.shape[-1] != a.shape[-2]:
         raise ValueError(
-            f"sketch has {s_mat.shape[1]} columns but the matrix has "
-            f"{a.shape[0]} rows"
+            f"sketch has {s_mat.shape[-1]} columns but the matrix has "
+            f"{a.shape[-2]} rows"
         )
     if not np.isfinite(a).all():
         raise ValueError("matrix contains non-finite entries")
@@ -115,9 +123,14 @@ def _sketched_rowspace(a: np.ndarray, k: int, sketch) -> SvdResult:
     row space.  The true loss, its gradient and the proxy all start from
     it."""
     s_mat = _dense(sketch, a)
-    if not (1 <= k <= min(a.shape)):
+    if not (1 <= k <= min(a.shape[-2:])):
         raise ValueError(f"need 1 <= k <= min(A.shape), got k={k}")
     return svd(s_mat @ a)
+
+
+def _t(x: np.ndarray) -> np.ndarray:
+    """Transpose of each matrix in a stack (``.T`` for a 2-D matrix)."""
+    return x.T if x.ndim == 2 else x.swapaxes(-1, -2)
 
 
 def sketch_lowrank(a: np.ndarray, k: int, sketch) -> np.ndarray:
@@ -128,28 +141,31 @@ def sketch_lowrank(a: np.ndarray, k: int, sketch) -> np.ndarray:
     is the zero matrix.  The output always has rank at most ``k``.
     """
     v = _sketched_rowspace(a, k, sketch).V
-    return best_rank_k(a @ v, k) @ v.T
+    return best_rank_k(a @ v, k) @ _t(v)
 
 
 def sketch_lowrank_via_projection(a: np.ndarray, k: int, sketch) -> np.ndarray:
     """Equivalent form of :func:`sketch_lowrank`: ``[A P]_k`` where
     ``P = V V^T`` projects onto the row space of ``SA``."""
     v = _sketched_rowspace(a, k, sketch).V
-    return best_rank_k(a @ (v @ v.T), k)
+    return best_rank_k(a @ (v @ _t(v)), k)
 
 
-def sketch_loss(sketch, a: np.ndarray, k: int) -> float:
-    """Squared-Frobenius error of the sketch-and-solve approximation.
+def sketch_loss(sketch, a: np.ndarray, k: int):
+    """Squared-Frobenius error of the sketch-and-solve approximation: a
+    float, or an array over the broadcast leading axes of a stack.
 
     For inputs normalized to unit squared Frobenius norm the value lies in
     [0, 1]; in general it never exceeds ``fro_sq(a)``.
     """
-    return fro_sq(a - sketch_lowrank(a, k, sketch))
+    low = sketch_lowrank(a, k, sketch)
+    # in place: for a stack this is the call's largest array
+    return fro_sq(np.subtract(a, low, out=low))
 
 
-def sketch_loss_and_grad(sketch, a: np.ndarray, k: int) -> tuple[float, np.ndarray]:
+def sketch_loss_and_grad(sketch, a: np.ndarray, k: int) -> tuple:
     """The loss of :func:`sketch_loss` and its gradient in the dense
-    m-by-n sketch ``S``.
+    m-by-n sketch ``S`` (one gradient per matrix of a stack).
 
     With ``K = A A^T`` the loss is ``||A||_F^2`` minus the top ``k``
     eigenvalues of the pencil ``(S K^2 S^T, S K S^T)``.  The thin SVD
@@ -168,11 +184,12 @@ def sketch_loss_and_grad(sketch, a: np.ndarray, k: int) -> tuple[float, np.ndarr
     """
     u, sv_sa, v = _sketched_rowspace(a, k, sketch)
     w, sv, z = svd(a @ v)
-    r = min(k, sv.size)
-    w, sv, z = w[:, :r], sv[:r], z[:, :r]
-    resid = a - ((w * sv) @ z.T) @ v.T
-    x = (u / sv_sa) @ z
-    grad = -2.0 * (x * sv) @ ((w.T @ resid) @ a.T)
+    w, sv, z = w[..., :k], sv[..., None, :k], z[..., :k]
+    resid = a - ((w * sv) @ _t(z)) @ _t(v)
+    if u.ndim > 2:  # masked columns of u are zero; dividing by 1 keeps them so
+        sv_sa = np.where(sv_sa > 0.0, sv_sa, 1.0)
+    x = (u / sv_sa[..., None, :]) @ z
+    grad = -2.0 * (x * sv) @ ((_t(w) @ resid) @ _t(a))
     return fro_sq(resid), grad
 
 

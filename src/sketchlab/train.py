@@ -3,9 +3,9 @@
 The sparsity pattern stays frozen; only slot values move.  ``sgd_train``
 follows the closed-form gradient of the sketch-and-solve loss
 (:func:`~sketchlab.sketching.sketch_loss_and_grad`), read off at the slot
-positions: one loss-and-gradient call per matrix and batch.  Its
-mini-batch loop also trains ``amg.train_prolongation`` on the closed-form
-gradient of the cycle loss.
+positions: one loss-and-gradient call per batch, on the batch's matrices
+stacked.  Its mini-batch loop also trains ``amg.train_prolongation`` on
+the closed-form gradient of the cycle loss.
 """
 
 from dataclasses import dataclass
@@ -48,20 +48,29 @@ def _nonempty(data):
     return data
 
 
+def _stacked(data) -> np.ndarray:
+    """``data`` as one (N, n, d) array, after checking that it holds at
+    least one item and that all items are matrices of one shape."""
+    if isinstance(data, np.ndarray) and data.ndim == 3:  # stacked already
+        return np.asarray(_nonempty(data), dtype=np.float64)
+    mats = _nonempty([np.asarray(m, dtype=np.float64) for m in data])
+    shape = mats[0].shape
+    for i, m in enumerate(mats):
+        if m.ndim != 2 or m.shape != shape:
+            raise ValueError(
+                f"matrix {i} has shape {m.shape}, expected {shape}"
+            )
+    return np.stack(mats)
+
+
 def make_dataset(matrices) -> list[np.ndarray]:
     """Validate and normalize a training set.
 
     All matrices must share one shape; each is rescaled to unit squared
     Frobenius norm.
     """
-    mats = _nonempty([np.array(m, dtype=np.float64) for m in matrices])
-    shape = mats[0].shape
     out = []
-    for i, m in enumerate(mats):
-        if m.ndim != 2 or m.shape != shape:
-            raise ValueError(
-                f"matrix {i} has shape {m.shape}, expected {shape}"
-            )
+    for i, m in enumerate(_stacked(matrices)):
         if not np.isfinite(m).all():
             raise ValueError(f"matrix {i} contains non-finite entries")
         norm_sq = fro_sq(m)
@@ -72,8 +81,9 @@ def make_dataset(matrices) -> list[np.ndarray]:
 
 
 def empirical_loss(sketch, data, k: int) -> float:
-    """Mean sketch-and-solve loss over a nonempty dataset."""
-    return float(np.mean([sketch_loss(sketch, a, k) for a in _nonempty(data)]))
+    """Mean sketch-and-solve loss over a nonempty dataset of matrices of
+    one shape, from one stacked call."""
+    return float(np.mean(sketch_loss(sketch, _stacked(data), k)))
 
 
 def _descend(vals, data, cfg: TrainConfig, batch_grads, mean_loss,
@@ -114,13 +124,13 @@ def sgd_train(pattern: SparseSketch, data, k: int, cfg: TrainConfig,
     positions.  The returned sketch has exactly the input pattern; the
     loop, ``history`` and the aborts are those of :func:`_descend`.
     """
-    slots = (pattern.pattern, np.arange(pattern.n)[:, None])
+    data = _stacked(data)
+    cols = np.arange(pattern.n)[:, None]
 
     def batch_grads(vals, idx):
-        s_mat = pattern.with_values(vals).dense()
-        for i in idx:
-            loss, g = sketch_loss_and_grad(s_mat, data[i], k)
-            yield loss, g[slots]
+        losses, g = sketch_loss_and_grad(pattern.with_values(vals).dense(),
+                                         data[idx], k)
+        return zip(losses.tolist(), g[:, pattern.pattern, cols])
 
     return pattern.with_values(_descend(
         pattern.values, data, cfg, batch_grads,

@@ -125,6 +125,8 @@ def test_config_errors_are_collected_all_at_once():
     ("gen-data", {"noise": float("inf")}, ["noise must", "out_dir is required"]),
     ("gj-trace", {"seed": 5}, ["unknown config key: 'seed'"]),
     ("proxy-check", {"command": "train"}, ["unknown config key: 'command'"]),
+    ("gj-trace", {"demo": "proxy-pipeline", "epsilon": 1},
+     ["epsilon must be a number in (0, 1), got 1"]),
 ])
 def test_bad_keys_are_config_errors_listed_together(tmp_path, capsys, command,
                                                     cfg, starts):
@@ -285,6 +287,26 @@ def test_gj_trace_demos_report_their_closed_form_counts(cfg, expect):
     report = run_experiment("gj-trace", cfg, seed=3)
     assert report["pass"]
     assert {key: report["metrics"][key] for key in expect} == expect
+
+
+@pytest.mark.parametrize("epsilon, reason", [
+    (0.5, None),
+    (0.05, "the float trace divided by zero"),
+    (0.02, "traced value differs from proxy_loss"),
+])
+def test_gj_trace_pipeline_passes_only_where_its_value_is_proxy_loss(epsilon, reason):
+    # seed 7 draws a 3x3 instance whose float trace at small epsilon either
+    # divides by zero or follows a path on which the value is 0.99999
+    report = run_experiment("gj-trace", {"demo": "proxy-pipeline",
+                                         "epsilon": epsilon}, seed=7)
+    metrics = report["metrics"]
+    assert metrics["proxy_loss"] == pytest.approx(0.50484, abs=1e-5)
+    if reason is None:
+        assert report["pass"] and metrics["reason"] is None
+        assert abs(metrics["value"] - metrics["proxy_loss"]) <= 1e-8
+        assert metrics["predicate_count"] == 14
+    else:
+        assert not report["pass"] and metrics["reason"].startswith(reason)
 
 
 @pytest.mark.parametrize("family", ["dense", "block"])

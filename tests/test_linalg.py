@@ -44,6 +44,33 @@ def test_svd_contract_and_oracle(shape, seed):
                                atol=1e-8 * smax)
 
 
+def test_svd_of_a_stack_masks_each_matrix_past_its_rank():
+    rng = np.random.default_rng(3)
+    stack = np.stack([rng.standard_normal((5, r)) @ rng.standard_normal((r, 4))
+                      for r in (2, 1, 2)])
+    stack[1] = 0.0  # a zero matrix inside the stack has rank 0
+    stack = np.concatenate([stack, rng.standard_normal((1, 5, 4))])
+    u, s, v = svd(stack)
+    # trimmed to the largest rank in the stack, 4
+    assert u.shape == (4, 5, 4) and s.shape == (4, 4) and v.shape == (4, 4, 4)
+    for i, a in enumerate(stack):
+        one = svd(a)
+        r = one.singular_values.size
+        assert r == (2, 0, 2, 4)[i]
+        # the matrix's own factors, then zero columns
+        np.testing.assert_array_equal(s[i, :r], one.singular_values)
+        np.testing.assert_array_equal(u[i, :, :r], one.U)
+        np.testing.assert_array_equal(v[i, :, :r], one.V)
+        assert not s[i, r:].any() and not u[i, :, r:].any() and not v[i, :, r:].any()
+        np.testing.assert_allclose((u[i] * s[i]) @ v[i].T, a, atol=1e-12)
+    np.testing.assert_array_equal(best_rank_k(stack, 1)[2], best_rank_k(stack[2], 1))
+
+
+def test_svd_of_a_zero_stack_has_empty_factors():
+    u, s, v = svd(np.zeros((3, 2, 5)))
+    assert u.shape == (3, 2, 0) and s.shape == (3, 0) and v.shape == (3, 5, 0)
+
+
 def test_best_rank_k_diagonal():
     out = best_rank_k(np.diag([3.0, 2.0, 1.0]), 2)
     np.testing.assert_allclose(out, np.diag([3.0, 2.0, 0.0]), atol=1e-12)
@@ -99,6 +126,11 @@ def test_fro_sq_values():
     assert fro_sq(np.zeros((3, 2))) == 0.0
     assert fro_sq(np.eye(4)) == 4.0
     assert fro_sq(np.array([[1.0, 2.0], [3.0, 4.0]])) == 30.0
+    stack = np.random.default_rng(4).standard_normal((2, 3, 5, 4))
+    per_matrix = fro_sq(stack)
+    assert per_matrix.shape == (2, 3)
+    for i, j in np.ndindex(2, 3):
+        assert per_matrix[i, j] == fro_sq(stack[i, j])
 
 
 def test_pythagorean_identity_for_projections():

@@ -49,6 +49,18 @@ def test_empirical_loss_cases():
     assert abs(empirical_loss(zero_valued_sketch(3, 6, 1, 2), data, 2) - 1.0) < 1e-12
 
 
+def test_mixed_shapes_are_named():
+    data = [np.eye(4, 3), np.eye(4, 3), np.eye(4, 2)]
+    sk = random_sparse_sketch(2, 4, 1, 0)
+    with pytest.raises(ValueError, match=r"matrix 2 has shape \(4, 2\), "
+                                         r"expected \(4, 3\)"):
+        empirical_loss(sk, data, 1)
+    with pytest.raises(ValueError, match=r"matrix 2 has shape \(4, 2\)"):
+        sgd_train(sk, data, 1, TrainConfig(1, 0.1, 2))
+    with pytest.raises(ValueError, match=r"matrix 1 has shape \(4,\)"):
+        empirical_loss(sk, [np.eye(4, 3), np.ones(4)], 1)
+
+
 def test_empirical_loss_zero_on_perfectly_sketched_rank_k():
     rng = np.random.default_rng(2)
     k, n, d = 2, 6, 5
