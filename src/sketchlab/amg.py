@@ -35,12 +35,14 @@ def _has_zero_diagonal(a: np.ndarray) -> bool:
 
 
 def solve_triangular(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``L X = B`` by forward substitution, for ``L`` lower triangular
-    with a nonzero diagonal; ``B`` may be a vector or a matrix of columns."""
-    x = np.array(b, dtype=np.float64)
-    for i in range(x.shape[0]):
-        x[i] = (x[i] - lower[i, :i] @ x[:i]) / lower[i, i]
-    return x
+    """Solve ``L X = B`` in place by forward substitution: the float64
+    array ``b`` (a vector or a matrix of columns) is overwritten with X and
+    returned.  ``L`` is the lower triangle of ``lower`` with a nonzero
+    diagonal; nothing above the diagonal is read, so A stands for its own
+    lower-triangular part."""
+    for i in range(b.shape[0]):
+        b[i] = (b[i] - lower[i, :i] @ b[:i]) / lower[i, i]
+    return b
 
 
 def _coarse_matrix(a: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -94,7 +96,7 @@ class AMGProblem:
             raise ValueError(f"x0 has length {self.x0.size}, expected {n}")
         if _has_zero_diagonal(self.a):
             raise ValueError("diagonal of A is numerically singular")
-        self.lower_inv = solve_triangular(np.tril(self.a), np.eye(n))
+        self.lower_inv = solve_triangular(self.a, np.eye(n))
         self.coarse = _coarse_matrix(self.a, self.p)
         self._pattern = self.p != 0.0
 
@@ -150,16 +152,18 @@ def amg_step_error_form(prob: AMGProblem, x: np.ndarray,
 
         x' = x* + (I - L^{-1}A)^{s2} (I - P (P^T A P)^{-1} P^T A)
                   (I - L^{-1}A)^{s1} (x - x*).
+
+    Applied to ``x - x*`` right to left, one matrix-vector product at a
+    time, so no n-by-n propagator is formed.
     """
-    eye = np.eye(prob.a.shape[0])
-    smoother = eye - prob.lower_inv @ prob.a
-    corrector = eye - prob.p @ np.linalg.solve(prob.coarse, prob.p.T @ prob.a)
-    propagate = (
-        np.linalg.matrix_power(smoother, prob.s2)
-        @ corrector
-        @ np.linalg.matrix_power(smoother, prob.s1)
-    )
-    return x_star + propagate @ (x - x_star)
+    a, lower_inv = prob.a, prob.lower_inv
+    e = x - x_star
+    for _ in range(prob.s1):
+        e = e - lower_inv @ (a @ e)
+    e = e - prob.p @ np.linalg.solve(prob.coarse, prob.p.T @ (a @ e))
+    for _ in range(prob.s2):
+        e = e - lower_inv @ (a @ e)
+    return x_star + e
 
 
 def _forward(prob: AMGProblem, q: int):

@@ -174,7 +174,7 @@ def _cmd_train(cfg, seed):
     trained = sgd_train(pattern, train_set, cfg["k"], tc, history=history)
     final = history[-1]
     metrics = {"initial_loss": initial, "final_loss": final}
-    if holdout:
+    if len(holdout):
         metrics["holdout_loss"] = empirical_loss(trained, holdout, cfg["k"])
     if cfg["sketch_out"]:
         save_sketch(cfg["sketch_out"], trained)
@@ -196,7 +196,7 @@ def _cmd_eval(cfg, seed):
 
     sketch = load_sketch(cfg["sketch"])
     data = make_dataset(mats)
-    losses = sketch_loss(sketch, np.stack(data), cfg["k"]).tolist()
+    losses = sketch_loss(sketch, data, cfg["k"]).tolist()
     rows = [{"index": i, "loss": v} for i, v in enumerate(losses)]
     return True, {"mean_loss": float(np.mean(losses))}, rows, cfg
 

@@ -63,21 +63,23 @@ def _stacked(data) -> np.ndarray:
     return np.stack(mats)
 
 
-def make_dataset(matrices) -> list[np.ndarray]:
-    """Validate and normalize a training set.
+def make_dataset(matrices) -> np.ndarray:
+    """Validate and normalize a training set into one (N, n, d) float64
+    stack.
 
     All matrices must share one shape; each is rescaled to unit squared
-    Frobenius norm.
+    Frobenius norm.  The input is never modified.
     """
-    out = []
-    for i, m in enumerate(_stacked(matrices)):
-        if not np.isfinite(m).all():
-            raise ValueError(f"matrix {i} contains non-finite entries")
-        norm_sq = fro_sq(m)
-        if norm_sq == 0.0:
-            raise ValueError(f"matrix {i} is zero and cannot be normalized")
-        out.append(m / np.sqrt(norm_sq))
-    return out
+    data = _stacked(matrices)
+    finite = np.isfinite(data).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"matrix {np.flatnonzero(~finite)[0]} contains "
+                         f"non-finite entries")
+    norm_sq = fro_sq(data)
+    if not norm_sq.all():
+        raise ValueError(f"matrix {np.flatnonzero(norm_sq == 0.0)[0]} is zero and "
+                         f"cannot be normalized")
+    return data / np.sqrt(norm_sq)[:, None, None]
 
 
 def empirical_loss(sketch, data, k: int) -> float:

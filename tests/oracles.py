@@ -1,6 +1,11 @@
 """Independent brute-force oracles used to cross-check the library."""
 
+import math
+
 import numpy as np
+
+from sketchlab.shatter import subset_sketch
+from sketchlab.sketching import sketch_loss
 
 
 def jacobi_eigh(a, max_sweeps=60):
@@ -112,3 +117,58 @@ def finite_difference_sgd(values, loss_fn, cfg, history=None):
         if history is not None:
             history.append(float(loss_fn(vals)))
     return vals
+
+
+def verify_shattering_loop(family, subset_budget=256, gamma=0.1, seed=0):
+    """``verify_shattering`` as a loop: one 2-D ``sketch_loss`` call per
+    (subset, member) pair on the ``subset_sketch`` of the subset's
+    complement, with the margins and the loss extremes kept as running
+    minima and maxima.  Draws the same subsets from the same seed."""
+    n_members = len(family.matrices)
+    k = family.base.m
+    if n_members <= 14:
+        masks = range(2 ** n_members)
+    else:
+        rng = np.random.default_rng(seed)
+        masks = [int.from_bytes(rng.bytes((n_members + 7) // 8), "little")
+                 % (2 ** n_members) for _ in range(subset_budget)]
+    all_pass, checked = True, 0
+    min_margin, miss_loss_min, hit_loss_max = np.inf, np.inf, -np.inf
+    for mask in masks:
+        sk = subset_sketch(family, [i for i in range(n_members)
+                                    if not mask >> i & 1])
+        checked += 1
+        for i in range(n_members):
+            loss = sketch_loss(sk, family.matrices[i], k)
+            r = family.thresholds[i]
+            if mask >> i & 1:
+                margin = loss - (r + gamma)
+                miss_loss_min = min(miss_loss_min, loss)
+            else:
+                margin = (r - gamma) - loss
+                hit_loss_max = max(hit_loss_max, loss)
+            min_margin = min(min_margin, margin)
+            all_pass = all_pass and margin > 0
+    return {
+        "family": family.builder,
+        "N": n_members,
+        "subsets_checked": checked,
+        "gamma": gamma,
+        "min_margin": float(min_margin),
+        "all_pass": bool(all_pass),
+        "hit_loss_max": float(hit_loss_max) if np.isfinite(hit_loss_max) else None,
+        "miss_loss_min": float(miss_loss_min) if np.isfinite(miss_loss_min) else None,
+        "one_over_k": 1.0 / k,
+        "one_over_sqrt_k": 1.0 / math.sqrt(k),
+    }
+
+
+def amg_error_propagator(a, p, s1, s2):
+    """Dense n-by-n error propagator of one two-level cycle,
+    ``(I - L^{-1}A)^{s2} (I - P (P^T A P)^{-1} P^T A) (I - L^{-1}A)^{s1}``,
+    with L the lower-triangular part of A, from linear solves."""
+    eye = np.eye(a.shape[0])
+    smoother = eye - np.linalg.solve(np.tril(a), a)
+    corrector = eye - p @ np.linalg.solve(p.T @ a @ p, p.T @ a)
+    return (np.linalg.matrix_power(smoother, s2) @ corrector
+            @ np.linalg.matrix_power(smoother, s1))

@@ -22,7 +22,11 @@ from sketchlab.amg import (
 from sketchlab.synth import random_amg_problem
 from sketchlab.train import TrainConfig
 
-from oracles import central_difference_grad, finite_difference_sgd
+from oracles import (
+    amg_error_propagator,
+    central_difference_grad,
+    finite_difference_sgd,
+)
 
 
 def test_sweep_solves_lower_triangular_exactly():
@@ -128,6 +132,25 @@ def test_formula_matches_explicit_step():
         dev = np.linalg.norm(amg_step(prob, x)
                              - amg_step_error_form(prob, x, x_star))
         assert dev <= 1e-8 * (1.0 + np.linalg.norm(x))
+
+
+@pytest.mark.parametrize("n, m, s1, s2", [(6, 2, 0, 0), (12, 4, 2, 1),
+                                          (20, 5, 0, 3), (200, 25, 2, 1)])
+def test_error_form_applies_the_dense_propagator(n, m, s1, s2):
+    rng = np.random.default_rng(n + s1)
+    drawn = random_amg_problem(rng, n, m, s1, s2)
+    prob = AMGProblem(drawn.a.copy(), drawn.b, drawn.p, s1, s2)
+    # L^{-1} is formed from A's lower triangle alone and leaves A as it was
+    np.testing.assert_array_equal(prob.a, drawn.a)
+    np.testing.assert_allclose(prob.lower_inv, np.linalg.inv(np.tril(prob.a)),
+                               rtol=1e-10, atol=1e-12)
+    assert not np.triu(prob.lower_inv, 1).any()
+    x_star = prob.solution()
+    for _ in range(3):
+        x = rng.standard_normal(n)
+        want = x_star + amg_error_propagator(prob.a, prob.p, s1, s2) @ (x - x_star)
+        np.testing.assert_allclose(amg_step_error_form(prob, x, x_star), want,
+                                   rtol=1e-10, atol=1e-10 * np.linalg.norm(x))
 
 
 @pytest.mark.parametrize("n, m", [(100, 20), (200, 25)])

@@ -220,6 +220,7 @@ def test_gen_train_eval_workflow(tmp_path):
     assert train_report["pass"]
     assert train_report["metrics"]["final_loss"] <= \
         train_report["metrics"]["initial_loss"] + 1e-12
+    assert "holdout_loss" not in train_report["metrics"]
     eval_cfg = {"data_dir": str(tmp_path / "data"),
                 "sketch": str(tmp_path / "sk.json"), "k": 2}
     eval_report = run_experiment("eval", eval_cfg, seed=5)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from sketchlab.cli import run_experiment
 from sketchlab.linalg import fro_sq, svd
 from sketchlab.shatter import (
     block_family,
@@ -13,6 +14,8 @@ from sketchlab.shatter import (
     verify_shattering,
 )
 from sketchlab.sketching import sketch_loss
+
+from oracles import verify_shattering_loop
 
 
 def test_rank1_family_structure():
@@ -183,3 +186,26 @@ def test_verify_shattering_reports_none_for_an_empty_side():
     for report in (full, empty):
         assert "Infinity" not in json.dumps(report)
         assert type(report["one_over_sqrt_k"]) is float
+
+
+@pytest.mark.parametrize("fam, budget, gamma, seed", [
+    # the verify-labs families: exhaustive at 8 members, sampled at 16
+    (rank1_family(8, 3), 32, 0.4, 201),
+    (dense_family(6, 2), 32, 0.2, 201),
+    (block_family(10, 2, 1), 32, 0.2, 201),
+    (rank1_family(16, 3), 32, 0.4, 201),
+    (dense_family(10, 2), 32, 0.2, 22),
+    (block_family(18, 2, 1), 32, 0.2, 3),
+    # masks of 70 bits do not fit an int64
+    (rank1_family(70, 2), 8, 0.1, 0),
+], ids=lambda v: f"{v.builder}-{len(v.slots)}" if hasattr(v, "builder") else None)
+def test_verify_shattering_equals_the_per_pair_loop(fam, budget, gamma, seed):
+    report = verify_shattering(fam, budget, gamma, seed)
+    want = verify_shattering_loop(fam, budget, gamma, seed)
+    assert report == want
+    assert json.dumps(report) == json.dumps(want)
+
+
+def test_shatter_verify_default_equals_the_per_pair_loop():
+    metrics = run_experiment("shatter-verify", {}, seed=7)["metrics"]
+    assert metrics == verify_shattering_loop(rank1_family(6, 4), 256, 0.1, 7)

@@ -29,15 +29,40 @@ def test_train_config_validation():
 
 def test_make_dataset_normalizes_and_validates():
     rng = np.random.default_rng(0)
-    data = make_dataset([5.0 * rng.standard_normal((4, 3)) for _ in range(3)])
-    for a in data:
+    mats = [5.0 * rng.standard_normal((4, 3)) for _ in range(3)]
+    data = make_dataset(mats)
+    assert isinstance(data, np.ndarray)
+    assert data.dtype == np.float64 and data.shape == (3, 4, 3)
+    for a, m in zip(data, mats):
         assert abs(fro_sq(a) - 1.0) <= 1e-9
+        np.testing.assert_array_equal(a, m / np.sqrt(fro_sq(m)))
+    stack = np.stack(mats)
+    np.testing.assert_array_equal(make_dataset(stack), data)
+    np.testing.assert_array_equal(stack, np.stack(mats))  # input untouched
+    assert make_dataset([np.eye(2, dtype=int)]).dtype == np.float64
     with pytest.raises(ValueError):
         make_dataset([])
     with pytest.raises(ValueError):
         make_dataset([np.ones((2, 2)), np.ones((3, 2))])
-    with pytest.raises(ValueError):
-        make_dataset([np.zeros((2, 2))])
+    with pytest.raises(ValueError, match="matrix 1 is zero"):
+        make_dataset([np.eye(2), np.zeros((2, 2))])
+    with pytest.raises(ValueError, match="matrix 2 contains non-finite"):
+        make_dataset([np.eye(2), np.eye(2), np.full((2, 2), np.nan)])
+
+
+def test_training_on_the_stack_equals_training_on_its_matrices():
+    rng = np.random.default_rng(4)
+    data = make_dataset([rng.standard_normal((6, 5)) for _ in range(5)])
+    pattern = random_sparse_sketch(3, 6, 1, 1)
+    cfg = TrainConfig(3, 0.2, 2, seed=3)
+    hist_stack, hist_list = [], []
+    trained = sgd_train(pattern, data, 2, cfg, history=hist_stack)
+    np.testing.assert_array_equal(
+        trained.values,
+        sgd_train(pattern, list(data), 2, cfg, history=hist_list).values)
+    assert hist_stack == hist_list
+    assert empirical_loss(trained, data[3:], 2) == \
+        empirical_loss(trained, list(data[3:]), 2)
 
 
 def test_empirical_loss_cases():
