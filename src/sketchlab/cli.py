@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import time
+from copy import deepcopy
 from pathlib import Path
 
 import numpy as np
@@ -50,61 +51,59 @@ def named_stream(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed & (2**64 - 1), child]))
 
 
-def _merge_defaults(cfg: dict, defaults: dict, errors: list) -> dict:
-    out = dict(defaults)
-    for key, value in cfg.items():
-        if key not in defaults:
-            errors.append(f"unknown config key: {key!r}")
-        out[key] = value
-    return out
+def _int(least=1):
+    return lambda v: (None if isinstance(v, int) and not isinstance(v, bool)
+                      and v >= least else f"must be an integer >= {least}, got {v!r}")
 
 
-def _check_int(cfg, keys, errors, least=1):
-    for key in keys:
-        v = cfg.get(key)
-        if not isinstance(v, int) or isinstance(v, bool) or v < least:
-            errors.append(f"{key} must be an integer >= {least}, got {v!r}")
+def _pair(least):
+    def rule(v):
+        if (not isinstance(v, (list, tuple)) or len(v) != 2
+                or any(map(_int(least), v)) or v[0] > v[1]):
+            return (f"must be a pair [lo, hi] of integers with "
+                    f"{least} <= lo <= hi, got {v!r}")
+    return rule
 
 
-def _check_range(cfg, key, least, errors):
-    v = cfg.get(key)
-    if (not isinstance(v, (list, tuple)) or len(v) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in v)
-            or not least <= v[0] <= v[1]):
-        errors.append(f"{key} must be a pair [lo, hi] of integers with "
-                      f"{least} <= lo <= hi, got {v!r}")
+def _real(ok, text):
+    return lambda v: (None if isinstance(v, (int, float)) and not isinstance(v, bool)
+                      and ok(v) else f"must be a number {text}, got {v!r}")
 
 
-def _is_real(v, ok):
-    return not isinstance(v, bool) and isinstance(v, (int, float)) and ok(v)
+def _one_of(options, text):
+    return lambda v: None if v in options else f"must be {text}, got {v!r}"
 
 
-def _check_real(cfg, key, ok, rule, errors):
-    v = cfg.get(key)
-    if not _is_real(v, ok):
-        errors.append(f"{key} must be a number {rule}, got {v!r}")
+def _epsilons(v):
+    if not isinstance(v, (list, tuple)) or not v or any(map(_UNIT, v)):
+        return f"must be a nonempty list of numbers in (0, 1), got {v!r}"
+
+
+def _paths(v):
+    if v is not None and not (isinstance(v, (list, tuple))
+                              and all(isinstance(f, (str, Path)) for f in v)):
+        return f"must be a list of paths, got {v!r}"
+
+
+_POSITIVE = _real(lambda v: 0 < v < math.inf, "in (0, inf)")
+_NONNEGATIVE = _real(lambda v: 0 <= v < math.inf, "in [0, inf)")
+_UNIT = _real(lambda v: 0 < v < 1, "in (0, 1)")
+
+
+def _are_ints(cfg, *keys):
+    return all(isinstance(cfg[key], int) for key in keys)
 
 
 # ---------------------------------------------------------------- commands
 
-def _cmd_gen_data(cfg, seed):
-    errors = []
-    cfg = _merge_defaults(cfg, {
-        "kind": "spiked", "count": 16, "n": 8, "d": 8, "k": 2,
-        "noise": 0.1, "out_dir": None,
-    }, errors)
-    _check_int(cfg, ("count", "n", "d", "k"), errors)
-    _check_real(cfg, "noise", lambda v: 0 <= v < math.inf, "in [0, inf)", errors)
-    if cfg["kind"] not in ("spiked", "gaussian"):
-        errors.append(f"kind must be 'spiked' or 'gaussian', got {cfg['kind']!r}")
-    if (cfg["kind"] == "spiked" and isinstance(cfg["k"], int)
-            and isinstance(cfg["d"], int) and cfg["k"] > cfg["d"]):
-        errors.append(f"spiked data needs k <= d, got k={cfg['k']}, d={cfg['d']}")
-    if not cfg["out_dir"]:
-        errors.append("out_dir is required")
-    if errors:
-        raise ConfigError(errors)
+def _gen_data_checks(cfg, _):
+    if cfg["kind"] == "spiked" and _are_ints(cfg, "k", "d") and cfg["k"] > cfg["d"]:
+        yield f"spiked data needs k <= d, got k={cfg['k']}, d={cfg['d']}"
+    if not cfg["out_dir"]:  # out_dir's rule, listed after the k <= d check
+        yield "out_dir is required"
 
+
+def _cmd_gen_data(cfg, seed, _):
     rng = named_stream(seed, "gen-data")
     if cfg["kind"] == "spiked":
         mats = spiked_dataset(rng, cfg["count"], cfg["n"], cfg["d"], cfg["k"],
@@ -119,49 +118,41 @@ def _cmd_gen_data(cfg, seed):
         path = out_dir / f"mat_{i:04d}.sklb"
         write_matrix(path, a)
         rows.append({"index": i, "file": str(path), "fro_sq": fro_sq(a)})
-    return True, {"files_written": len(rows)}, rows, cfg
+    return True, {"files_written": len(rows)}, rows
 
 
 def _load_dataset(cfg, errors):
-    files = cfg.get("data_files")
-    if not files and cfg.get("data_dir"):
+    files = cfg["data_files"]
+    if not files and cfg["data_dir"]:
         files = sorted(str(p) for p in Path(cfg["data_dir"]).glob("*.sklb"))
     if not files:
         errors.append("data_dir or data_files must name at least one matrix")
         return []
-    return [read_matrix(f) for f in files]
+    # data_files that are not a list of paths are listed by their rule
+    return [] if _paths(files) else [read_matrix(f) for f in files]
 
 
-def _cmd_train(cfg, seed):
-    errors = []
-    cfg = _merge_defaults(cfg, {
-        "data_dir": None, "data_files": None, "m": None, "k": None, "s": 1,
-        "epochs": 10, "step_size": 0.1, "batch_size": 8, "holdout": 0,
-        "sketch_out": None,
-    }, errors)
-    mats = _load_dataset(cfg, errors)
-    _check_int(cfg, ("m", "k", "s", "epochs", "batch_size"), errors)
-    _check_real(cfg, "step_size", lambda v: 0 < v < math.inf, "in (0, inf)",
-                errors)
-    _check_int(cfg, ("holdout",), errors, least=0)
-    if isinstance(cfg["m"], int) and isinstance(cfg["s"], int) and cfg["s"] > cfg["m"]:
-        errors.append(f"s={cfg['s']} exceeds m={cfg['m']}")
-    if isinstance(cfg["m"], int) and isinstance(cfg["k"], int) and cfg["k"] > cfg["m"]:
-        errors.append(f"k={cfg['k']} exceeds m={cfg['m']}")
-    if mats:
-        n, d = mats[0].shape
-        if isinstance(cfg["m"], int) and cfg["m"] > n:
-            errors.append(f"m={cfg['m']} exceeds the data's n={n}")
-        if isinstance(cfg["k"], int) and cfg["k"] > min(n, d):
-            errors.append(f"k={cfg['k']} exceeds min(n, d)={min(n, d)}")
-    if mats and isinstance(cfg["holdout"], int) and cfg["holdout"] >= len(mats):
-        errors.append(
+def _k_fits_data(cfg, mats):
+    if mats and _are_ints(cfg, "k") and cfg["k"] > min(mats[0].shape):
+        yield f"k={cfg['k']} exceeds min(n, d)={min(mats[0].shape)}"
+
+
+def _train_checks(cfg, mats):
+    if _are_ints(cfg, "m", "s") and cfg["s"] > cfg["m"]:
+        yield f"s={cfg['s']} exceeds m={cfg['m']}"
+    if _are_ints(cfg, "m", "k") and cfg["k"] > cfg["m"]:
+        yield f"k={cfg['k']} exceeds m={cfg['m']}"
+    if mats and _are_ints(cfg, "m") and cfg["m"] > len(mats[0]):
+        yield f"m={cfg['m']} exceeds the data's n={len(mats[0])}"
+    yield from _k_fits_data(cfg, mats)
+    if mats and _are_ints(cfg, "holdout") and cfg["holdout"] >= len(mats):
+        yield (
             f"holdout={cfg['holdout']} must leave at least one training "
             f"matrix out of {len(mats)}"
         )
-    if errors:
-        raise ConfigError(errors)
 
+
+def _cmd_train(cfg, seed, mats):
     data = make_dataset(mats)
     cut = len(data) - cfg["holdout"]
     train_set, holdout = data[:cut], data[cut:]
@@ -179,51 +170,23 @@ def _cmd_train(cfg, seed):
     if cfg["sketch_out"]:
         save_sketch(cfg["sketch_out"], trained)
     rows = [{"epoch": i, "train_loss": v} for i, v in enumerate(history)]
-    return final <= initial + 1e-12, metrics, rows, cfg
+    return final <= initial + 1e-12, metrics, rows
 
 
-def _cmd_eval(cfg, seed):
-    errors = []
-    cfg = _merge_defaults(cfg, {
-        "data_dir": None, "data_files": None, "sketch": None, "k": None,
-    }, errors)
-    mats = _load_dataset(cfg, errors)
-    _check_int(cfg, ("k",), errors)
-    if not cfg["sketch"]:
-        errors.append("sketch path is required")
-    if errors:
-        raise ConfigError(errors)
-
+def _cmd_eval(cfg, seed, mats):
     sketch = load_sketch(cfg["sketch"])
     data = make_dataset(mats)
     losses = sketch_loss(sketch, data, cfg["k"]).tolist()
     rows = [{"index": i, "loss": v} for i, v in enumerate(losses)]
-    return True, {"mean_loss": float(np.mean(losses))}, rows, cfg
+    return True, {"mean_loss": float(np.mean(losses))}, rows
 
 
-def _cmd_proxy_check(cfg, seed):
-    errors = []
-    cfg = _merge_defaults(cfg, {
-        "instances": 200, "epsilons": [0.1], "subset_cap": 5000,
-        "q_constant": 4.0, "n_range": [3, 9], "d_range": [3, 7],
-        "m_max": 4, "k_max": 3,
-    }, errors)
-    _check_int(cfg, ("instances", "subset_cap", "m_max", "k_max"), errors)
-    eps = cfg["epsilons"]
-    if (not isinstance(eps, (list, tuple)) or not eps
-            or not all(_is_real(e, lambda v: 0 < v < 1) for e in eps)):
-        errors.append(f"epsilons must be a nonempty list of numbers in (0, 1), "
-                      f"got {eps!r}")
-    _check_real(cfg, "q_constant", lambda v: 0 < v < math.inf, "in (0, inf)",
-                errors)
-    _check_range(cfg, "n_range", 1, errors)
-    _check_range(cfg, "d_range", 2, errors)  # instances have k < d
-    if (all(isinstance(cfg[key], int) for key in ("k_max", "m_max"))
-            and 1 <= cfg["m_max"] < cfg["k_max"]):
-        errors.append(f"k_max={cfg['k_max']} exceeds m_max={cfg['m_max']}")
-    if errors:
-        raise ConfigError(errors)
+def _proxy_check_checks(cfg, _):
+    if _are_ints(cfg, "k_max", "m_max") and 1 <= cfg["m_max"] < cfg["k_max"]:
+        yield f"k_max={cfg['k_max']} exceeds m_max={cfg['m_max']}"
 
+
+def _cmd_proxy_check(cfg, seed, _):
     rng = named_stream(seed, "proxy-check")
     instances = [
         random_instance(rng, tuple(cfg["n_range"]), tuple(cfg["d_range"]),
@@ -248,22 +211,10 @@ def _cmd_proxy_check(cfg, seed):
         metrics[f"max_delta_eps_{eps}"] = max(deltas)
         metrics[f"min_delta_eps_{eps}"] = min(deltas)
         ok = ok and min(deltas) >= -1e-9 and max(deltas) <= eps + 1e-9
-    return ok, metrics, rows, cfg
+    return ok, metrics, rows
 
 
-def _cmd_shatter_verify(cfg, seed):
-    errors = []
-    cfg = _merge_defaults(cfg, {
-        "family": "rank1", "n": 6, "d": 4, "k": 2, "s": 1,
-        "gamma": 0.1, "subset_budget": 256,
-    }, errors)
-    _check_int(cfg, ("n", "d", "k", "s", "subset_budget"), errors)
-    if cfg["family"] not in ("rank1", "dense", "block"):
-        errors.append(f"family must be rank1|dense|block, got {cfg['family']!r}")
-    _check_real(cfg, "gamma", lambda v: 0 < v < 1, "in (0, 1)", errors)
-    if errors:
-        raise ConfigError(errors)
-
+def _cmd_shatter_verify(cfg, seed, _):
     if cfg["family"] == "rank1":
         fam = rank1_family(cfg["n"], cfg["d"])
     elif cfg["family"] == "dense":
@@ -272,29 +223,15 @@ def _cmd_shatter_verify(cfg, seed):
         fam = block_family(cfg["n"], cfg["k"], cfg["s"])
     report = verify_shattering(fam, subset_budget=cfg["subset_budget"],
                                gamma=cfg["gamma"], seed=seed)
-    return report["all_pass"], report, [report], cfg
+    return report["all_pass"], report, [report]
 
 
-def _cmd_gj_trace(cfg, seed):
-    errors = []
-    cfg = _merge_defaults(cfg, {
-        "demo": "power", "k": 3, "q": 3, "r": 5, "items": 6,
-        "epsilon": 0.5, "q_constant": 1.0, "m": 2, "n": 3, "d": 3,
-    }, errors)
-    demos = ("power", "min-of-r", "projection", "knapsack", "proxy-pipeline")
-    if cfg["demo"] not in demos:
-        errors.append(f"demo must be one of {demos}, got {cfg['demo']!r}")
-    _check_int(cfg, ("k", "r", "items", "m", "n", "d"), errors)
-    _check_int(cfg, ("q",), errors, least=0)
-    # the pipeline demo is checked against proxy_loss, which takes eps < 1
-    _check_real(cfg, "epsilon", lambda v: 0 < v < 1, "in (0, 1)", errors)
-    _check_real(cfg, "q_constant", lambda v: 0 < v < math.inf, "in (0, inf)",
-                errors)
-    if isinstance(cfg["m"], int) and isinstance(cfg["n"], int) and cfg["m"] > cfg["n"]:
-        errors.append(f"m={cfg['m']} exceeds n={cfg['n']}")
-    if errors:
-        raise ConfigError(errors)
+def _gj_trace_checks(cfg, _):
+    if _are_ints(cfg, "m", "n") and cfg["m"] > cfg["n"]:
+        yield f"m={cfg['m']} exceeds n={cfg['n']}"
 
+
+def _cmd_gj_trace(cfg, seed, _):
     rng = named_stream(seed, "gj-trace")
     if cfg["demo"] == "power":
         _, tr = gjdemos.power_trace(rng.standard_normal((cfg["k"], cfg["k"])),
@@ -314,7 +251,7 @@ def _cmd_gj_trace(cfg, seed):
     else:
         return _pipeline_demo(cfg, rng)
     metrics = tr.report(tr.n_inputs)
-    return True, metrics, [metrics], cfg
+    return True, metrics, [metrics]
 
 
 def _pipeline_demo(cfg, rng):
@@ -338,21 +275,10 @@ def _pipeline_demo(cfg, rng):
         reason = (None if abs(value - reference) <= 1e-8 else
                   f"traced value differs from proxy_loss by {value - reference:.3e}")
     metrics.update(value=value, proxy_loss=reference, reason=reason)
-    return reason is None, metrics, [metrics], cfg
+    return reason is None, metrics, [metrics]
 
 
-def _cmd_amg_check(cfg, seed):
-    errors = []
-    cfg = _merge_defaults(cfg, {
-        "instances": 100, "n_max": 20, "m_max": 8, "s_max": 3, "noise": 0.1,
-    }, errors)
-    _check_int(cfg, ("instances", "s_max"), errors)
-    _check_int(cfg, ("n_max",), errors, least=4)
-    _check_int(cfg, ("m_max",), errors, least=2)
-    _check_real(cfg, "noise", lambda v: 0 <= v < math.inf, "in [0, inf)", errors)
-    if errors:
-        raise ConfigError(errors)
-
+def _cmd_amg_check(cfg, seed, _):
     rng = named_stream(seed, "amg-check")
     problems = []
     for _ in range(cfg["instances"]):
@@ -381,27 +307,75 @@ def _cmd_amg_check(cfg, seed):
         "max_deviation": max(r["deviation"] for r in rows),
         "max_fixed_point_error": max(r["fixed_point_error"] for r in rows),
     }
-    return ok, metrics, rows, cfg
+    return ok, metrics, rows
 
 
+_DEMOS = ("power", "min-of-r", "projection", "knapsack", "proxy-pipeline")
+# subcommand -> ({key: (default, rule)} in rule order, cross-key checks, run).
+# A rule maps a value to the error text after its key, or None.
 _COMMANDS = {
-    "gen-data": _cmd_gen_data,
-    "train": _cmd_train,
-    "eval": _cmd_eval,
-    "proxy-check": _cmd_proxy_check,
-    "shatter-verify": _cmd_shatter_verify,
-    "gj-trace": _cmd_gj_trace,
-    "amg-check": _cmd_amg_check,
+    "gen-data": ({
+        "count": (16, _int()), "n": (8, _int()), "d": (8, _int()),
+        "k": (2, _int()), "noise": (0.1, _NONNEGATIVE), "out_dir": (None, None),
+        "kind": ("spiked", _one_of(("spiked", "gaussian"), "'spiked' or 'gaussian'")),
+    }, _gen_data_checks, _cmd_gen_data),
+    "train": ({
+        "data_dir": (None, None), "data_files": (None, _paths),
+        "m": (None, _int()), "k": (None, _int()), "s": (1, _int()),
+        "epochs": (10, _int()), "batch_size": (8, _int()), "sketch_out": (None, None),
+        "step_size": (0.1, _POSITIVE), "holdout": (0, _int(0)),
+    }, _train_checks, _cmd_train),
+    "eval": ({
+        "data_dir": (None, None), "data_files": (None, _paths), "k": (None, _int()),
+        "sketch": (None, lambda v: None if v else "path is required"),
+    }, _k_fits_data, _cmd_eval),
+    "proxy-check": ({
+        "instances": (200, _int()), "subset_cap": (5000, _int()),
+        "m_max": (4, _int()), "k_max": (3, _int()),
+        "epsilons": ([0.1], _epsilons), "q_constant": (4.0, _POSITIVE),
+        "n_range": ([3, 9], _pair(1)),
+        "d_range": ([3, 7], _pair(2)),  # instances have k < d
+    }, _proxy_check_checks, _cmd_proxy_check),
+    "shatter-verify": ({
+        "n": (6, _int()), "d": (4, _int()), "k": (2, _int()), "s": (1, _int()),
+        "subset_budget": (256, _int()),
+        "family": ("rank1", _one_of(("rank1", "dense", "block"), "rank1|dense|block")),
+        "gamma": (0.1, _UNIT),
+    }, lambda cfg, _: (), _cmd_shatter_verify),
+    "gj-trace": ({
+        "demo": ("power", _one_of(_DEMOS, f"one of {_DEMOS}")),
+        "k": (3, _int()), "r": (5, _int()), "items": (6, _int()),
+        "m": (2, _int()), "n": (3, _int()), "d": (3, _int()), "q": (3, _int(0)),
+        # the pipeline demo is checked against proxy_loss, which takes eps < 1
+        "epsilon": (0.5, _UNIT), "q_constant": (1.0, _POSITIVE),
+    }, _gj_trace_checks, _cmd_gj_trace),
+    "amg-check": ({
+        "instances": (100, _int()), "s_max": (3, _int()), "n_max": (20, _int(4)),
+        "m_max": (8, _int(2)), "noise": (0.1, _NONNEGATIVE),
+    }, lambda cfg, _: (), _cmd_amg_check),
 }
 
 
 def run_experiment(command: str, cfg: dict, seed: int = 0) -> dict:
-    """Run one subcommand and return its report document."""
+    """Run one subcommand and return its report document.  Config faults are
+    raised together: unknown keys, a missing dataset, rules, cross-key checks."""
     start = time.monotonic()
-    passed, metrics, rows, full_cfg = _COMMANDS[command](dict(cfg), seed)
+    table, checks, run = _COMMANDS[command]
+    if isinstance(cfg, dict):
+        cfg = {key: deepcopy(default) for key, (default, _) in table.items()} | cfg
+        errors = [f"unknown config key: {key!r}" for key in cfg if key not in table]
+        mats = _load_dataset(cfg, errors) if "data_files" in table else []
+        errors += [f"{key} {fault}" for key, (_, rule) in table.items()
+                   if rule and (fault := rule(cfg[key]))]
+        errors += checks(cfg, mats)
+    else:
+        errors = ["config root must be a JSON object"]
+    if errors:
+        raise ConfigError(errors)
+    passed, metrics, rows = run(cfg, seed, mats)
     return {
         "command": command,
-        "config": {k: v for k, v in sorted(full_cfg.items())},
+        "config": dict(sorted(cfg.items())),
         "seed": seed,
         "pass": bool(passed),
         "metrics": metrics,
@@ -435,15 +409,15 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, default=0, help="64-bit root seed")
-        p.add_argument("--out", help="report JSON path (CSV written alongside)")
+        p.add_argument("--out", help="report JSON path, not ending in .csv "
+                                     "(CSV written alongside)")
     args = parser.parse_args(argv)
 
+    if args.out and Path(args.out).suffix.lower() == ".csv":
+        print(f"error: --out must not end in .csv, got {args.out!r}", file=sys.stderr)
+        return 1
     try:
-        cfg = {}
-        if args.config:
-            cfg = json.loads(Path(args.config).read_text())
-            if not isinstance(cfg, dict):
-                raise ConfigError(["config root must be a JSON object"])
+        cfg = json.loads(Path(args.config).read_text()) if args.config else {}
         report = run_experiment(args.command, cfg, args.seed)
     except ConfigError as exc:
         for msg in exc.errors:

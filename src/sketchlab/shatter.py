@@ -148,27 +148,23 @@ def verify_shattering(family: ShatterFamily, subset_budget: int = 256,
     n_members = len(family.matrices)
     k = family.base.m
 
+    # row s, column i: member i is in subset s, bit i of the subset's mask
     if n_members <= 14:
-        masks = range(2 ** n_members)
+        inside = (np.arange(2 ** n_members)[:, None] >> np.arange(n_members)) & 1
     elif subset_budget < 1:
         raise ValueError(
             f"subset_budget must be >= 1 to sample subsets of {n_members} "
             f"members, got {subset_budget}"
         )
     else:
+        # one rng.bytes call per subset; unpacking to n_members bits drops
+        # the high bits of the last byte, so no mask passes through int64
         rng = np.random.default_rng(seed)
-        masks = [
-            int.from_bytes(rng.bytes((n_members + 7) // 8), "little")
-            % (2 ** n_members)
-            for _ in range(subset_budget)
-        ]
-
-    # row s, column i: member i is in subset s.  Read from the masks' bytes,
-    # so sampled families of 64 or more members never pass through int64
-    width = (n_members + 7) // 8
-    packed = b"".join(mask.to_bytes(width, "little") for mask in masks)
-    inside = np.unpackbits(np.frombuffer(packed, np.uint8).reshape(-1, width),
-                           axis=1, count=n_members, bitorder="little").astype(bool)
+        width = (n_members + 7) // 8
+        packed = b"".join(rng.bytes(width) for _ in range(subset_budget))
+        inside = np.unpackbits(np.frombuffer(packed, np.uint8).reshape(-1, width),
+                               axis=1, count=n_members, bitorder="little")
+    inside = inside.astype(bool)
     checked = len(inside)
     # every subset's sketch is built on its complement: switch those slots
     # on, slot (j, t) being the dense entry (pattern[j, t], j)
