@@ -229,9 +229,9 @@ def train_prolongation(problems, cfg: TrainConfig, q: int = 1,
         raise ValueError("problems must share one prolongation pattern")
 
     def batch_grads(vals, idx):
-        for i in idx:
-            loss, g = amg_loss_and_grad(problems[i].with_prolongation_values(vals), q)
-            yield loss, g[mask]
+        pairs = [amg_loss_and_grad(problems[i].with_prolongation_values(vals), q)
+                 for i in idx]
+        return [loss for loss, _ in pairs], sum(g[mask] for _, g in pairs)
 
     def mean_loss(vals):
         return np.mean([amg_loss(prob.with_prolongation_values(vals), q)

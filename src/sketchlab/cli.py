@@ -23,7 +23,13 @@ import numpy as np
 from . import gjdemos
 from .amg import amg_step, amg_step_error_form
 from .linalg import fro_sq
-from .matio import load_sketch, read_matrix, save_sketch, write_matrix
+from .matio import (
+    MatrixFormatError,
+    load_sketch,
+    read_matrix,
+    save_sketch,
+    write_matrix,
+)
 from .proxy import ProxyConfig, proxy_loss
 from .shatter import block_family, dense_family, rank1_family, verify_shattering
 from .sketching import random_sparse_sketch, sketch_loss
@@ -79,6 +85,11 @@ def _epsilons(v):
         return f"must be a nonempty list of numbers in (0, 1), got {v!r}"
 
 
+def _path(v):
+    if v is not None and not isinstance(v, str):
+        return f"must be a path string, got {v!r}"
+
+
 def _paths(v):
     if v is not None and not (isinstance(v, (list, tuple))
                               and all(isinstance(f, (str, Path)) for f in v)):
@@ -122,9 +133,9 @@ def _cmd_gen_data(cfg, seed, _):
 
 
 def _load_dataset(cfg, errors):
-    files = cfg["data_files"]
-    if not files and cfg["data_dir"]:
-        files = sorted(str(p) for p in Path(cfg["data_dir"]).glob("*.sklb"))
+    files, data_dir = cfg["data_files"], cfg["data_dir"]
+    if not files and data_dir and isinstance(data_dir, str):
+        files = sorted(str(p) for p in Path(data_dir).glob("*.sklb"))
     if not files:
         errors.append("data_dir or data_files must name at least one matrix")
         return []
@@ -132,19 +143,36 @@ def _load_dataset(cfg, errors):
     return [] if _paths(files) else [read_matrix(f) for f in files]
 
 
-def _k_fits_data(cfg, mats):
+def _load_sketch(cfg, errors):
+    path = cfg["sketch"]
+    if not path or not isinstance(path, str):
+        return None  # listed by eval's checks or by the path rule
+    try:
+        return load_sketch(path)
+    except (OSError, MatrixFormatError) as exc:
+        errors.append(f"sketch cannot be read: {exc}")
+
+
+# key -> reader of the file(s) it names: files are read once, before the
+# checks that need them, and the run gets what was read
+_READERS = {"data_files": _load_dataset, "sketch": _load_sketch}
+
+
+def _k_fits_data(cfg, inputs):
+    mats = inputs["data_files"]
     if mats and _are_ints(cfg, "k") and cfg["k"] > min(mats[0].shape):
         yield f"k={cfg['k']} exceeds min(n, d)={min(mats[0].shape)}"
 
 
-def _train_checks(cfg, mats):
+def _train_checks(cfg, inputs):
+    mats = inputs["data_files"]
     if _are_ints(cfg, "m", "s") and cfg["s"] > cfg["m"]:
         yield f"s={cfg['s']} exceeds m={cfg['m']}"
     if _are_ints(cfg, "m", "k") and cfg["k"] > cfg["m"]:
         yield f"k={cfg['k']} exceeds m={cfg['m']}"
     if mats and _are_ints(cfg, "m") and cfg["m"] > len(mats[0]):
         yield f"m={cfg['m']} exceeds the data's n={len(mats[0])}"
-    yield from _k_fits_data(cfg, mats)
+    yield from _k_fits_data(cfg, inputs)
     if mats and _are_ints(cfg, "holdout") and cfg["holdout"] >= len(mats):
         yield (
             f"holdout={cfg['holdout']} must leave at least one training "
@@ -152,8 +180,8 @@ def _train_checks(cfg, mats):
         )
 
 
-def _cmd_train(cfg, seed, mats):
-    data = make_dataset(mats)
+def _cmd_train(cfg, seed, inputs):
+    data = make_dataset(inputs["data_files"])
     cut = len(data) - cfg["holdout"]
     train_set, holdout = data[:cut], data[cut:]
     pattern = random_sparse_sketch(cfg["m"], data[0].shape[0], cfg["s"],
@@ -173,10 +201,18 @@ def _cmd_train(cfg, seed, mats):
     return final <= initial + 1e-12, metrics, rows
 
 
-def _cmd_eval(cfg, seed, mats):
-    sketch = load_sketch(cfg["sketch"])
-    data = make_dataset(mats)
-    losses = sketch_loss(sketch, data, cfg["k"]).tolist()
+def _eval_checks(cfg, inputs):
+    sketch = inputs["sketch"]
+    if not cfg["sketch"]:  # required by eval alone; its path rule lets None by
+        yield "sketch path is required"
+    if sketch and _are_ints(cfg, "k") and cfg["k"] > sketch.m:
+        yield f"k={cfg['k']} exceeds the sketch's m={sketch.m}"
+    yield from _k_fits_data(cfg, inputs)
+
+
+def _cmd_eval(cfg, seed, inputs):
+    data = make_dataset(inputs["data_files"])
+    losses = sketch_loss(inputs["sketch"], data, cfg["k"]).tolist()
     rows = [{"index": i, "loss": v} for i, v in enumerate(losses)]
     return True, {"mean_loss": float(np.mean(losses))}, rows
 
@@ -312,23 +348,24 @@ def _cmd_amg_check(cfg, seed, _):
 
 _DEMOS = ("power", "min-of-r", "projection", "knapsack", "proxy-pipeline")
 # subcommand -> ({key: (default, rule)} in rule order, cross-key checks, run).
-# A rule maps a value to the error text after its key, or None.
+# A rule maps a value to the error text after its key, or None.  The checks
+# and the run also take the files the config names, as ``_READERS`` read them.
 _COMMANDS = {
     "gen-data": ({
         "count": (16, _int()), "n": (8, _int()), "d": (8, _int()),
-        "k": (2, _int()), "noise": (0.1, _NONNEGATIVE), "out_dir": (None, None),
+        "k": (2, _int()), "noise": (0.1, _NONNEGATIVE), "out_dir": (None, _path),
         "kind": ("spiked", _one_of(("spiked", "gaussian"), "'spiked' or 'gaussian'")),
     }, _gen_data_checks, _cmd_gen_data),
     "train": ({
-        "data_dir": (None, None), "data_files": (None, _paths),
+        "data_dir": (None, _path), "data_files": (None, _paths),
         "m": (None, _int()), "k": (None, _int()), "s": (1, _int()),
-        "epochs": (10, _int()), "batch_size": (8, _int()), "sketch_out": (None, None),
+        "epochs": (10, _int()), "batch_size": (8, _int()), "sketch_out": (None, _path),
         "step_size": (0.1, _POSITIVE), "holdout": (0, _int(0)),
     }, _train_checks, _cmd_train),
     "eval": ({
-        "data_dir": (None, None), "data_files": (None, _paths), "k": (None, _int()),
-        "sketch": (None, lambda v: None if v else "path is required"),
-    }, _k_fits_data, _cmd_eval),
+        "data_dir": (None, _path), "data_files": (None, _paths), "k": (None, _int()),
+        "sketch": (None, _path),
+    }, _eval_checks, _cmd_eval),
     "proxy-check": ({
         "instances": (200, _int()), "subset_cap": (5000, _int()),
         "m_max": (4, _int()), "k_max": (3, _int()),
@@ -364,15 +401,16 @@ def run_experiment(command: str, cfg: dict, seed: int = 0) -> dict:
     if isinstance(cfg, dict):
         cfg = {key: deepcopy(default) for key, (default, _) in table.items()} | cfg
         errors = [f"unknown config key: {key!r}" for key in cfg if key not in table]
-        mats = _load_dataset(cfg, errors) if "data_files" in table else []
+        inputs = {key: read(cfg, errors) for key, read in _READERS.items()
+                  if key in table}
         errors += [f"{key} {fault}" for key, (_, rule) in table.items()
-                   if rule and (fault := rule(cfg[key]))]
-        errors += checks(cfg, mats)
+                   if (fault := rule(cfg[key]))]
+        errors += checks(cfg, inputs)
     else:
         errors = ["config root must be a JSON object"]
     if errors:
         raise ConfigError(errors)
-    passed, metrics, rows = run(cfg, seed, mats)
+    passed, metrics, rows = run(cfg, seed, inputs)
     return {
         "command": command,
         "config": dict(sorted(cfg.items())),

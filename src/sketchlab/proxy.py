@@ -152,8 +152,7 @@ def power_refine(b: np.ndarray, p: np.ndarray, q: int) -> np.ndarray:
     stalled = np.zeros(live.size, dtype=np.int64)
     for _ in range(q):
         btq = b.T @ qmat
-        flat = btq.reshape(live.size, 1, -1)
-        e = (flat @ flat.swapaxes(-1, -2))[:, 0, 0]  # ||B^T Q||_F^2 per block
+        e = fro_sq(btq)  # ||B^T Q||_F^2 per block
         stalled = np.where(e - energy <= floor, stalled + 1, 0)
         energy = np.maximum(energy, e)
         done = stalled >= 3

@@ -20,13 +20,14 @@ from .sketching import SparseSketch, sketch_loss
 class ShatterFamily:
     """An indexed family of unit-norm matrices with its witnessing gadget.
 
-    ``base`` is the sketch of the empty subset and its row count ``base.m``
-    is the target rank.  Member ``i`` is switched on by setting
+    ``matrices`` is the (N, n, d) float64 stack of the N members.  ``base``
+    is the sketch of the empty subset and its row count ``base.m`` is the
+    target rank.  Member ``i`` is switched on by setting
     ``base.values[slots[i, 0], slots[i, 1]] = 1``.  ``thresholds`` holds one
     decision level per matrix: half the smallest loss under ``base``.
     """
 
-    matrices: list
+    matrices: np.ndarray
     base: SparseSketch
     slots: np.ndarray
     builder: str
@@ -34,7 +35,7 @@ class ShatterFamily:
 
     def __post_init__(self):
         self.slots = np.asarray(self.slots, dtype=np.int64).reshape(-1, 2)
-        losses = sketch_loss(self.base, np.stack(self.matrices), self.base.m)
+        losses = sketch_loss(self.base, self.matrices, self.base.m)
         self.thresholds = np.full(len(self.matrices), losses.min() / 2.0)
 
 
@@ -42,18 +43,15 @@ def _family(base: SparseSketch, slots, width: int, builder: str) -> ShatterFamil
     """Member ``(j, t)`` is ``base.dense().T`` with column ``base.pattern[j, t]``
     replaced by the unit vector ``e_j``, scaled to unit norm and zero-padded
     to ``width`` columns; switching slot ``(j, t)`` on drives its loss to
-    zero."""
+    zero.  The members are built as one stack."""
     k = base.m
-    base_t = base.dense().T
-    matrices = []
-    for j, t in slots:
-        a = np.zeros((base.n, width))
-        a[:, :k] = base_t
-        col = base.pattern[j, t]
-        a[:, col] = 0.0
-        a[j, col] = 1.0
-        matrices.append(a / np.sqrt(k))
-    return ShatterFamily(matrices, base, slots, builder)
+    j, t = np.asarray(slots, dtype=np.int64).reshape(-1, 2).T
+    members, cols = np.arange(j.size), base.pattern[j, t]
+    a = np.zeros((j.size, base.n, width))
+    a[:, :, :k] = base.dense().T
+    a[members, :, cols] = 0.0
+    a[members, j, cols] = 1.0
+    return ShatterFamily(a / np.sqrt(k), base, slots, builder)
 
 
 def rank1_family(n: int, d: int) -> ShatterFamily:
@@ -172,8 +170,7 @@ def verify_shattering(family: ShatterFamily, subset_budget: int = 256,
     subset, member = np.nonzero(~inside)
     j, t = family.slots[member].T
     sketches[subset, family.base.pattern[j, t], j] = 1.0
-    matrices = np.stack(family.matrices)
-    losses = np.stack([sketch_loss(sk, matrices, k) for sk in sketches])
+    losses = np.stack([sketch_loss(sk, family.matrices, k) for sk in sketches])
 
     r = family.thresholds
     margins = np.where(inside, losses - (r + gamma), (r - gamma) - losses)

@@ -128,11 +128,6 @@ def _sketched_rowspace(a: np.ndarray, k: int, sketch) -> SvdResult:
     return svd(s_mat @ a)
 
 
-def _t(x: np.ndarray) -> np.ndarray:
-    """Transpose of each matrix in a stack (``.T`` for a 2-D matrix)."""
-    return x.T if x.ndim == 2 else x.swapaxes(-1, -2)
-
-
 def sketch_lowrank(a: np.ndarray, k: int, sketch) -> np.ndarray:
     """Sketch-and-solve rank-``k`` approximation of ``a``.
 
@@ -141,14 +136,14 @@ def sketch_lowrank(a: np.ndarray, k: int, sketch) -> np.ndarray:
     is the zero matrix.  The output always has rank at most ``k``.
     """
     v = _sketched_rowspace(a, k, sketch).V
-    return best_rank_k(a @ v, k) @ _t(v)
+    return best_rank_k(a @ v, k) @ v.swapaxes(-1, -2)
 
 
 def sketch_lowrank_via_projection(a: np.ndarray, k: int, sketch) -> np.ndarray:
     """Equivalent form of :func:`sketch_lowrank`: ``[A P]_k`` where
     ``P = V V^T`` projects onto the row space of ``SA``."""
     v = _sketched_rowspace(a, k, sketch).V
-    return best_rank_k(a @ (v @ _t(v)), k)
+    return best_rank_k(a @ (v @ v.swapaxes(-1, -2)), k)
 
 
 def sketch_loss(sketch, a: np.ndarray, k: int):
@@ -185,11 +180,10 @@ def sketch_loss_and_grad(sketch, a: np.ndarray, k: int) -> tuple:
     u, sv_sa, v = _sketched_rowspace(a, k, sketch)
     w, sv, z = svd(a @ v)
     w, sv, z = w[..., :k], sv[..., None, :k], z[..., :k]
-    resid = a - ((w * sv) @ _t(z)) @ _t(v)
-    if u.ndim > 2:  # masked columns of u are zero; dividing by 1 keeps them so
-        sv_sa = np.where(sv_sa > 0.0, sv_sa, 1.0)
-    x = (u / sv_sa[..., None, :]) @ z
-    grad = -2.0 * (x * sv) @ ((_t(w) @ resid) @ _t(a))
+    resid = a - ((w * sv) @ z.swapaxes(-1, -2)) @ v.swapaxes(-1, -2)
+    # masked columns of u are zero; dividing by 1 keeps them so
+    x = (u / np.where(sv_sa > 0.0, sv_sa, 1.0)[..., None, :]) @ z
+    grad = -2.0 * (x * sv) @ ((w.swapaxes(-1, -2) @ resid) @ a.swapaxes(-1, -2))
     return fro_sq(resid), grad
 
 

@@ -13,13 +13,11 @@ def random_unit_matrix(rng, n: int, d: int) -> np.ndarray:
     return a / np.sqrt(fro_sq(a))
 
 
-def random_instance(rng, n_range=(3, 9), d_range=(3, 7), m_max=4, k_max=3,
-                    gaussian_values=False):
+def random_instance(rng, n_range=(3, 9), d_range=(3, 7), m_max=4, k_max=3):
     """Random (A, sketch, k) triple with k < d and k <= m.
 
-    The sketch pattern and +-1 values are sampled obliviously; with
-    ``gaussian_values`` the slot values are replaced by standard normals
-    so arbitrary trained values are exercised too.
+    The sketch pattern and its +-1 slot values are sampled obliviously
+    (:func:`~sketchlab.sketching.random_sparse_sketch`).
     """
     n = int(rng.integers(n_range[0], n_range[1] + 1))
     d = int(rng.integers(d_range[0], d_range[1] + 1))
@@ -27,10 +25,7 @@ def random_instance(rng, n_range=(3, 9), d_range=(3, 7), m_max=4, k_max=3,
     m = int(rng.integers(k, min(m_max, n) + 1))
     s = int(rng.integers(1, m + 1))
     a = random_unit_matrix(rng, n, d)
-    sketch = random_sparse_sketch(m, n, s, rng)
-    if gaussian_values:
-        sketch = sketch.with_values(rng.standard_normal(sketch.values.shape))
-    return a, sketch, k
+    return a, random_sparse_sketch(m, n, s, rng), k
 
 
 def spiked_dataset(rng, count: int, n: int, d: int, k: int,

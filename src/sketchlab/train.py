@@ -92,11 +92,12 @@ def _descend(vals, data, cfg: TrainConfig, batch_grads, mean_loss,
              history: list | None) -> np.ndarray:
     """Mini-batch descent shared by :func:`sgd_train` and
     ``amg.train_prolongation``: each epoch shuffles ``data`` afresh and
-    steps once per batch ``idx`` against the mean gradient of the
-    ``(loss, grad)`` pairs that ``batch_grads(vals, idx)`` yields.  With a
-    fixed config the trajectory is deterministic.  ``mean_loss(vals)`` is
-    appended to ``history`` after each epoch when a list is passed.
-    Aborts with a diagnostic if a loss or a gradient evaluates non-finite.
+    steps once per batch ``idx`` against the mean gradient, from the
+    batch's losses and summed gradient that ``batch_grads(vals, idx)``
+    returns as arrays.  With a fixed config the trajectory is
+    deterministic.  ``mean_loss(vals)`` is appended to ``history`` after
+    each epoch when a list is passed.  Aborts with a diagnostic if a loss
+    or the gradient evaluates non-finite.
     """
     n = len(_nonempty(data))
     rng = np.random.default_rng(cfg.seed)
@@ -105,8 +106,7 @@ def _descend(vals, data, cfg: TrainConfig, batch_grads, mean_loss,
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            losses, grads = zip(*batch_grads(vals, idx))
-            grad = sum(grads)
+            losses, grad = batch_grads(vals, idx)
             if not (np.isfinite(losses).all() and np.isfinite(grad).all()):
                 raise FloatingPointError(f"non-finite loss or gradient at epoch "
                                          f"{epoch}, items {idx.tolist()}: {losses}")
@@ -132,7 +132,9 @@ def sgd_train(pattern: SparseSketch, data, k: int, cfg: TrainConfig,
     def batch_grads(vals, idx):
         losses, g = sketch_loss_and_grad(pattern.with_values(vals).dense(),
                                          data[idx], k)
-        return zip(losses.tolist(), g[:, pattern.pattern, cols])
+        # summed before the gather: the gathered copy has the batch axis
+        # innermost, which numpy sums pairwise, not item by item
+        return losses, g.sum(axis=0)[pattern.pattern, cols]
 
     return pattern.with_values(_descend(
         pattern.values, data, cfg, batch_grads,

@@ -119,6 +119,24 @@ def finite_difference_sgd(values, loss_fn, cfg, history=None):
     return vals
 
 
+def family_members_loop(base, slots, width):
+    """The members of a shattered family, built one at a time: for slot
+    ``(j, t)``, ``base.dense().T`` with column ``base.pattern[j, t]``
+    replaced by ``e_j``, zero-padded to ``width`` columns and divided by
+    ``sqrt(base.m)``."""
+    k = base.m
+    base_t = base.dense().T
+    members = []
+    for j, t in slots:
+        a = np.zeros((base.n, width))
+        a[:, :k] = base_t
+        col = base.pattern[j, t]
+        a[:, col] = 0.0
+        a[j, col] = 1.0
+        members.append(a / np.sqrt(k))
+    return members
+
+
 def verify_shattering_loop(family, subset_budget=256, gamma=0.1, seed=0):
     """``verify_shattering`` as a loop: one 2-D ``sketch_loss`` call per
     (subset, member) pair on the ``subset_sketch`` of the subset's

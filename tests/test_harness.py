@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from sketchlab import cli
 from sketchlab.cli import ConfigError, main, named_stream, run_experiment
 from sketchlab.matio import (
     MatrixFormatError,
@@ -127,6 +128,22 @@ def test_config_errors_are_collected_all_at_once():
     ("proxy-check", {"command": "train"}, ["unknown config key: 'command'"]),
     ("gj-trace", {"demo": "proxy-pipeline", "epsilon": 1},
      ["epsilon must be a number in (0, 1), got 1"]),
+    # path keys are strings, checked before any file is read or written
+    ("train", {"m": 2, "k": 1, "sketch_out": 5},
+     ["data_dir or data_files", "sketch_out must be a path string, got 5"]),
+    ("train", {"data_dir": 5, "m": 2, "k": 1},
+     ["data_dir or data_files", "data_dir must be a path string, got 5"]),
+    ("gen-data", {"out_dir": 5}, ["out_dir must be a path string, got 5"]),
+    ("eval", {"data_dir": 5, "sketch": 5, "k": 1},
+     ["data_dir or data_files", "data_dir must be a path string, got 5",
+      "sketch must be a path string, got 5"]),
+    ("eval", {"data_dir": [5], "k": 1},
+     ["data_dir or data_files", "data_dir must be a path string, got [5]",
+      "sketch path is required"]),
+    # the sketch is read before the rules run; a file it cannot read is
+    # listed with them
+    ("eval", {"sketch": "no/such/sketch.json", "k": 0},
+     ["data_dir or data_files", "sketch cannot be read: [Errno 2]", "k must"]),
 ])
 def test_bad_keys_are_config_errors_listed_together(tmp_path, capsys, command,
                                                     cfg, starts):
@@ -226,6 +243,32 @@ def test_gen_train_eval_workflow(tmp_path):
     eval_report = run_experiment("eval", eval_cfg, seed=5)
     assert eval_report["pass"]
     assert 0.0 <= eval_report["metrics"]["mean_loss"] <= 1.0
+
+
+def test_eval_refuses_k_above_the_sketch_rows_and_reads_the_sketch_once(
+        tmp_path, capsys, monkeypatch):
+    data = tmp_path / "data"
+    run_experiment("gen-data", {"kind": "gaussian", "count": 3, "n": 6, "d": 4,
+                                "out_dir": str(data)}, seed=2)
+    sketch = str(tmp_path / "sk.json")
+    run_experiment("train", {"data_dir": str(data), "m": 3, "k": 2, "epochs": 1,
+                             "sketch_out": sketch}, seed=2)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"data_dir": str(data), "sketch": sketch, "k": 4}))
+    assert main(["eval", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: k=4 exceeds the sketch's m=3"]
+
+    reads = []
+
+    def counted(p):
+        reads.append(p)
+        return load_sketch(p)
+
+    monkeypatch.setattr(cli, "load_sketch", counted)
+    report = run_experiment("eval", {"data_dir": str(data), "sketch": sketch,
+                                     "k": 3}, seed=2)
+    assert report["pass"] and reads == [sketch]
 
 
 def test_train_rejects_oversized_holdout(tmp_path):

@@ -48,7 +48,10 @@ def _degrade(s: np.ndarray, kind: str, rng) -> np.ndarray:
 def instances(draw):
     """(A, dense sketch, k) with unit-norm A and a possibly degraded sketch."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    a, sketch, k = random_instance(rng, gaussian_values=draw(st.booleans()))
+    gaussian_values = draw(st.booleans())
+    a, sketch, k = random_instance(rng)
+    if gaussian_values:  # arbitrary trained values, not only +-1
+        sketch = sketch.with_values(rng.standard_normal(sketch.values.shape))
     kind = draw(st.sampled_from(
         ["as drawn", "zero rows", "duplicated rows", "zero values"]))
     return a, _degrade(sketch.dense(), kind, rng), k

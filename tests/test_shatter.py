@@ -15,7 +15,26 @@ from sketchlab.shatter import (
 )
 from sketchlab.sketching import sketch_loss
 
-from oracles import verify_shattering_loop
+from oracles import family_members_loop, verify_shattering_loop
+
+
+@pytest.mark.parametrize("build, args, width", [
+    (rank1_family, (5, 3), 3),
+    (dense_family, (6, 2), 2),
+    (dense_family, (6, 2, 5), 5),
+    (block_family, (10, 2, 1), 2),
+    (block_family, (12, 4, 2), 4),
+])
+def test_members_equal_the_loop_built_members_entry_by_entry(build, args, width):
+    fam = build(*args)
+    members = np.stack(family_members_loop(fam.base, fam.slots, width))
+    assert isinstance(fam.matrices, np.ndarray)
+    assert fam.matrices.dtype == np.float64
+    assert fam.matrices.shape == (len(fam.slots), fam.base.n, width)
+    assert np.array_equal(fam.matrices, members)
+    base_losses = [sketch_loss(fam.base, a, fam.base.m) for a in members]
+    assert np.array_equal(fam.thresholds,
+                          np.full(len(members), min(base_losses) / 2.0))
 
 
 def test_rank1_family_structure():

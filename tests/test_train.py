@@ -175,7 +175,7 @@ def test_descent_aborts_on_non_finite_loss_or_gradient():
     cfg = TrainConfig(2, 0.1, 2)
 
     def grads(loss, g):
-        return lambda vals, idx: ((loss, g) for _ in idx)
+        return lambda vals, idx: ([loss] * len(idx), g * len(idx))
 
     for bad in (grads(float("nan"), np.ones(2)), grads(1.0, np.full(2, np.inf))):
         with pytest.raises(FloatingPointError, match="at epoch 0, items"):
