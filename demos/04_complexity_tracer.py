@@ -35,7 +35,7 @@ pi = rng.standard_normal(4)
 for q in (2, 8, 32):
     _, tr = gjdemos.power_trace(m, pi, q)
     print(f"q={q:3d}: degree={tr.max_degree:3d} predicates="
-          f"{tr.predicate_count} bound={tr.report(tr.n_inputs)['pdim_bound']:.1f}")
+          f"{tr.predicate_count} bound={tr.report()['pdim_bound']:.1f}")
 
 # %%
 # Choosing the minimum of r values needs all pairwise sign tests: degree 1
@@ -83,7 +83,7 @@ value, tr = gjdemos.proxy_pipeline_trace(sketch, a, k=1, epsilon=0.5,
 q = q_iterations(0.5, 3, 1.0)
 print(f"proxy value={value:.6f} degree={tr.max_degree} "
       f"(m*k*q={2 * 1 * q}) predicates={tr.predicate_count}")
-print("report:", tr.report(tr.n_inputs))
+print("report:", tr.report())
 
 replay, _ = gjdemos.proxy_pipeline_trace(sketch, a, k=1, epsilon=0.5,
                                          q_constant=1.0, tr=FloatBackend())

@@ -21,7 +21,7 @@ from .charpoly import (
     greedy_row_basis,
     projection_rowspace,
 )
-from .gjtrace import FloatBackend, Trace, TracedValue, gj_argmin, gj_min, pdim_bound
+from .gjtrace import FloatBackend, Trace, TracedValue, gj_argmin, pdim_bound
 from .linalg import SvdResult, as_matrix, best_rank_k, fro_sq, pinv, svd
 from .matio import (
     MatrixFormatError,

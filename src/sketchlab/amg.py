@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import RANK_RTOL, svd
+from .sketching import _check_int
 from .train import TrainConfig, _descend, _nonempty
 
 # An iterate diverges once its norm passes this multiple of the problem's
@@ -43,6 +44,11 @@ def solve_triangular(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     for i in range(b.shape[0]):
         b[i] = (b[i] - lower[i, :i] @ b[:i]) / lower[i, i]
     return b
+
+
+def _check_finite(name, arr: np.ndarray):
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
 
 
 def _coarse_matrix(a: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -86,6 +92,8 @@ class AMGProblem:
             raise ValueError(f"b has length {self.b.size}, expected {n}")
         if self.p.shape[0] != n or self.p.shape[1] < 1:
             raise ValueError(f"P must be n-by-m, got {self.p.shape}")
+        _check_int("s1", self.s1)
+        _check_int("s2", self.s2)
         # zero sweeps are allowed so the bare coarse correction is testable
         if self.s1 < 0 or self.s2 < 0:
             raise ValueError("smoothing counts must be >= 0")
@@ -94,6 +102,8 @@ class AMGProblem:
         self.x0 = np.asarray(self.x0, dtype=np.float64).reshape(-1)
         if self.x0.size != n:
             raise ValueError(f"x0 has length {self.x0.size}, expected {n}")
+        for name, arr in (("A", self.a), ("b", self.b), ("P", self.p), ("x0", self.x0)):
+            _check_finite(name, arr)
         if _has_zero_diagonal(self.a):
             raise ValueError("diagonal of A is numerically singular")
         self.lower_inv = solve_triangular(self.a, np.eye(n))
@@ -113,6 +123,7 @@ class AMGProblem:
         if values.size != slots:
             raise ValueError(f"got {values.size} prolongation values for a "
                              f"pattern of {slots}")
+        _check_finite("prolongation values", values)
         out = copy.copy(self)
         out.p = np.zeros_like(self.p)
         out.p[self._pattern] = values
@@ -169,6 +180,7 @@ def amg_step_error_form(prob: AMGProblem, x: np.ndarray,
 def _forward(prob: AMGProblem, q: int):
     """Run ``q`` cycles from ``prob.x0`` under the divergence guard.
     Returns the final residual ``A x_q - b`` and each cycle's ``(r, e)``."""
+    _check_int("q", q)
     if q < 0:
         raise ValueError(f"q must be >= 0, got {q}")
     x, steps = prob.x0, []

@@ -102,7 +102,8 @@ _UNIT = _real(lambda v: 0 < v < 1, "in (0, 1)")
 
 
 def _are_ints(cfg, *keys):
-    return all(isinstance(cfg[key], int) for key in keys)
+    return all(isinstance(cfg[key], int) and not isinstance(cfg[key], bool)
+               for key in keys)
 
 
 # ---------------------------------------------------------------- commands
@@ -139,8 +140,13 @@ def _load_dataset(cfg, errors):
     if not files:
         errors.append("data_dir or data_files must name at least one matrix")
         return []
-    # data_files that are not a list of paths are listed by their rule
-    return [] if _paths(files) else [read_matrix(f) for f in files]
+    if _paths(files):
+        return []  # data_files that are not a list of paths: listed by its rule
+    try:
+        return [read_matrix(f) for f in files]
+    except (OSError, MatrixFormatError) as exc:
+        errors.append(f"data file cannot be read: {exc}")
+        return []
 
 
 def _load_sketch(cfg, errors):
@@ -207,6 +213,9 @@ def _eval_checks(cfg, inputs):
         yield "sketch path is required"
     if sketch and _are_ints(cfg, "k") and cfg["k"] > sketch.m:
         yield f"k={cfg['k']} exceeds the sketch's m={sketch.m}"
+    mats = inputs["data_files"]
+    if sketch and mats and sketch.n != len(mats[0]):
+        yield f"sketch has {sketch.n} columns but the data has {len(mats[0])} rows"
     yield from _k_fits_data(cfg, inputs)
 
 
@@ -224,14 +233,11 @@ def _proxy_check_checks(cfg, _):
 
 def _cmd_proxy_check(cfg, seed, _):
     rng = named_stream(seed, "proxy-check")
-    instances = [
-        random_instance(rng, tuple(cfg["n_range"]), tuple(cfg["d_range"]),
-                        cfg["m_max"], cfg["k_max"])
-        for _ in range(cfg["instances"])
-    ]
-
     rows = []
-    for idx, (a, sketch, k) in enumerate(instances):
+    for idx in range(cfg["instances"]):
+        a, sketch, k = random_instance(rng, tuple(cfg["n_range"]),
+                                       tuple(cfg["d_range"]), cfg["m_max"],
+                                       cfg["k_max"])
         true_loss = sketch_loss(sketch, a, k)
         row = {"index": idx, "k": k, "true_loss": true_loss}
         for eps in cfg["epsilons"]:
@@ -286,7 +292,7 @@ def _cmd_gj_trace(cfg, seed, _):
                                        rho=1.0)
     else:
         return _pipeline_demo(cfg, rng)
-    metrics = tr.report(tr.n_inputs)
+    metrics = tr.report()
     return True, metrics, [metrics]
 
 
@@ -307,7 +313,7 @@ def _pipeline_demo(cfg, rng):
     except ZeroDivisionError:
         value, reason = None, "the float trace divided by zero"
     else:
-        metrics = tr.report(tr.n_inputs)
+        metrics = tr.report()
         reason = (None if abs(value - reference) <= 1e-8 else
                   f"traced value differs from proxy_loss by {value - reference:.3e}")
     metrics.update(value=value, proxy_loss=reference, reason=reason)
@@ -316,17 +322,14 @@ def _pipeline_demo(cfg, rng):
 
 def _cmd_amg_check(cfg, seed, _):
     rng = named_stream(seed, "amg-check")
-    problems = []
-    for _ in range(cfg["instances"]):
+    rows = []
+    for idx in range(cfg["instances"]):
         n = int(rng.integers(4, cfg["n_max"] + 1))
         m = int(rng.integers(2, min(cfg["m_max"], n) + 1))
         s1 = int(rng.integers(1, cfg["s_max"] + 1))
         s2 = int(rng.integers(1, cfg["s_max"] + 1))
-        problems.append((random_amg_problem(rng, n, m, s1, s2, cfg["noise"]),
-                         rng.standard_normal(n)))
-
-    rows = []
-    for idx, (prob, x) in enumerate(problems):
+        prob = random_amg_problem(rng, n, m, s1, s2, cfg["noise"])
+        x = rng.standard_normal(n)
         x_star = prob.solution()
         dev = float(np.linalg.norm(
             amg_step(prob, x) - amg_step_error_form(prob, x, x_star)))

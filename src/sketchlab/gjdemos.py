@@ -23,7 +23,7 @@ from itertools import combinations
 import numpy as np
 
 from .charpoly import _floats, _projection
-from .gjtrace import Trace, gj_argmin, gj_min
+from .gjtrace import Trace, _pairwise_table, gj_argmin
 from .proxy import q_iterations
 
 # The pipeline's final predicate compares the proxy loss with this constant.
@@ -51,7 +51,7 @@ def min_trace(values, tr=None):
     """Trace the all-pairs minimum of ``r`` inputs; C(r, 2) predicates."""
     tr = tr if tr is not None else Trace()
     lifted = [tr.input(f"v{i}", v) for i, v in enumerate(values)]
-    return float(gj_min(tr, lifted)), tr
+    return float(lifted[gj_argmin(tr, lifted)]), tr
 
 
 def rowspace_projection_trace(z, tr=None):
@@ -85,15 +85,12 @@ def knapsack_trace(values, costs, capacity, rho, tr=None):
     rho_v = tr.input("rho", rho)
     r = len(values)
 
-    ge = [[False] * r for _ in range(r)]
-    for i in range(r):
-        for j in range(i + 1, r):
-            t_ij = math.log(values[j] / values[i]) / math.log(costs[j] / costs[i])
-            rho_at_least = tr.branch(rho_v - tr.const(t_ij))
-            out = rho_at_least if costs[j] > costs[i] else not rho_at_least
-            ge[i][j] = out
-            ge[j][i] = not out
+    def ranks_at_least(i, j):
+        t_ij = math.log(values[j] / values[i]) / math.log(costs[j] / costs[i])
+        rho_at_least = tr.branch(rho_v - tr.const(t_ij))
+        return rho_at_least if costs[j] > costs[i] else not rho_at_least
 
+    ge = _pairwise_table(r, ranks_at_least)
     order = sorted(range(r), key=lambda i: sum(ge[i][j] for j in range(r)),
                    reverse=True)
     total, used = 0.0, 0.0

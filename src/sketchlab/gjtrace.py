@@ -126,13 +126,13 @@ class Trace:
     def predicate_count(self) -> int:
         return len(self.predicate_nodes)
 
-    def report(self, n_params: int) -> dict:
-        """JSON-ready summary of the trace."""
+    def report(self) -> dict:
+        """JSON-ready summary; the bound's parameters are the traced inputs."""
         return {
             "n_inputs": self.n_inputs,
             "max_degree": self.max_degree,
             "predicate_count": self.predicate_count,
-            "pdim_bound": pdim_bound(n_params, self),
+            "pdim_bound": pdim_bound(self.n_inputs, self),
         }
 
 
@@ -142,6 +142,18 @@ def pdim_bound(n_params: int, trace: Trace) -> float:
     delta = max(1, trace.max_degree)
     p = max(1, trace.predicate_count)
     return float(n_params) * math.log2(max(2.0, float(delta) * float(p)))
+
+
+def _pairwise_table(r, outcome):
+    """r-by-r table whose ``[i][j]`` means "item i ranks at or above item
+    j": ``outcome(i, j)`` for i < j, called in row-major order, and its
+    negation below the diagonal."""
+    ge = [[False] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i + 1, r):
+            ge[i][j] = outcome(i, j)
+            ge[j][i] = not ge[i][j]
+    return ge
 
 
 def gj_argmin(trace, values) -> int:
@@ -155,22 +167,12 @@ def gj_argmin(trace, values) -> int:
     if r == 0:
         raise ValueError("need at least one value")
     # ge[i][j] == True means v_i >= v_j.
-    ge = [[False] * r for _ in range(r)]
-    for i in range(r):
-        for j in range(i + 1, r):
-            out = trace.branch(values[i] - values[j])
-            ge[i][j] = out
-            ge[j][i] = not out
+    ge = _pairwise_table(r, lambda i, j: trace.branch(values[i] - values[j]))
     best = 0
     for i in range(1, r):
         if ge[best][i]:
             best = i
     return best
-
-
-def gj_min(trace, values):
-    """Minimum of traced values; see :func:`gj_argmin`."""
-    return values[gj_argmin(trace, values)]
 
 
 class FloatBackend:
@@ -180,8 +182,8 @@ class FloatBackend:
     raw floats to check that instrumentation never perturbs execution.
     """
 
-    def input(self, name: str, value: float) -> float:
-        return float(value)
+    def input(self, name: str, value: float):
+        return self.const(value)
 
     def const(self, value) -> float:
         return float(value)
@@ -195,9 +197,6 @@ class ExactBackend(FloatBackend):
     ``Fraction`` (exact for every finite float), so each operation is
     exact and each branch is an exact sign test, as the arithmetic-only
     model assumes."""
-
-    def input(self, name: str, value: float) -> Fraction:
-        return Fraction(float(value))
 
     def const(self, value) -> Fraction:
         return Fraction(float(value))

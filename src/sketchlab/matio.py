@@ -87,10 +87,7 @@ def load_sketch(path) -> SparseSketch:
         raise MatrixFormatError(
             f"{path}: sketch lacks field(s) {', '.join(missing)}")
     try:
-        return SparseSketch(
-            doc["m"], doc["n"], doc["s"],
-            np.array(doc["pattern"], dtype=np.int64),
-            np.array(doc["values"], dtype=np.float64),
-        )
+        return SparseSketch(doc["m"], doc["n"], doc["s"], doc["pattern"],
+                            doc["values"])
     except (TypeError, ValueError) as exc:
         raise MatrixFormatError(f"{path}: invalid sketch ({exc})") from exc

@@ -143,6 +143,8 @@ def verify_shattering(family: ShatterFamily, subset_budget: int = 256,
     checked subset holds all members, ``miss_loss_min`` when every one is
     empty.
     """
+    if not 0 < gamma < np.inf:
+        raise ValueError(f"gamma must be finite and > 0, got {gamma}")
     n_members = len(family.matrices)
     k = family.base.m
 

@@ -25,6 +25,13 @@ import numpy as np
 from .linalg import SvdResult, best_rank_k, fro_sq, svd
 
 
+def _check_int(name, value):
+    """Raise ValueError naming ``name`` unless ``value`` is an integer; a
+    bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(eq=False)
 class SparseSketch:
     """m-by-n sketching matrix with ``s`` nonzero slots per column.
@@ -47,11 +54,20 @@ class SparseSketch:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        for name in ("m", "n", "s"):
+            _check_int(name, getattr(self, name))
         if not (1 <= self.s <= self.m):
             raise ValueError(f"need 1 <= s <= m, got s={self.s}, m={self.m}")
         if self.n < 1:
             raise ValueError(f"n must be positive, got {self.n}")
-        self.pattern = np.asarray(self.pattern, dtype=np.int64)
+        # an int64 pattern, as with_values passes on, needs no integrality test
+        if getattr(self.pattern, "dtype", None) != np.int64:
+            pattern = np.asarray(self.pattern)
+            if not (pattern.dtype.kind in "iu" or pattern.dtype.kind == "f"
+                    and np.isfinite(pattern).all()
+                    and (pattern == np.floor(pattern)).all()):
+                raise ValueError("pattern entries must be integers")
+            self.pattern = np.asarray(pattern, dtype=np.int64)
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.pattern.shape != (self.n, self.s):
             raise ValueError(

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import fro_sq
-from .sketching import SparseSketch, _dense, sketch_loss, sketch_loss_and_grad
+from .sketching import (SparseSketch, _check_int, _dense, sketch_loss,
+                        sketch_loss_and_grad)
 
 
 @dataclass
@@ -31,6 +32,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_int("epochs", self.epochs)
+        _check_int("batch_size", self.batch_size)
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.step_size <= 0:

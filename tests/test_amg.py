@@ -227,6 +227,35 @@ def test_problem_validation():
         AMGProblem(bad, np.ones(4), np.ones((4, 1)), 1, 1)
 
 
+def _problem_args(**changes):
+    """A 4x4 diagonally dominant problem with one coarse column."""
+    return dict(a=np.diag([1.5, 1.2, 1.8, 1.1]) + 0.1, b=np.ones(4),
+                p=np.ones((4, 1)), s1=1, s2=1, x0=np.zeros(4)) | changes
+
+
+@pytest.mark.parametrize("changes, match", [
+    ({"s1": 1.5}, "^s1 must be an integer"),
+    ({"s2": True}, "^s2 must be an integer"),
+    ({"a": np.diag([1.0, 1.0, np.nan, 1.0])}, "^A must be finite"),
+    ({"p": np.array([[1.0], [1.0], [1.0], [np.inf]])}, "^P must be finite"),
+    ({"b": np.array([np.nan, 1.0, 1.0, 1.0])}, "^b must be finite"),
+    ({"x0": np.array([0.0, 0.0, np.nan, 0.0])}, "^x0 must be finite"),
+])
+def test_problem_refuses_non_integer_counts_and_non_finite_arrays(changes, match):
+    with pytest.raises(ValueError, match=match):
+        AMGProblem(**_problem_args(**changes))
+
+
+def test_cycle_count_and_prolongation_values_are_checked():
+    prob = AMGProblem(**_problem_args())
+    with pytest.raises(ValueError, match="^q must be an integer"):
+        amg_loss(prob, 1.5)
+    with pytest.raises(ValueError, match="^q must be an integer"):
+        amg_loss_and_grad(prob, True)
+    with pytest.raises(ValueError, match="^prolongation values must be finite"):
+        prob.with_prolongation_values([1.0, np.nan, 1.0, 1.0])
+
+
 def test_train_prolongation_reduces_loss():
     rng = np.random.default_rng(10)
     problems = []

@@ -4,8 +4,8 @@ For every subcommand: the full ``config error:`` listing of a config with
 every key wrong, of one with an unknown key and failing cross-key checks,
 and the ``report["config"]`` echo of a minimal valid config.  The expected
 values are the harness's output from before each subcommand's keys moved
-into one (default, rule) table, which kept them byte for byte.  Three
-cases differ from that output on purpose and are marked FIXED.
+into one (default, rule) table, which kept them byte for byte.  Cases
+that differ from that output on purpose are marked FIXED.
 """
 
 import json
@@ -19,15 +19,18 @@ from sketchlab.matio import write_matrix
 
 @pytest.fixture
 def paths(tmp_path):
-    """Two 5x2 matrices and a 3x5 sketch trained on them."""
-    data = tmp_path / "data"
+    """Two 5x2 matrices, a 3x5 sketch trained on them and, in its own
+    directory, one 6x2 matrix."""
+    data, tall = tmp_path / "data", tmp_path / "tall"
     data.mkdir()
+    tall.mkdir()
     for i in range(2):
         write_matrix(data / f"mat_{i}.sklb", np.ones((5, 2)) + i)
+    write_matrix(tall / "mat_0.sklb", np.ones((6, 2)))
     sketch = tmp_path / "sk.json"
     run_experiment("train", {"data_dir": str(data), "m": 3, "k": 2, "epochs": 1,
                              "sketch_out": str(sketch)}, seed=0)
-    return {"<data>": str(data), "<sketch>": str(sketch),
+    return {"<data>": str(data), "<tall>": str(tall), "<sketch>": str(sketch),
             "<out>": str(tmp_path / "gen")}
 
 
@@ -69,7 +72,8 @@ ERROR_CASES = [
         "batch_size must be an integer >= 1, got 0.5",
         "step_size must be a number in (0, inf), got 0",
         "holdout must be an integer >= 0, got -1",
-        "s=True exceeds m=0",
+        # FIXED: the cross-key check took True for an integer and listed
+        # "s=True exceeds m=0"
     ]),
     ("train", {"data_dir": "<data>", "bogus": 1, "m": 6, "k": 7, "s": 7,
                "holdout": 2}, [
@@ -158,6 +162,20 @@ ERROR_CASES = [
     ]),
     ("eval", {"data_files": "data/mat_0000.sklb", "sketch": "<sketch>", "k": 2}, [
         "data_files must be a list of paths, got 'data/mat_0000.sklb'",
+    ]),
+    # FIXED: a data file that could not be read hid every other error
+    # behind "error: [Errno 2] No such file or directory: 'missing.sklb'"
+    ("train", {"data_files": ["missing.sklb"], "m": 0, "k": 2}, [
+        "data file cannot be read: [Errno 2] No such file or directory: "
+        "'missing.sklb'",
+        "m must be an integer >= 1, got 0",
+        "s=1 exceeds m=0",
+        "k=2 exceeds m=0",
+    ]),
+    # FIXED: the width mismatch surfaced from the library after validation,
+    # as "error: sketch has 5 columns but the matrix has 6 rows"
+    ("eval", {"data_dir": "<tall>", "sketch": "<sketch>", "k": 2}, [
+        "sketch has 5 columns but the data has 6 rows",
     ]),
 ]
 

@@ -7,7 +7,7 @@ import sympy
 
 from sketchlab import gjdemos
 from sketchlab.charpoly import projection_rowspace
-from sketchlab.gjtrace import ExactBackend, FloatBackend, Trace, gj_min, pdim_bound
+from sketchlab.gjtrace import ExactBackend, FloatBackend, Trace, gj_argmin, pdim_bound
 
 from oracles import rowspace_projector_svd
 
@@ -111,7 +111,7 @@ def test_min_predicate_count():
     for r in (2, 4, 7):
         tr = Trace()
         vals = [tr.input(f"v{i}", x) for i, x in enumerate(rng.standard_normal(r))]
-        out = gj_min(tr, vals)
+        out = vals[gj_argmin(tr, vals)]
         assert out.numeric == min(v.numeric for v in vals)
         assert tr.predicate_count == math.comb(r, 2)
         assert tr.max_degree == 1
@@ -210,7 +210,7 @@ def test_report_schema():
     tr = Trace()
     x = tr.input("x", 1.0)
     tr.branch(x - tr.const(2.0))
-    report = tr.report(n_params=1)
+    report = tr.report()
     assert set(report) == {"n_inputs", "max_degree", "predicate_count",
                            "pdim_bound"}
 

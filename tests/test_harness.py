@@ -69,6 +69,14 @@ def test_sketch_round_trip(tmp_path):
     ('{"m": 3, ', "not a JSON sketch"),
     (json.dumps({"m": 3, "n": 2, "s": 1, "pattern": None,
                  "values": [[1.0], [2.0]]}), "invalid sketch"),
+    # an int64 cast would load these rows as [0, 1, 0]
+    (json.dumps({"m": 2, "n": 3, "s": 1, "pattern": [[0.9], [1.7], [0.2]],
+                 "values": [[1.0], [1.0], [1.0]]}),
+     r"invalid sketch \(pattern entries must be integers\)"),
+    (json.dumps({"m": 2.0, "n": 2, "s": 1, "pattern": [[0], [1]],
+                 "values": [[1.0], [1.0]]}), r"invalid sketch \(m must be"),
+    (json.dumps({"m": True, "n": 2, "s": 1, "pattern": [[0], [0]],
+                 "values": [[1.0], [1.0]]}), r"invalid sketch \(m must be"),
 ])
 def test_load_sketch_rejects_malformed_documents(tmp_path, text, match):
     path = tmp_path / "sk.json"

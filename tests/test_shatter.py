@@ -186,6 +186,13 @@ def test_verify_shattering_reports_failure():
     assert not report["all_pass"]
 
 
+@pytest.mark.parametrize("gamma", [-1.0, 0.0, np.nan, np.inf])
+def test_verify_shattering_refuses_a_gamma_not_finite_and_positive(gamma):
+    # a negative gamma turns the margin test inside out: every subset passes
+    with pytest.raises(ValueError, match="gamma must be finite and > 0"):
+        verify_shattering(rank1_family(3, 2), gamma=gamma)
+
+
 def test_verify_shattering_rejects_an_empty_sampling_budget():
     # 16 members are sampled, not enumerated: no subset checked is no pass
     fam = rank1_family(16, 2)

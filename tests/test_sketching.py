@@ -26,6 +26,26 @@ def test_sparse_sketch_validation():
         SparseSketch(3, 2, 2, np.array([[1, 0], [0, 1]]), np.ones((2, 2)))
 
 
+@pytest.mark.parametrize("m, n, s, pattern, match", [
+    (2, 2, 1, [[0.5], [1.0]], "pattern entries must be integers"),
+    (2, 2, 1, [[0.0], [np.nan]], "pattern entries must be integers"),
+    (2, 2, 1, np.array([[False], [True]]), "pattern entries must be integers"),
+    (2.0, 2, 1, [[0], [1]], "m must be an integer, got 2.0"),
+    (2, True, 1, [[0]], "n must be an integer, got True"),
+    (2, 2, np.float64(1), [[0], [1]], "s must be an integer"),
+])
+def test_sparse_sketch_refuses_what_it_would_truncate(m, n, s, pattern, match):
+    with pytest.raises(ValueError, match=match):
+        SparseSketch(m, n, s, pattern, np.ones((2, 1)))
+
+
+def test_sparse_sketch_takes_integral_float_and_numpy_integer_fields():
+    sk = SparseSketch(np.int64(2), 3, 1, np.array([[1.0], [0.0], [1.0]]),
+                      np.ones((3, 1)))
+    assert sk.pattern.dtype == np.int64
+    np.testing.assert_array_equal(sk.pattern, [[1], [0], [1]])
+
+
 def test_dense_materialization():
     sk = SparseSketch(3, 2, 2, np.array([[0, 2], [1, 2]]),
                       np.array([[1.0, -1.0], [2.0, 0.0]]))

@@ -27,6 +27,17 @@ def test_train_config_validation():
         TrainConfig(1, 0.1, 1, fd_step=1e-2)
 
 
+@pytest.mark.parametrize("args, name", [
+    ((1.5, 0.1, 2), "epochs"),
+    ((True, 0.1, 2), "epochs"),
+    ((1, 0.1, 1.5), "batch_size"),
+    ((1, 0.1, True), "batch_size"),
+])
+def test_train_config_refuses_non_integer_counts(args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        TrainConfig(*args)
+
+
 def test_make_dataset_normalizes_and_validates():
     rng = np.random.default_rng(0)
     mats = [5.0 * rng.standard_normal((4, 3)) for _ in range(3)]
