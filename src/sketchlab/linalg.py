@@ -11,8 +11,13 @@ zero matrix, count as zero: the package's one numerical rank rule.
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 RANK_RTOL = 1e-10
+
+# numpy's reduced QR runs these two gufuncs (geqrf, then orgqr); naming them
+# here makes a numpy without them fail at import
+_QR_R_RAW, _QR_REDUCED = _umath_linalg.qr_r_raw, _umath_linalg.qr_reduced
 
 
 def as_matrix(a) -> np.ndarray:
@@ -119,3 +124,23 @@ def fro_sq(a: np.ndarray):
         return float(flat @ flat)
     flat = a.reshape(*a.shape[:-2], 1, -1)
     return (flat @ flat.swapaxes(-1, -2))[..., 0, 0]
+
+
+def _raise_qr_error(err, flag):
+    raise LinAlgError("Incorrect argument found while performing QR factorization")
+
+
+def _orthonormal(z: np.ndarray) -> np.ndarray:
+    """Q of the reduced QR of a float64 matrix or stack ``(..., n, k)``, bit
+    for bit ``np.linalg.qr(z)[0]``: the same two LAPACK calls, without R.
+
+    ``z`` is overwritten with the packed Householder factors, so pass only
+    a fresh temporary.  A LAPACK argument error raises ``LinAlgError``, as
+    in ``np.linalg.qr``.
+    """
+    if z.dtype != np.float64:  # a cast copy would take geqrf's output
+        raise TypeError(f"expected float64 blocks, got {z.dtype}")
+    with np.errstate(call=_raise_qr_error, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        tau = _QR_R_RAW(z, signature="d->d")
+        return _QR_REDUCED(z, tau, signature="dd->d")

@@ -35,10 +35,17 @@ def write_matrix(path, a) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
-    """Read a matrix from an SKLB1 file, or from CSV by extension."""
+    """Read a matrix from an SKLB1 file, or from CSV by extension.
+
+    A file that does not hold a finite matrix raises
+    :class:`MatrixFormatError` naming the path.
+    """
     path = Path(path)
     if path.suffix.lower() == ".csv":
-        return as_matrix(np.loadtxt(path, delimiter=",", ndmin=2))
+        try:
+            return as_matrix(np.loadtxt(path, delimiter=",", ndmin=2))
+        except ValueError as exc:
+            raise MatrixFormatError(f"{path}: not a finite CSV matrix ({exc})") from exc
     raw = path.read_bytes()
     if len(raw) < len(MAGIC) + _HEADER.size or raw[: len(MAGIC)] != MAGIC:
         raise MatrixFormatError(f"{path}: bad magic, not an SKLB1 file")
@@ -53,7 +60,10 @@ def read_matrix(path) -> np.ndarray:
             f"got {len(payload)}"
         )
     data = np.frombuffer(payload, dtype="<f8").reshape(rows, cols)
-    return as_matrix(data)
+    try:
+        return as_matrix(data)
+    except ValueError as exc:
+        raise MatrixFormatError(f"{path}: {exc}") from exc
 
 
 def save_sketch(path, sketch: SparseSketch) -> None:

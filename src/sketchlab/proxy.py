@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import fro_sq
+from .linalg import _orthonormal, fro_sq
 from .sketching import _sketched_rowspace
 
 DEFAULT_Q_CONSTANT = 4.0
@@ -127,9 +127,11 @@ def power_refine(b: np.ndarray, p: np.ndarray, q: int) -> np.ndarray:
     that end at most ``_ENERGY_STALL_RTOL * ||B||_F^2`` above the highest
     energy the block reached before.  The energy comes from the ``B^T Q``
     product the next step needs anyway, and the stall is tested before that
-    step's QR.  Each step makes one stacked QR over the blocks still live,
-    and a block that stalls leaves the stack.  An all-zero block comes back
-    as zeros without reaching the QR.  So every returned block either has
+    step's orthonormalization.  Each step takes the Q of one stacked reduced
+    QR over the blocks still live (``linalg._orthonormal``: the LAPACK calls
+    of ``np.linalg.qr`` without forming R, bit for bit its Q), and a block
+    that stalls leaves the stack.  An all-zero block comes back as zeros
+    without reaching the QR.  So every returned block either has
     orthonormal columns (``Q^T Q = I``, ``min(n, k)`` of them for an n-row
     ``B``) or is all zero, and ``Q Q^T`` is its projector.
     """
@@ -140,6 +142,7 @@ def power_refine(b: np.ndarray, p: np.ndarray, q: int) -> np.ndarray:
             f"p must be a (C, {b.shape[1]}, k) stack of blocks, got shape {p.shape}"
         )
 
+    b = np.asarray(b, dtype=np.float64)  # _orthonormal takes float64 only
     z = b @ p
     n, k = z.shape[1:]
     out = np.zeros((len(z), n, min(n, k)))  # the columns of a reduced QR
@@ -147,7 +150,7 @@ def power_refine(b: np.ndarray, p: np.ndarray, q: int) -> np.ndarray:
     if live.size == 0:
         return out
     floor = _ENERGY_STALL_RTOL * fro_sq(b)
-    qmat, _ = np.linalg.qr(z[live])
+    qmat = _orthonormal(z[live])  # z[live] is a fresh copy
     energy = np.full(live.size, -np.inf)
     stalled = np.zeros(live.size, dtype=np.int64)
     for _ in range(q):
@@ -163,7 +166,7 @@ def power_refine(b: np.ndarray, p: np.ndarray, q: int) -> np.ndarray:
             energy, stalled = energy[keep], stalled[keep]
             if live.size == 0:
                 return out
-        qmat, _ = np.linalg.qr(b @ btq)
+        qmat = _orthonormal(b @ btq)
     out[live] = qmat
     return out
 

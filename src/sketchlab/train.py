@@ -36,8 +36,8 @@ class TrainConfig:
         _check_int("batch_size", self.batch_size)
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.step_size <= 0:
-            raise ValueError(f"step_size must be > 0, got {self.step_size}")
+        if not 0 < self.step_size < np.inf:
+            raise ValueError(f"step_size must be finite and > 0, got {self.step_size}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not (0 < self.fd_step <= 1e-3):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 
+from sketchlab.linalg import fro_sq
+from sketchlab.proxy import _ENERGY_STALL_RTOL
 from sketchlab.shatter import subset_sketch
 from sketchlab.sketching import sketch_loss
 
@@ -85,6 +87,37 @@ def rowspace_projector_svd(z, rtol=1e-10):
         return np.zeros((z.shape[1], z.shape[1]))
     vh = vh[: int(np.sum(s > rtol * s[0]))]
     return vh.T @ vh
+
+
+def power_refine_qr(b, p, q):
+    """The block power refinement of ``proxy.power_refine``, orthonormalizing
+    each step through ``np.linalg.qr`` and discarding its R."""
+    z = b @ p
+    n, k = z.shape[1:]
+    out = np.zeros((len(z), n, min(n, k)))  # the columns of a reduced QR
+    live = np.flatnonzero(np.abs(z).max(axis=(1, 2)) != 0.0)
+    if live.size == 0:
+        return out
+    floor = _ENERGY_STALL_RTOL * fro_sq(b)
+    qmat, _ = np.linalg.qr(z[live])
+    energy = np.full(live.size, -np.inf)
+    stalled = np.zeros(live.size, dtype=np.int64)
+    for _ in range(q):
+        btq = b.T @ qmat
+        e = fro_sq(btq)  # ||B^T Q||_F^2 per block
+        stalled = np.where(e - energy <= floor, stalled + 1, 0)
+        energy = np.maximum(energy, e)
+        done = stalled >= 3
+        if done.any():
+            out[live[done]] = qmat[done]
+            keep = ~done
+            live, qmat, btq = live[keep], qmat[keep], btq[keep]
+            energy, stalled = energy[keep], stalled[keep]
+            if live.size == 0:
+                return out
+        qmat, _ = np.linalg.qr(b @ btq)
+    out[live] = qmat
+    return out
 
 
 def central_difference_grad(loss_fn, values, h):

@@ -53,6 +53,27 @@ def test_read_csv_by_extension(tmp_path):
                                   [[1.0, 2.0], [3.0, 4.0]])
 
 
+@pytest.mark.parametrize("text, match", [
+    ("a,b\n", "could not convert"),
+    ("1,nan\n", "non-finite"),
+    ("1,2\n3\n", "not a finite CSV matrix"),
+])
+def test_read_rejects_unparsable_or_nonfinite_csv(tmp_path, text, match):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(MatrixFormatError, match=match) as info:
+        read_matrix(path)
+    assert str(path) in str(info.value)
+
+
+def test_read_rejects_nonfinite_sklb_payload(tmp_path):
+    path = tmp_path / "nan.sklb"
+    path.write_bytes(b"SKLB1" + struct.pack("<QQ", 1, 2)
+                     + struct.pack("<dd", 1.0, np.nan))
+    with pytest.raises(MatrixFormatError, match="nan.sklb: .*non-finite"):
+        read_matrix(path)
+
+
 def test_sketch_round_trip(tmp_path):
     sk = random_sparse_sketch(3, 6, 2, 5)
     path = tmp_path / "sk.json"
@@ -184,6 +205,18 @@ def test_train_config_errors_against_the_data_are_listed_together(
     assert len(lines) == len(starts)
     for line, start in zip(lines, starts):
         assert line.startswith(f"config error: {start}")
+
+
+def test_unparsable_csv_data_file_is_listed_with_other_errors(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("a,b\n")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"data_files": [str(bad)], "m": 0, "k": 2}))
+    assert main(["train", "--config", str(path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith(
+        f"config error: data file cannot be read: {bad}: not a finite CSV matrix")
+    assert lines[1] == "config error: m must be an integer >= 1, got 0"
 
 
 def test_reports_are_deterministic_modulo_wall_clock():

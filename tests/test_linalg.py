@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sketchlab.linalg import as_matrix, best_rank_k, fro_sq, pinv, svd
+from sketchlab.linalg import _orthonormal, as_matrix, best_rank_k, fro_sq, pinv, svd
 
 from oracles import jacobi_singular_values
 
@@ -141,3 +141,20 @@ def test_pythagorean_identity_for_projections():
         proj = basis @ basis.T
         total = fro_sq(a @ proj) + fro_sq(a @ (np.eye(5) - proj))
         assert abs(fro_sq(a) - total) < 1e-8
+
+
+def test_orthonormal_is_np_qr_q_bit_for_bit():
+    rng = np.random.default_rng(19)
+    for c in range(1, 36):
+        for n in range(2, 11):
+            for k in range(1, 5):  # n < k included
+                z = rng.standard_normal((c, n, k))
+                z[::3, :, -1] = z[::3, :, 0]      # rank-deficient blocks
+                z[1::5] = 0.0                     # zero blocks
+                if c == 1:
+                    z = z[0]                      # a plain matrix
+                want = np.linalg.qr(z)[0]
+                got = _orthonormal(z.copy())
+                assert got.shape == want.shape and np.array_equal(got, want)
+    with pytest.raises(TypeError, match="float64"):
+        _orthonormal(np.ones((3, 2), dtype=np.float32))

@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from sketchlab import proxy
 from sketchlab.charpoly import projection_rowspace
 from sketchlab.linalg import best_rank_k, fro_sq, svd
 from sketchlab.proxy import (
@@ -16,6 +17,8 @@ from sketchlab.proxy import (
 )
 from sketchlab.sketching import sketch_loss, sketch_loss_and_grad
 from sketchlab.synth import random_instance, random_unit_matrix
+
+from oracles import power_refine_qr
 
 
 def _projector(z):
@@ -152,15 +155,15 @@ def _candidate_stack(d, k):
 
 
 def _count_qr_blocks(monkeypatch):
-    """Record the number of blocks in every np.linalg.qr call."""
+    """Record the number of blocks in every QR that power_refine makes."""
     sizes = []
-    qr = np.linalg.qr
+    orthonormal = proxy._orthonormal
 
-    def counting_qr(a, *args, **kwargs):
-        sizes.append(a.shape[0] if a.ndim == 3 else 1)
-        return qr(a, *args, **kwargs)
+    def counting_orthonormal(z):
+        sizes.append(z.shape[0] if z.ndim == 3 else 1)
+        return orthonormal(z)
 
-    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    monkeypatch.setattr(proxy, "_orthonormal", counting_orthonormal)
     return sizes
 
 
@@ -187,11 +190,33 @@ def test_power_refine_stack_matches_block_by_block():
         b = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, d))
         if rng.random() < 0.3:
             b[:, rng.choice(d, size=d - k, replace=False)] = 0.0
+        stack = _candidate_stack(d, k)
         for q in (1, 4, 60):
-            out = _assert_stack_matches_blocks(b, _candidate_stack(d, k), q)
+            out = _assert_stack_matches_blocks(b, stack, q)
+            # bit for bit the refinement on np.linalg.qr
+            assert np.array_equal(out, power_refine_qr(b, stack, q))
             # the contract proxy_loss selects by: orthonormal or all zero
             for z in out[np.abs(out).max(axis=(1, 2)) != 0.0]:
                 assert np.abs(z.T @ z - np.eye(z.shape[1])).max() <= 1e-12
+
+
+def test_proxy_loss_matches_refinement_on_np_qr(monkeypatch):
+    # the acceptance mix of test_proxy_loss_sandwich, on its own seed
+    rng = np.random.default_rng(19)
+    instances = [random_instance(rng, (3, 9), (3, 7), 4, 3) for _ in range(100)]
+    cfgs = [ProxyConfig(eps, subset_cap=5000) for eps in (0.1, 0.01)]
+    got = [proxy_loss(sk, a, k, cfg) for a, sk, k in instances for cfg in cfgs]
+    monkeypatch.setattr(proxy, "power_refine", power_refine_qr)
+    want = [proxy_loss(sk, a, k, cfg) for a, sk, k in instances for cfg in cfgs]
+    assert np.array_equal(got, want)
+
+
+def test_power_refine_takes_integer_blocks():
+    rng = np.random.default_rng(20)
+    b = rng.integers(-3, 4, size=(6, 5))
+    stack = _candidate_stack(5, 2).astype(np.int64)
+    assert np.array_equal(power_refine(b, stack, 30),
+                          power_refine(b.astype(float), stack.astype(float), 30))
 
 
 def test_power_refine_stack_mixes_stalled_running_and_zero_blocks(monkeypatch):

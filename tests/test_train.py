@@ -21,6 +21,9 @@ def test_train_config_validation():
     TrainConfig(1, 0.1, 1)
     with pytest.raises(ValueError):
         TrainConfig(1, 0.0, 1)
+    for step in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^step_size must be finite"):
+            TrainConfig(1, step, 1)
     with pytest.raises(ValueError):
         TrainConfig(1, 0.1, 0)
     with pytest.raises(ValueError):
