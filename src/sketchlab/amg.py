@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import RANK_RTOL, svd
-from .sketching import _check_int
+from .linalg import RANK_RTOL, _check_int, svd
 from .train import TrainConfig, _descend, _nonempty
 
 # An iterate diverges once its norm passes this multiple of the problem's
@@ -92,11 +91,9 @@ class AMGProblem:
             raise ValueError(f"b has length {self.b.size}, expected {n}")
         if self.p.shape[0] != n or self.p.shape[1] < 1:
             raise ValueError(f"P must be n-by-m, got {self.p.shape}")
-        _check_int("s1", self.s1)
-        _check_int("s2", self.s2)
         # zero sweeps are allowed so the bare coarse correction is testable
-        if self.s1 < 0 or self.s2 < 0:
-            raise ValueError("smoothing counts must be >= 0")
+        _check_int("s1", self.s1, 0)
+        _check_int("s2", self.s2, 0)
         if self.x0 is None:
             self.x0 = np.zeros(n)
         self.x0 = np.asarray(self.x0, dtype=np.float64).reshape(-1)
@@ -180,9 +177,7 @@ def amg_step_error_form(prob: AMGProblem, x: np.ndarray,
 def _forward(prob: AMGProblem, q: int):
     """Run ``q`` cycles from ``prob.x0`` under the divergence guard.
     Returns the final residual ``A x_q - b`` and each cycle's ``(r, e)``."""
-    _check_int("q", q)
-    if q < 0:
-        raise ValueError(f"q must be >= 0, got {q}")
+    _check_int("q", q, 0)
     x, steps = prob.x0, []
     limit = _DIVERGENCE_RATIO * (np.linalg.norm(x) + np.linalg.norm(prob.b)
                                  / np.linalg.norm(prob.a))

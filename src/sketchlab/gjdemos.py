@@ -24,6 +24,7 @@ import numpy as np
 
 from .charpoly import _floats, _projection
 from .gjtrace import Trace, _pairwise_table, gj_argmin
+from .linalg import _check_int
 from .proxy import q_iterations
 
 # The pipeline's final predicate compares the proxy loss with this constant.
@@ -38,6 +39,7 @@ def _lift_inputs(tr, arr, prefix):
 
 def power_trace(m, pi, q, tr=None):
     """Trace ``M^q @ pi`` on traced inputs; entry degrees reach q + 1."""
+    _check_int("q", q, 0)
     tr = tr if tr is not None else Trace()
     m_t = _lift_inputs(tr, m, "m")
     pi = np.asarray(pi, dtype=np.float64)

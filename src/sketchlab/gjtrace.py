@@ -72,16 +72,10 @@ class Trace:
         self.predicate_nodes: set[int] = set()
         self.max_degree = 0
 
-    def _intern(self, key: tuple) -> int:
-        node = self._node_ids.get(key)
-        if node is None:
-            node = len(self._node_ids)
-            self._node_ids[key] = node
-        return node
-
     def _make(self, key, num_deg, den_deg, numeric) -> TracedValue:
         self.max_degree = max(self.max_degree, num_deg, den_deg)
-        return TracedValue(self, self._intern(key), num_deg, den_deg, float(numeric))
+        node = self._node_ids.setdefault(key, len(self._node_ids))
+        return TracedValue(self, node, num_deg, den_deg, float(numeric))
 
     def input(self, name: str, value: float) -> TracedValue:
         """Register a named input (degree 1) with its concrete value."""

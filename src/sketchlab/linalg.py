@@ -6,6 +6,8 @@ validating entry point; everything downstream assumes its output format.
 of matrices and work on each one.  Singular values at or below
 ``RANK_RTOL`` times the largest one of their matrix, and all of those of a
 zero matrix, count as zero: the package's one numerical rank rule.
+``_check_int`` and ``_check_positive`` are the package's one rule for
+counts and rates.
 """
 
 from typing import NamedTuple
@@ -18,6 +20,21 @@ RANK_RTOL = 1e-10
 # numpy's reduced QR runs these two gufuncs (geqrf, then orgqr); naming them
 # here makes a numpy without them fail at import
 _QR_R_RAW, _QR_REDUCED = _umath_linalg.qr_r_raw, _umath_linalg.qr_reduced
+
+
+def _check_int(name, value, least=None):
+    """Raise ValueError naming ``name`` unless ``value`` is an integer (a
+    bool is not one) and, when ``least`` is given, at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
+def _check_positive(name, value):
+    """Raise ValueError naming ``name`` unless ``value`` is finite and > 0."""
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 def as_matrix(a) -> np.ndarray:
@@ -101,8 +118,7 @@ def best_rank_k(a: np.ndarray, k: int) -> np.ndarray:
     If ``k`` is at least the numerical rank, returns ``a`` up to roundoff.
     A stack ``(..., n, d)`` gives each matrix's approximation.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_int("k", k, 1)
     u, s, v = svd(a)
     return (u[..., :k] * s[..., None, :k]) @ v[..., :k].swapaxes(-1, -2)
 

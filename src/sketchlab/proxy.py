@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import _orthonormal, fro_sq
+from .linalg import _check_int, _check_positive, _orthonormal, fro_sq
 from .sketching import _sketched_rowspace
 
 DEFAULT_Q_CONSTANT = 4.0
@@ -46,10 +46,8 @@ class ProxyConfig:
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if self.subset_cap < 1:
-            raise ValueError(f"subset_cap must be >= 1, got {self.subset_cap}")
-        if self.q_constant <= 0:
-            raise ValueError(f"q_constant must be > 0, got {self.q_constant}")
+        _check_int("subset_cap", self.subset_cap, 1)
+        _check_positive("q_constant", self.q_constant)
 
     def exhaustive(self, d: int, k: int) -> bool:
         """Whether all C(d, k) candidate subsets fit under ``subset_cap``;
@@ -62,8 +60,8 @@ def q_iterations(epsilon: float, d: int, q_constant: float = DEFAULT_Q_CONSTANT)
     at least 1."""
     if not (0.0 < epsilon <= 1.0):
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    _check_int("d", d, 1)
+    _check_positive("q_constant", q_constant)
     q = math.ceil(q_constant / epsilon * math.log(max(d, 2) / epsilon))
     return max(q, 1)
 
@@ -107,6 +105,7 @@ def candidate_bases(b: np.ndarray, k: int, cfg: ProxyConfig) -> np.ndarray:
     optimal.
     """
     d = b.shape[1]
+    _check_int("k", k)
     if not (1 <= k <= d):
         raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
     if cfg.exhaustive(d, k):
@@ -135,8 +134,7 @@ def power_refine(b: np.ndarray, p: np.ndarray, q: int) -> np.ndarray:
     orthonormal columns (``Q^T Q = I``, ``min(n, k)`` of them for an n-row
     ``B``) or is all zero, and ``Q Q^T`` is its projector.
     """
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
+    _check_int("q", q, 1)
     if p.ndim != 3 or p.shape[1] != b.shape[1]:
         raise ValueError(
             f"p must be a (C, {b.shape[1]}, k) stack of blocks, got shape {p.shape}"

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .linalg import _check_int, _check_positive
 from .sketching import SparseSketch, sketch_loss
 
 
@@ -59,8 +60,7 @@ def rank1_family(n: int, d: int) -> ShatterFamily:
     entry at row i, column 0.  The base sketch is the zero row vector and
     member ``i``'s slot is its entry ``i``: indicator sketching vectors
     shatter the family with losses exactly 0 and 1."""
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    _check_int("d", d, 1)
     base = SparseSketch(1, n, 1, np.zeros((n, 1)), np.zeros((n, 1)))
     return _family(base, [(i, 0) for i in range(n)], d, "rank1-indicator")
 
@@ -85,19 +85,15 @@ def _block_gadget(n: int, k: int, s: int):
     return SparseSketch(k, n, s, pattern, values), slots
 
 
-def dense_family(n: int, k: int, d: int | None = None) -> ShatterFamily:
+def dense_family(n: int, k: int) -> ShatterFamily:
     """Family of ``k (n - k)`` rank-k matrices with all singular values
     equal (1/sqrt(k) after normalization): :func:`block_family` with
-    ``s = k``, columns zero-padded to ``d`` when given.
+    ``s = k``.
 
     Member ``(i, t)`` is the n-by-k matrix with columns ``e_0 .. e_{k-1}``
     except that column ``i`` is replaced by ``e_t`` (k <= t < n).
     """
-    base, slots = _block_gadget(n, k, k)
-    width = k if d is None else d
-    if width < k:
-        raise ValueError(f"d must be >= k, got d={width}, k={k}")
-    return _family(base, slots, width, "dense-subset")
+    return _family(*_block_gadget(n, k, k), k, "dense-subset")
 
 
 def block_family(n: int, k: int, s: int) -> ShatterFamily:
@@ -117,6 +113,7 @@ def subset_sketch(family: ShatterFamily, subset) -> SparseSketch:
     it."""
     positions = list(subset)
     for p in positions:
+        _check_int("family position", p)
         if not 0 <= p < len(family.slots):
             raise ValueError(f"family position {p} out of range")
     values = family.base.values.copy()
@@ -143,20 +140,15 @@ def verify_shattering(family: ShatterFamily, subset_budget: int = 256,
     checked subset holds all members, ``miss_loss_min`` when every one is
     empty.
     """
-    if not 0 < gamma < np.inf:
-        raise ValueError(f"gamma must be finite and > 0, got {gamma}")
+    _check_positive("gamma", gamma)
     n_members = len(family.matrices)
     k = family.base.m
 
     # row s, column i: member i is in subset s, bit i of the subset's mask
     if n_members <= 14:
         inside = (np.arange(2 ** n_members)[:, None] >> np.arange(n_members)) & 1
-    elif subset_budget < 1:
-        raise ValueError(
-            f"subset_budget must be >= 1 to sample subsets of {n_members} "
-            f"members, got {subset_budget}"
-        )
     else:
+        _check_int("subset_budget", subset_budget, 1)
         # one rng.bytes call per subset; unpacking to n_members bits drops
         # the high bits of the last byte, so no mask passes through int64
         rng = np.random.default_rng(seed)

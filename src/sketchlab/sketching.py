@@ -22,14 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import SvdResult, best_rank_k, fro_sq, svd
-
-
-def _check_int(name, value):
-    """Raise ValueError naming ``name`` unless ``value`` is an integer; a
-    bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+from .linalg import SvdResult, _check_int, best_rank_k, fro_sq, svd
 
 
 @dataclass(eq=False)
@@ -55,19 +48,15 @@ class SparseSketch:
 
     def __post_init__(self):
         for name in ("m", "n", "s"):
-            _check_int(name, getattr(self, name))
-        if not (1 <= self.s <= self.m):
+            _check_int(name, getattr(self, name), 1)
+        if self.s > self.m:
             raise ValueError(f"need 1 <= s <= m, got s={self.s}, m={self.m}")
-        if self.n < 1:
-            raise ValueError(f"n must be positive, got {self.n}")
-        # an int64 pattern, as with_values passes on, needs no integrality test
-        if getattr(self.pattern, "dtype", None) != np.int64:
-            pattern = np.asarray(self.pattern)
-            if not (pattern.dtype.kind in "iu" or pattern.dtype.kind == "f"
-                    and np.isfinite(pattern).all()
-                    and (pattern == np.floor(pattern)).all()):
-                raise ValueError("pattern entries must be integers")
-            self.pattern = np.asarray(pattern, dtype=np.int64)
+        pattern = np.asarray(self.pattern)
+        if not (pattern.dtype.kind in "iu" or pattern.dtype.kind == "f"
+                and np.isfinite(pattern).all()
+                and (pattern == np.floor(pattern)).all()):
+            raise ValueError("pattern entries must be integers")
+        self.pattern = np.asarray(pattern, dtype=np.int64)
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.pattern.shape != (self.n, self.s):
             raise ValueError(
@@ -126,7 +115,7 @@ def random_sparse_sketch(m: int, n: int, s: int, seed) -> SparseSketch:
         raise ValueError(f"need 1 <= s <= m, got s={s}, m={m}")
     if m > n:
         raise ValueError(f"need m <= n, got m={m}, n={n}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     keys = rng.random((n, m))
     pattern = np.sort(np.argsort(keys, axis=1)[:, :s], axis=1)
     values = rng.choice([-1.0, 1.0], size=(n, s))
@@ -139,6 +128,7 @@ def _sketched_rowspace(a: np.ndarray, k: int, sketch) -> SvdResult:
     row space.  The true loss, its gradient and the proxy all start from
     it."""
     s_mat = _dense(sketch, a)
+    _check_int("k", k)
     if not (1 <= k <= min(a.shape[-2:])):
         raise ValueError(f"need 1 <= k <= min(A.shape), got k={k}")
     return svd(s_mat @ a)
@@ -209,12 +199,11 @@ def rank1_closed_form_loss(a: np.ndarray, w: np.ndarray) -> float:
 
     Equals ``fro_sq(a)`` when ``w^T A`` vanishes, and otherwise
     ``fro_sq(A - A t t^T / ||t||^2)`` with ``t = A^T w``.  Agrees with
-    ``sketch_loss`` for the 1-row sketch ``w^T``.
+    ``sketch_loss`` for the 1-row sketch ``w^T``, and raises its
+    ``ValueError`` for a length of ``w`` that does not fit ``a`` and for a
+    non-finite entry in either.
     """
-    w = np.asarray(w, dtype=np.float64).reshape(-1)
-    if w.size != a.shape[0]:
-        raise ValueError(f"w has length {w.size}, expected {a.shape[0]}")
-    t = a.T @ w
+    t = a.T @ _dense(np.reshape(w, (1, -1)), a)[0]
     if not t.any():
         return fro_sq(a)
     t = t / np.abs(t).max()

@@ -4,7 +4,7 @@ import numpy as np
 
 from .amg import AMGProblem
 from .linalg import fro_sq
-from .sketching import SparseSketch, random_sparse_sketch
+from .sketching import random_sparse_sketch
 
 
 def random_unit_matrix(rng, n: int, d: int) -> np.ndarray:
@@ -70,9 +70,3 @@ def random_amg_problem(rng, n: int, m: int, s1: int, s2: int,
     p = aggregation_prolongation(rng, n, m)
     x0 = rng.standard_normal(n)
     return AMGProblem(a, b, p, s1, s2, x0)
-
-
-def zero_valued_sketch(m: int, n: int, s: int, seed) -> SparseSketch:
-    """Oblivious pattern with all slot values set to zero."""
-    sk = random_sparse_sketch(m, n, s, seed)
-    return sk.with_values(np.zeros_like(sk.values))

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import fro_sq
-from .sketching import (SparseSketch, _check_int, _dense, sketch_loss,
-                        sketch_loss_and_grad)
+from .linalg import _check_int, _check_positive, fro_sq
+from .sketching import SparseSketch, _dense, sketch_loss, sketch_loss_and_grad
 
 
 @dataclass
@@ -32,14 +31,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_int("epochs", self.epochs)
-        _check_int("batch_size", self.batch_size)
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if not 0 < self.step_size < np.inf:
-            raise ValueError(f"step_size must be finite and > 0, got {self.step_size}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        _check_int("epochs", self.epochs, 0)
+        _check_positive("step_size", self.step_size)
+        _check_int("batch_size", self.batch_size, 1)
         if not (0 < self.fd_step <= 1e-3):
             raise ValueError(f"fd_step must be in (0, 1e-3], got {self.fd_step}")
 
@@ -54,7 +48,9 @@ def _nonempty(data):
 def _stacked(data) -> np.ndarray:
     """``data`` as one (N, n, d) array, after checking that it holds at
     least one item and that all items are matrices of one shape."""
-    if isinstance(data, np.ndarray) and data.ndim == 3:  # stacked already
+    if isinstance(data, np.ndarray):  # an array must be the stack itself
+        if data.ndim != 3:
+            raise ValueError(f"expected an (N, n, d) stack, got ndim={data.ndim}")
         return np.asarray(_nonempty(data), dtype=np.float64)
     mats = _nonempty([np.asarray(m, dtype=np.float64) for m in data])
     shape = mats[0].shape
@@ -174,6 +170,7 @@ def few_shot_loss(sketch, a: np.ndarray, k: int) -> float:
     the top-``k`` left singular vectors; equal to ``k`` for a zero sketch.
     """
     n = a.shape[0]
+    _check_int("k", k)
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     s_mat = _dense(sketch, a)

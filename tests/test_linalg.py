@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
+from sketchlab import gjdemos
 from sketchlab.linalg import _orthonormal, as_matrix, best_rank_k, fro_sq, pinv, svd
+from sketchlab.proxy import ProxyConfig, proxy_loss, q_iterations
+from sketchlab.shatter import rank1_family
+from sketchlab.sketching import sketch_loss
 
 from oracles import jacobi_singular_values
 
@@ -158,3 +162,19 @@ def test_orthonormal_is_np_qr_q_bit_for_bit():
                 assert got.shape == want.shape and np.array_equal(got, want)
     with pytest.raises(TypeError, match="float64"):
         _orthonormal(np.ones((3, 2), dtype=np.float32))
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: q_iterations(0.1, 2.5), "d"),
+    (lambda: q_iterations(0.1, 3, float("nan")), "q_constant"),
+    (lambda: best_rank_k(np.eye(3), 1.5), "k"),
+    (lambda: rank1_family(4, 2.5), "d"),
+    (lambda: sketch_loss(np.ones((2, 4)), np.eye(4, 3), 1.0), "k"),
+    (lambda: proxy_loss(np.ones((2, 4)), np.eye(4, 3), 1.0, ProxyConfig(0.5)), "k"),
+    (lambda: gjdemos.power_trace(np.eye(2), np.ones(2), -1), "q"),
+], ids=["q_iterations-d", "q_iterations-q_constant", "best_rank_k-k",
+        "rank1_family-d", "sketch_loss-k", "proxy_loss-k", "power_trace-q"])
+def test_counts_and_rates_are_refused_by_name(call, name):
+    # each count is an integer of at least some value, each rate finite and > 0
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        call()

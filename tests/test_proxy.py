@@ -119,6 +119,8 @@ def test_power_refine_rejects_q_below_one_and_non_stack_blocks():
     for q in (0, -1):
         with pytest.raises(ValueError, match="q must be >= 1"):
             power_refine(b, stack, q)
+    with pytest.raises(ValueError, match="^q must be an integer, got 2.5"):
+        power_refine(b, stack, 2.5)
     for p in (stack[0], stack[:, :3], stack[None]):
         with pytest.raises(ValueError, match=r"p must be a \(C, 4, k\) stack"):
             power_refine(b, p, 3)
@@ -370,6 +372,14 @@ def test_proxy_config_validation():
         ProxyConfig(0.1, subset_cap=0)
     with pytest.raises(ValueError):
         ProxyConfig(0.1, q_constant=0.0)
+    # a nan cap passes a bare `< 1` test and sends every instance to the
+    # greedy block
+    for cap in (float("nan"), 2.5, True):
+        with pytest.raises(ValueError, match="^subset_cap must be an integer"):
+            ProxyConfig(0.1, subset_cap=cap)
+    for c in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^q_constant must be finite and > 0"):
+            ProxyConfig(0.1, q_constant=c)
 
 
 @pytest.mark.parametrize("sketch, a, k, match", [

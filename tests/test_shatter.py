@@ -21,7 +21,7 @@ from oracles import family_members_loop, verify_shattering_loop
 @pytest.mark.parametrize("build, args, width", [
     (rank1_family, (5, 3), 3),
     (dense_family, (6, 2), 2),
-    (dense_family, (6, 2, 5), 5),
+    (dense_family, (7, 5), 5),
     (block_family, (10, 2, 1), 2),
     (block_family, (12, 4, 2), 4),
 ])
@@ -65,12 +65,6 @@ def test_dense_family_structure():
         assert abs(fro_sq(a) - 1.0) <= 1e-9
         sv = svd(a).singular_values
         np.testing.assert_allclose(sv, np.full(2, 1.0 / np.sqrt(2)), atol=1e-12)
-
-
-def test_dense_family_column_padding():
-    fam = dense_family(4, 2, d=5)
-    assert fam.matrices[0].shape == (4, 5)
-    assert np.abs(fam.matrices[0][:, 2:]).max() == 0.0
 
 
 def test_dense_family_subset_dichotomy():
@@ -119,6 +113,14 @@ def test_subset_sketch_rejects_out_of_range_positions():
     for bad in ([len(fam.matrices)], [0, -1]):
         with pytest.raises(ValueError, match="out of range"):
             subset_sketch(fam, bad)
+
+
+def test_subset_sketch_refuses_non_integer_positions():
+    fam = block_family(8, 2, 1)
+    for bad in ([1.0], [True], [0, 2.5]):
+        with pytest.raises(ValueError, match="^family position must be an integer"):
+            subset_sketch(fam, bad)
+    assert subset_sketch(fam, np.array([1, 3])).s == 1
 
 
 def test_block_family_size_and_sparsity():
@@ -198,6 +200,9 @@ def test_verify_shattering_rejects_an_empty_sampling_budget():
     fam = rank1_family(16, 2)
     for budget in (0, -3):
         with pytest.raises(ValueError, match="subset_budget must be >= 1"):
+            verify_shattering(fam, subset_budget=budget)
+    for budget in (2.5, True):
+        with pytest.raises(ValueError, match="^subset_budget must be an integer"):
             verify_shattering(fam, subset_budget=budget)
     assert verify_shattering(fam, subset_budget=1)["subsets_checked"] == 1
 

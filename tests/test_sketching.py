@@ -172,3 +172,17 @@ def test_rank1_closed_form_matches_pipeline():
         closed = rank1_closed_form_loss(a, w)
         pipeline = sketch_loss(w.reshape(1, -1), a, 1)
         assert abs(closed - pipeline) <= 1e-8
+
+
+@pytest.mark.parametrize("a, w, match", [
+    (np.ones((3, 2)), [1.0, np.nan, 0.0], "sketch contains non-finite"),
+    (np.ones((3, 2)), [1.0, np.inf, 0.0], "sketch contains non-finite"),
+    (np.array([[1.0, np.nan], [1.0, 1.0], [1.0, 1.0]]), [1.0, 0.0, 0.0],
+     "matrix contains non-finite"),
+    (np.ones((3, 2)), [1.0, 0.0], "sketch has 2 columns but the matrix has 3 rows"),
+], ids=["w-nan", "w-inf", "a-nan", "length"])
+def test_rank1_closed_form_refuses_what_sketch_loss_refuses(a, w, match):
+    for loss in (lambda: rank1_closed_form_loss(a, w),
+                 lambda: sketch_loss(np.reshape(w, (1, -1)), a, 1)):
+        with pytest.raises(ValueError, match=match):
+            loss()

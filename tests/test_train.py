@@ -3,7 +3,7 @@ import pytest
 
 from sketchlab.linalg import fro_sq
 from sketchlab.sketching import random_sparse_sketch, sketch_loss
-from sketchlab.synth import random_instance, random_unit_matrix, zero_valued_sketch
+from sketchlab.synth import random_instance, random_unit_matrix
 from sketchlab.train import (
     TrainConfig,
     _descend,
@@ -85,7 +85,8 @@ def test_empirical_loss_cases():
     sk = random_sparse_sketch(3, 6, 1, 2)
     single = empirical_loss(sk, data[:1], 2)
     assert abs(single - sketch_loss(sk, data[0], 2)) < 1e-15
-    assert abs(empirical_loss(zero_valued_sketch(3, 6, 1, 2), data, 2) - 1.0) < 1e-12
+    zero = random_sparse_sketch(3, 6, 1, 2).with_values(np.zeros((6, 1)))
+    assert abs(empirical_loss(zero, data, 2) - 1.0) < 1e-12
 
 
 def test_mixed_shapes_are_named():
@@ -98,6 +99,13 @@ def test_mixed_shapes_are_named():
         sgd_train(sk, data, 1, TrainConfig(1, 0.1, 2))
     with pytest.raises(ValueError, match=r"matrix 1 has shape \(4,\)"):
         empirical_loss(sk, [np.eye(4, 3), np.ones(4)], 1)
+
+
+def test_an_array_that_is_not_a_stack_is_named_by_its_ndim():
+    # a single matrix is not a dataset of its rows
+    for data in (np.ones((4, 3)), np.ones((2, 2, 4, 3))):
+        with pytest.raises(ValueError, match=rf"\(N, n, d\) stack, got ndim={data.ndim}"):
+            make_dataset(data)
 
 
 def test_empirical_loss_zero_on_perfectly_sketched_rank_k():
@@ -241,7 +249,8 @@ def test_safeguard_shapes_and_pattern():
 def test_safeguard_with_zero_rows_keeps_loss():
     rng = np.random.default_rng(11)
     a, sk, k = random_instance(rng)
-    cat = safeguard(sk, zero_valued_sketch(2, sk.n, 1, 3))
+    zero = random_sparse_sketch(2, sk.n, 1, 3).with_values(np.zeros((sk.n, 1)))
+    cat = safeguard(sk, zero)
     assert abs(sketch_loss(cat, a, k) - sketch_loss(sk, a, k)) <= 1e-12
 
 
