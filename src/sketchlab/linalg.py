@@ -32,8 +32,9 @@ def _check_int(name, value, least=None):
 
 
 def _check_positive(name, value):
-    """Raise ValueError naming ``name`` unless ``value`` is finite and > 0."""
-    if not 0 < value < np.inf:
+    """Raise ValueError naming ``name`` unless ``value`` is finite and > 0
+    (a bool is not a rate)."""
+    if isinstance(value, (bool, np.bool_)) or not 0 < value < np.inf:
         raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 

@@ -7,6 +7,13 @@ the refined block that captures the most energy of B); it starts from the
 same validated row space of SA as the true loss.  With enough refinement
 steps the proxy over-estimates the true loss by at most ``epsilon`` and
 never under-estimates it.
+
+Callers ask for one instance at several ``epsilon`` in a row, and a larger
+``epsilon`` only lowers the refinement cap q.  So :func:`power_refine` keeps
+the state of its last run and, when it is called again with the same ``B``
+and starting blocks and a q no smaller than the steps already run, resumes
+that run instead of repeating it; the result is bit-identical to a fresh
+run.
 """
 
 import math
@@ -33,6 +40,12 @@ DEFAULT_Q_CONSTANT = 4.0
 # floor / (1 - rho), rho = (sigma_{k+1} / sigma_k)^2, and at most the gap
 # sigma_k^2 - sigma_{k+1}^2 as rho -> 1.  q stays the cap.
 _ENERGY_STALL_RTOL = 4 * np.finfo(float).eps
+
+# The state of power_refine's last run, (key, t, out, live, qmat, energy,
+# stalled), or None: its key holds the shapes, dtype and bytes of b and p,
+# t the steps run, and the rest the loop's variables after step t.  It is
+# only ever replaced whole.
+_last_run = None
 
 
 @dataclass
@@ -133,6 +146,13 @@ def power_refine(b: np.ndarray, p: np.ndarray, q: int) -> np.ndarray:
     without reaching the QR.  So every returned block either has
     orthonormal columns (``Q^T Q = I``, ``min(n, k)`` of them for an n-row
     ``B``) or is all zero, and ``Q Q^T`` is its projector.
+
+    The run is deterministic, so a run to a smaller q is a prefix of a run
+    to a larger one.  A call with the same ``b`` and ``p`` (equal shapes,
+    dtype and bytes) as the call just before it, and a ``q`` at least the
+    steps that call ran, resumes from that call's state instead of starting
+    again; its result is bit for bit that of a fresh run.  Any other call
+    starts fresh.
     """
     _check_int("q", q, 1)
     if p.ndim != 3 or p.shape[1] != b.shape[1]:
@@ -140,18 +160,24 @@ def power_refine(b: np.ndarray, p: np.ndarray, q: int) -> np.ndarray:
             f"p must be a (C, {b.shape[1]}, k) stack of blocks, got shape {p.shape}"
         )
 
+    global _last_run
     b = np.asarray(b, dtype=np.float64)  # _orthonormal takes float64 only
-    z = b @ p
-    n, k = z.shape[1:]
-    out = np.zeros((len(z), n, min(n, k)))  # the columns of a reduced QR
-    live = np.flatnonzero(np.abs(z).max(axis=(1, 2)) != 0.0)
-    if live.size == 0:
-        return out
+    key = (b.shape, b.tobytes(), p.shape, p.dtype.str, p.tobytes())
+    run = _last_run  # read once: another thread may replace it
+    if run is not None and run[0] == key and q >= run[1]:
+        _, t, out, live, qmat, energy, stalled = run
+        out = out.copy()
+    else:
+        t = 0
+        z = b @ p
+        n, k = z.shape[1:]
+        out = np.zeros((len(z), n, min(n, k)))  # the columns of a reduced QR
+        live = np.flatnonzero(np.abs(z).max(axis=(1, 2)) != 0.0)
+        qmat = _orthonormal(z[live]) if live.size else None  # a fresh copy
+        energy = np.full(live.size, -np.inf)
+        stalled = np.zeros(live.size, dtype=np.int64)
     floor = _ENERGY_STALL_RTOL * fro_sq(b)
-    qmat = _orthonormal(z[live])  # z[live] is a fresh copy
-    energy = np.full(live.size, -np.inf)
-    stalled = np.zeros(live.size, dtype=np.int64)
-    for _ in range(q):
+    while live.size and t < q:
         btq = b.T @ qmat
         e = fro_sq(btq)  # ||B^T Q||_F^2 per block
         stalled = np.where(e - energy <= floor, stalled + 1, 0)
@@ -162,10 +188,13 @@ def power_refine(b: np.ndarray, p: np.ndarray, q: int) -> np.ndarray:
             keep = ~done
             live, qmat, btq = live[keep], qmat[keep], btq[keep]
             energy, stalled = energy[keep], stalled[keep]
-            if live.size == 0:
-                return out
-        qmat = _orthonormal(b @ btq)
-    out[live] = qmat
+        t += 1
+        if live.size:
+            qmat = _orthonormal(b @ btq)
+    # no stored array is ever written to: each step makes new ones
+    _last_run = (key, t, out.copy(), live, qmat, energy, stalled)
+    if live.size:
+        out[live] = qmat
     return out
 
 

@@ -60,6 +60,7 @@ def rank1_family(n: int, d: int) -> ShatterFamily:
     entry at row i, column 0.  The base sketch is the zero row vector and
     member ``i``'s slot is its entry ``i``: indicator sketching vectors
     shatter the family with losses exactly 0 and 1."""
+    _check_int("n", n, 1)
     _check_int("d", d, 1)
     base = SparseSketch(1, n, 1, np.zeros((n, 1)), np.zeros((n, 1)))
     return _family(base, [(i, 0) for i in range(n)], d, "rank1-indicator")
@@ -67,6 +68,8 @@ def rank1_family(n: int, d: int) -> ShatterFamily:
 
 def _block_gadget(n: int, k: int, s: int):
     """Base sketch and slots of the block family (see :func:`block_family`)."""
+    for name, count in (("n", n), ("k", k), ("s", s)):
+        _check_int(name, count)
     if not (1 <= s <= k < n):
         raise ValueError(f"need 1 <= s <= k < n, got s={s}, k={k}, n={n}")
     if k % s != 0 or (n * s) % k != 0:

@@ -111,6 +111,8 @@ def random_sparse_sketch(m: int, n: int, s: int, seed) -> SparseSketch:
     uniform +-1 value.  ``seed`` may be an int or a ``numpy`` Generator;
     a fixed int seed reproduces the sketch exactly.
     """
+    for name, count in (("m", m), ("n", n), ("s", s)):
+        _check_int(name, count)
     if not (1 <= s <= m):
         raise ValueError(f"need 1 <= s <= m, got s={s}, m={m}")
     if m > n:

@@ -4,8 +4,8 @@ import pytest
 from sketchlab import gjdemos
 from sketchlab.linalg import _orthonormal, as_matrix, best_rank_k, fro_sq, pinv, svd
 from sketchlab.proxy import ProxyConfig, proxy_loss, q_iterations
-from sketchlab.shatter import rank1_family
-from sketchlab.sketching import sketch_loss
+from sketchlab.shatter import block_family, dense_family, rank1_family
+from sketchlab.sketching import random_sparse_sketch, sketch_loss
 
 from oracles import jacobi_singular_values
 
@@ -172,8 +172,17 @@ def test_orthonormal_is_np_qr_q_bit_for_bit():
     (lambda: sketch_loss(np.ones((2, 4)), np.eye(4, 3), 1.0), "k"),
     (lambda: proxy_loss(np.ones((2, 4)), np.eye(4, 3), 1.0, ProxyConfig(0.5)), "k"),
     (lambda: gjdemos.power_trace(np.eye(2), np.ones(2), -1), "q"),
+    (lambda: ProxyConfig(0.1, q_constant=True), "q_constant"),
+    (lambda: random_sparse_sketch(3.0, 6, 1, 0), "m"),
+    (lambda: random_sparse_sketch(3, 6, 1.5, 0), "s"),
+    (lambda: block_family(10, 2.0, 1), "k"),
+    (lambda: dense_family(6, 2.0), "k"),
+    (lambda: rank1_family(4.0, 2), "n"),
 ], ids=["q_iterations-d", "q_iterations-q_constant", "best_rank_k-k",
-        "rank1_family-d", "sketch_loss-k", "proxy_loss-k", "power_trace-q"])
+        "rank1_family-d", "sketch_loss-k", "proxy_loss-k", "power_trace-q",
+        "ProxyConfig-q_constant-bool", "random_sparse_sketch-m",
+        "random_sparse_sketch-s", "block_family-k", "dense_family-k",
+        "rank1_family-n"])
 def test_counts_and_rates_are_refused_by_name(call, name):
     # each count is an integer of at least some value, each rate finite and > 0
     with pytest.raises(ValueError, match=f"^{name} must be "):

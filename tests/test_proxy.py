@@ -157,8 +157,10 @@ def _candidate_stack(d, k):
 
 
 def _count_qr_blocks(monkeypatch):
-    """Record the number of blocks in every QR that power_refine makes."""
+    """Record the number of blocks in every QR that power_refine makes.
+    Forgets power_refine's last run, so no call resumes one made before."""
     sizes = []
+    monkeypatch.setattr(proxy, "_last_run", None)
     orthonormal = proxy._orthonormal
 
     def counting_orthonormal(z):
@@ -280,6 +282,68 @@ def test_power_refine_stops_on_exact_and_rank_deficient_blocks(monkeypatch):
         for z in out:
             proj = _projector(z.T)
             assert fro_sq(b - proj @ b) <= 1e-12 * fro_sq(b)
+
+
+def _fresh_qr_sizes(monkeypatch, sizes, b, stack, q):
+    """The QR block counts of a run to q that resumes nothing."""
+    monkeypatch.setattr(proxy, "_last_run", None)
+    sizes.clear()
+    power_refine(b, stack, q)
+    return list(sizes)
+
+
+def test_power_refine_resumes_when_only_q_grows(monkeypatch):
+    rng = np.random.default_rng(13)
+    b = rng.standard_normal((6, 5))
+    stack = _candidate_stack(5, 2)
+    sizes = _count_qr_blocks(monkeypatch)
+    fresh = _fresh_qr_sizes(monkeypatch, sizes, b, stack, 60)
+    assert len(fresh) > 5  # some block is still refining after step 4
+    monkeypatch.setattr(proxy, "_last_run", None)
+    sizes.clear()
+    for q in (1, 4, 60):
+        assert np.array_equal(power_refine(b, stack, q), power_refine_qr(b, stack, q))
+    # the three calls together make exactly the QR calls of one run to 60
+    assert sizes == fresh
+
+
+def test_power_refine_smaller_q_after_a_capped_run_starts_fresh(monkeypatch):
+    rng = np.random.default_rng(14)
+    b = rng.standard_normal((6, 5))
+    stack = _candidate_stack(5, 2)
+    sizes = _count_qr_blocks(monkeypatch)
+    fresh = _fresh_qr_sizes(monkeypatch, sizes, b, stack, 3)
+    capped = power_refine(b, stack, 6)  # resumes the run to 3
+    sizes.clear()
+    out = power_refine(b, stack, 3)
+    assert sizes == fresh
+    assert np.array_equal(out, power_refine_qr(b, stack, 3))
+    assert not np.array_equal(out, capped)
+
+
+def test_power_refine_result_is_not_the_stored_run():
+    rng = np.random.default_rng(15)
+    b = rng.standard_normal((6, 5))
+    stack = _candidate_stack(5, 2)
+    for q, again in [(60, 60), (2, 60)]:  # all blocks stopped; capped
+        out = power_refine(b, stack, q)
+        out[:] = 7.0
+        assert np.array_equal(power_refine(b, stack, again),
+                              power_refine_qr(b, stack, again))
+
+
+def test_power_refine_same_bytes_in_another_shape_start_fresh(monkeypatch):
+    rng = np.random.default_rng(16)
+    b = rng.standard_normal((6, 4))
+    stack = _candidate_stack(4, 2)                       # (6, 4, 2)
+    reshaped = stack.reshape(3, 4, 4)   # the same bytes: 3 blocks of k = 4
+    sizes = _count_qr_blocks(monkeypatch)
+    fresh = _fresh_qr_sizes(monkeypatch, sizes, b, reshaped, 60)
+    power_refine(b, stack, 60)
+    sizes.clear()
+    out = power_refine(b, reshaped, 60)
+    assert sizes == fresh
+    assert np.array_equal(out, power_refine_qr(b, reshaped, 60))
 
 
 def test_proxy_loss_matches_per_candidate_loop():
