@@ -51,18 +51,3 @@ print(f"oblivious mean (20):    {np.mean(oblivious):.5f}  "
 
 guard = sl.safeguard(trained, sl.random_sparse_sketch(m, n, s, 99))
 print("safeguarded held-out loss:", sl.empirical_loss(guard, held_out, k))
-
-# %%
-# A cheaper surrogate objective scores a sketch by how well S^T S acts as
-# the identity on the top-k left singular directions of the input: it hits
-# zero when the sketch rows are those directions themselves, and degrades
-# as the rows lose alignment.
-
-a = held_out[0]
-u = np.linalg.svd(a, full_matrices=True)[0]
-print("surrogate loss, rows = top-k directions:",
-      sl.few_shot_loss(u[:, :k].T, a, k))
-print("surrogate loss, zero sketch (= k):      ",
-      sl.few_shot_loss(np.zeros((m, n)), a, k))
-print("surrogate loss, oblivious sketch:       ",
-      sl.few_shot_loss(sl.random_sparse_sketch(m, n, s, 1000), a, k))

@@ -58,7 +58,6 @@ from .sketching import (
 from .train import (
     TrainConfig,
     empirical_loss,
-    few_shot_loss,
     make_dataset,
     safeguard,
     sgd_train,

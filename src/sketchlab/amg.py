@@ -84,12 +84,12 @@ class AMGProblem:
         self.a = np.asarray(self.a, dtype=np.float64)
         self.b = np.asarray(self.b, dtype=np.float64).reshape(-1)
         self.p = np.asarray(self.p, dtype=np.float64)
-        n = self.a.shape[0]
-        if self.a.shape != (n, n):
+        if self.a.ndim != 2 or self.a.shape[0] != self.a.shape[1]:
             raise ValueError(f"A must be square, got {self.a.shape}")
+        n = self.a.shape[0]
         if self.b.size != n:
             raise ValueError(f"b has length {self.b.size}, expected {n}")
-        if self.p.shape[0] != n or self.p.shape[1] < 1:
+        if self.p.ndim != 2 or self.p.shape[0] != n or self.p.shape[1] < 1:
             raise ValueError(f"P must be n-by-m, got {self.p.shape}")
         # zero sweeps are allowed so the bare coarse correction is testable
         _check_int("s1", self.s1, 0)

@@ -92,7 +92,12 @@ def charpoly_coefficients(m: np.ndarray) -> np.ndarray:
 
 
 def charpoly_free_coeff(m: np.ndarray) -> float:
-    """Free coefficient ``(-1)^k det(M)``, nonzero iff M has full rank."""
+    """Free coefficient ``(-1)^k det(M)``, the exact value rounded to float.
+
+    The rounding can underflow: ``1e-200 * I_2`` has full rank, yet its
+    free coefficient 1e-400 reads 0.0.  :func:`is_numerically_singular`
+    gives the exact verdict.
+    """
     return float(charpoly_coefficients(m)[-1])
 
 

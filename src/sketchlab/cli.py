@@ -413,7 +413,8 @@ def run_experiment(command: str, cfg: dict, seed: int = 0) -> dict:
         errors = ["config root must be a JSON object"]
     if errors:
         raise ConfigError(errors)
-    passed, metrics, rows = run(cfg, seed, inputs)
+    # every consumer sees the root seed mod 2^64, as named_stream does
+    passed, metrics, rows = run(cfg, seed & (2**64 - 1), inputs)
     return {
         "command": command,
         "config": dict(sorted(cfg.items())),

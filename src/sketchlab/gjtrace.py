@@ -90,15 +90,24 @@ class Trace:
             raise TypeError("Trace.const takes a number, not a traced value")
         return self._make(("const", float(value)), 0, 0, value)
 
+    def _refuse_operands(self, kind, *values):
+        """Raise the error of the first of ``values`` that is not a traced
+        value of this trace: the one operand check of :meth:`op` and
+        :meth:`branch`, which call it only when their inline test fails."""
+        for v in values:
+            if not isinstance(v, TracedValue):
+                raise TypeError(f"{type(v).__name__} operand of {kind}: "
+                                "lift every number with Trace.const")
+            if v.trace is not self:
+                raise ValueError("cannot mix values from different traces")
+
     def op(self, a: TracedValue, b: TracedValue, kind: str) -> TracedValue:
         """Apply one of ``+ - * /``; degree bounds compose conservatively
         (no cancellation is assumed), and ``/`` is ``*`` by the divisor
         with its degrees swapped."""
-        if not (isinstance(a, TracedValue) and isinstance(b, TracedValue)):
-            raise TypeError(f"{type(a).__name__} {kind} {type(b).__name__}: "
-                            "lift every number with Trace.const")
-        if a.trace is not self or b.trace is not self:
-            raise ValueError("cannot mix values from different traces")
+        if not (isinstance(a, TracedValue) and isinstance(b, TracedValue)
+                and a.trace is self and b.trace is self):
+            self._refuse_operands(kind, a, b)
         b_num, b_den = (b.den_deg, b.num_deg) if kind == "/" else (b.num_deg, b.den_deg)
         if kind in ("+", "-"):
             numeric = a.numeric + b.numeric if kind == "+" else a.numeric - b.numeric
@@ -113,6 +122,8 @@ class Trace:
 
     def branch(self, v: TracedValue) -> bool:
         """Record the predicate "v >= 0" and return its concrete outcome."""
+        if not (isinstance(v, TracedValue) and v.trace is self):
+            self._refuse_operands("branch", v)
         self.predicate_nodes.add(v.node)
         return v.numeric >= 0.0
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _check_int, _check_positive
+from .linalg import _check_int, _check_positive, _check_seed
 from .sketching import SparseSketch, sketch_loss
 
 
@@ -144,6 +144,7 @@ def verify_shattering(family: ShatterFamily, subset_budget: int = 256,
     empty.
     """
     _check_positive("gamma", gamma)
+    _check_seed(seed)
     n_members = len(family.matrices)
     k = family.base.m
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import SvdResult, _check_int, best_rank_k, fro_sq, svd
+from .linalg import SvdResult, _check_int, _check_seed, best_rank_k, fro_sq, svd
 
 
 @dataclass(eq=False)
@@ -93,6 +93,9 @@ def _dense(sketch, a: np.ndarray) -> np.ndarray:
         s_mat = np.asarray(sketch, float)
         if not np.isfinite(s_mat).all():
             raise ValueError("sketch contains non-finite entries")
+    for name, arr in (("sketch", s_mat), ("matrix", a)):
+        if arr.ndim < 2:
+            raise ValueError(f"{name} must have ndim >= 2, got ndim={arr.ndim}")
     if s_mat.shape[-1] != a.shape[-2]:
         raise ValueError(
             f"sketch has {s_mat.shape[-1]} columns but the matrix has "
@@ -108,11 +111,12 @@ def random_sparse_sketch(m: int, n: int, s: int, seed) -> SparseSketch:
 
     Each column gets ``s`` slot positions drawn uniformly without
     replacement from the ``m`` rows, each filled with an independent
-    uniform +-1 value.  ``seed`` may be an int or a ``numpy`` Generator;
-    a fixed int seed reproduces the sketch exactly.
+    uniform +-1 value.  ``seed`` may be an int >= 0, None or a ``numpy``
+    Generator; a fixed int seed reproduces the sketch exactly.
     """
     for name, count in (("m", m), ("n", n), ("s", s)):
         _check_int(name, count)
+    _check_seed(seed)
     if not (1 <= s <= m):
         raise ValueError(f"need 1 <= s <= m, got s={s}, m={m}")
     if m > n:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _check_int, _check_positive, fro_sq
-from .sketching import SparseSketch, _dense, sketch_loss, sketch_loss_and_grad
+from .linalg import _check_int, _check_positive, _check_seed, fro_sq
+from .sketching import SparseSketch, sketch_loss, sketch_loss_and_grad
 
 
 @dataclass
@@ -34,6 +34,7 @@ class TrainConfig:
         _check_int("epochs", self.epochs, 0)
         _check_positive("step_size", self.step_size)
         _check_int("batch_size", self.batch_size, 1)
+        _check_seed(self.seed)
         if not (0 < self.fd_step <= 1e-3):
             raise ValueError(f"fd_step must be in (0, 1e-3], got {self.fd_step}")
 
@@ -159,21 +160,3 @@ def safeguard(learned: SparseSketch, oblivious: SparseSketch) -> SparseSketch:
         learned.m + oblivious.m, learned.n, learned.s + oblivious.s,
         pattern, values,
     )
-
-
-def few_shot_loss(sketch, a: np.ndarray, k: int) -> float:
-    """Surrogate training loss ``||U_k^T S^T S U - I0||_F^2``.
-
-    ``U`` is the full n-by-n left factor of the SVD of ``a`` (orthonormal
-    completion included) and ``I0`` is the order-``k`` identity padded on
-    the right with zero columns.  Zero when the sketch rows coincide with
-    the top-``k`` left singular vectors; equal to ``k`` for a zero sketch.
-    """
-    n = a.shape[0]
-    _check_int("k", k)
-    if not (1 <= k <= n):
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    s_mat = _dense(sketch, a)
-    u, _, _ = np.linalg.svd(a, full_matrices=True)
-    m = u[:, :k].T @ s_mat.T @ s_mat @ u
-    return fro_sq(m - np.eye(k, n))

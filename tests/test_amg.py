@@ -240,6 +240,8 @@ def _problem_args(**changes):
     ({"p": np.array([[1.0], [1.0], [1.0], [np.inf]])}, "^P must be finite"),
     ({"b": np.array([np.nan, 1.0, 1.0, 1.0])}, "^b must be finite"),
     ({"x0": np.array([0.0, 0.0, np.nan, 0.0])}, "^x0 must be finite"),
+    ({"p": np.ones(4)}, r"^P must be n-by-m, got \(4,\)"),
+    ({"a": np.float64(2.0)}, r"^A must be square, got \(\)"),
 ])
 def test_problem_refuses_non_integer_counts_and_non_finite_arrays(changes, match):
     with pytest.raises(ValueError, match=match):

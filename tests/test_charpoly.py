@@ -124,6 +124,9 @@ def test_singularity_test_and_inverse_are_scale_free(scale):
     x = charpoly_inverse(scale * m)
     assert np.linalg.norm((scale * m) @ x - np.eye(4)) <= 1e-7 * 4
     np.testing.assert_allclose(scale * x, charpoly_inverse(m), rtol=1e-8)
+    # full rank, but the free coefficient 1e-400 rounds to 0.0
+    assert charpoly_free_coeff(1e-200 * np.eye(2)) == 0.0
+    assert not is_numerically_singular(1e-200 * np.eye(2))
 
 
 def test_charpoly_overflow_is_a_named_error():

@@ -225,6 +225,19 @@ def test_echoed_defaults_are_not_shared_between_runs():
     assert second["config"]["epsilons"] == [0.1]
 
 
+# FIXED: a negative --seed reached numpy unmasked and failed the run
+@pytest.mark.parametrize("command, cfg", [
+    ("train", {"data_dir": "<data>", "m": 3, "k": 2, "epochs": 1}),
+    ("shatter-verify", {"family": "block", "n": 18, "k": 2, "s": 1}),
+])
+def test_a_negative_seed_runs_as_its_value_mod_2_to_the_64(paths, command, cfg):
+    low = run_experiment(command, _fill(cfg, paths), seed=-3)
+    high = run_experiment(command, _fill(cfg, paths), seed=2**64 - 3)
+    assert low["seed"] == -3
+    for key in ("pass", "metrics", "rows"):
+        assert low[key] == high[key]
+
+
 # FIXED: the JSON report went to r.csv and the CSV table then overwrote it
 @pytest.mark.parametrize("out", ["r.csv", "R.CSV"])
 def test_out_path_ending_in_csv_is_refused_before_running(tmp_path, capsys, out):

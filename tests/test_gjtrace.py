@@ -79,6 +79,10 @@ def test_raw_numbers_must_be_lifted_with_const():
             raw * x
     with pytest.raises(TypeError, match=r"Trace\.const"):
         tr.op(1.0, x, "-")
+    with pytest.raises(TypeError, match=r"Trace\.const"):
+        gj_argmin(tr, [1.0, 2.0])  # the raw difference reaches branch
+    with pytest.raises(ValueError, match="different traces"):
+        tr.branch(Trace().input("x", 1.0))
     with pytest.raises(TypeError, match="not a traced value"):
         tr.const(x)
     assert (x + tr.const(1.0)).numeric == 2.0

@@ -4,8 +4,9 @@ import pytest
 from sketchlab import gjdemos
 from sketchlab.linalg import _orthonormal, as_matrix, best_rank_k, fro_sq, pinv, svd
 from sketchlab.proxy import ProxyConfig, proxy_loss, q_iterations
-from sketchlab.shatter import block_family, dense_family, rank1_family
+from sketchlab.shatter import block_family, dense_family, rank1_family, verify_shattering
 from sketchlab.sketching import random_sparse_sketch, sketch_loss
+from sketchlab.train import TrainConfig
 
 from oracles import jacobi_singular_values
 
@@ -178,12 +179,17 @@ def test_orthonormal_is_np_qr_q_bit_for_bit():
     (lambda: block_family(10, 2.0, 1), "k"),
     (lambda: dense_family(6, 2.0), "k"),
     (lambda: rank1_family(4.0, 2), "n"),
+    (lambda: random_sparse_sketch(3, 6, 1, -3), "seed"),
+    (lambda: verify_shattering(rank1_family(4, 2), seed=1.5), "seed"),
+    (lambda: TrainConfig(1, 0.1, 1, seed=True), "seed"),
 ], ids=["q_iterations-d", "q_iterations-q_constant", "best_rank_k-k",
         "rank1_family-d", "sketch_loss-k", "proxy_loss-k", "power_trace-q",
         "ProxyConfig-q_constant-bool", "random_sparse_sketch-m",
         "random_sparse_sketch-s", "block_family-k", "dense_family-k",
-        "rank1_family-n"])
+        "rank1_family-n", "random_sparse_sketch-seed",
+        "verify_shattering-seed", "TrainConfig-seed-bool"])
 def test_counts_and_rates_are_refused_by_name(call, name):
-    # each count is an integer of at least some value, each rate finite and > 0
+    # each count is an integer of at least some value, each rate finite and
+    # > 0, each seed an integer >= 0, None or a numpy Generator
     with pytest.raises(ValueError, match=f"^{name} must be "):
         call()

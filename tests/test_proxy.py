@@ -454,7 +454,10 @@ def test_proxy_config_validation():
     (np.ones((2, 4)), np.full((4, 3), np.nan), 1, "non-finite"),
     (np.ones((2, 4)), np.full((4, 3), -np.inf), 1, "non-finite"),
     (np.full((2, 4), np.nan), np.ones((4, 3)), 1, "sketch contains non-finite"),
-], ids=["width", "k-zero", "k-above-min", "nan", "inf", "sketch-nan"])
+    (np.ones((2, 4)), np.ones(3), 1, "matrix must have ndim >= 2, got ndim=1"),
+    (np.ones(4), np.ones((4, 3)), 1, "sketch must have ndim >= 2, got ndim=1"),
+], ids=["width", "k-zero", "k-above-min", "nan", "inf", "sketch-nan", "a-1d",
+        "sketch-1d"])
 def test_proxy_loss_rejects_what_sketch_loss_rejects(sketch, a, k, match):
     with pytest.raises(ValueError, match=match):
         sketch_loss(sketch, a, k)

@@ -180,7 +180,8 @@ def test_rank1_closed_form_matches_pipeline():
     (np.array([[1.0, np.nan], [1.0, 1.0], [1.0, 1.0]]), [1.0, 0.0, 0.0],
      "matrix contains non-finite"),
     (np.ones((3, 2)), [1.0, 0.0], "sketch has 2 columns but the matrix has 3 rows"),
-], ids=["w-nan", "w-inf", "a-nan", "length"])
+    (np.ones(3), [1.0, 0.0, 0.0], "matrix must have ndim >= 2, got ndim=1"),
+], ids=["w-nan", "w-inf", "a-nan", "length", "a-1d"])
 def test_rank1_closed_form_refuses_what_sketch_loss_refuses(a, w, match):
     for loss in (lambda: rank1_closed_form_loss(a, w),
                  lambda: sketch_loss(np.reshape(w, (1, -1)), a, 1)):

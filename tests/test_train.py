@@ -3,18 +3,17 @@ import pytest
 
 from sketchlab.linalg import fro_sq
 from sketchlab.sketching import random_sparse_sketch, sketch_loss
-from sketchlab.synth import random_instance, random_unit_matrix
+from sketchlab.synth import random_instance
 from sketchlab.train import (
     TrainConfig,
     _descend,
     empirical_loss,
-    few_shot_loss,
     make_dataset,
     safeguard,
     sgd_train,
 )
 
-from oracles import central_difference_grad, finite_difference_sgd, jacobi_eigh
+from oracles import central_difference_grad, finite_difference_sgd
 
 
 def test_train_config_validation():
@@ -210,6 +209,8 @@ def test_descent_aborts_on_non_finite_loss_or_gradient():
 def test_empty_training_sets_are_named():
     with pytest.raises(ValueError, match="dataset must be nonempty"):
         sgd_train(random_sparse_sketch(3, 6, 1, 2), [], 2, TrainConfig(1, 0.1, 1))
+    with pytest.raises(ValueError, match="dataset must be nonempty"):
+        empirical_loss(random_sparse_sketch(3, 6, 1, 2), [], 2)
 
 
 def test_fd_gradient_matches_four_point_stencil():
@@ -262,39 +263,3 @@ def test_safeguard_never_worse_than_either_input():
         cat = safeguard(sk, other)
         bound = min(sketch_loss(sk, a, k), sketch_loss(other, a, k))
         assert sketch_loss(cat, a, k) <= bound + 1e-8
-
-
-def test_few_shot_loss_special_cases():
-    rng = np.random.default_rng(13)
-    a = random_unit_matrix(rng, 6, 5)
-    k = 2
-    u = np.linalg.svd(a, full_matrices=True)[0]
-    assert few_shot_loss(u[:, :k].T, a, k) <= 1e-12
-    assert abs(few_shot_loss(np.zeros((3, 6)), a, k) - k) <= 1e-12
-
-
-def test_few_shot_loss_matches_independent_svd_route():
-    rng = np.random.default_rng(14)
-    a = random_unit_matrix(rng, 5, 4)
-    k = 2
-    sk = random_sparse_sketch(3, 5, 2, 15)
-    # rebuild the left factor from a Jacobi eigendecomposition of A A^T
-    w, u_full = jacobi_eigh(a @ a.T)
-    order = np.argsort(w)[::-1]
-    u_full = u_full[:, order]
-    s_mat = sk.dense()
-    i0 = np.zeros((k, 5))
-    i0[:, :k] = np.eye(k)
-    expected = fro_sq(u_full[:, :k].T @ s_mat.T @ s_mat @ u_full - i0)
-    assert abs(few_shot_loss(sk, a, k) - expected) <= 1e-8
-
-
-def test_few_shot_and_empirical_loss_name_bad_inputs():
-    rng = np.random.default_rng(16)
-    a = random_unit_matrix(rng, 6, 4)
-    with pytest.raises(ValueError, match="sketch has 5 columns but .* 6 rows"):
-        few_shot_loss(np.ones((2, 5)), a, 2)
-    with pytest.raises(ValueError, match="non-finite"):
-        few_shot_loss(np.ones((2, 6)), np.full((6, 4), np.nan), 2)
-    with pytest.raises(ValueError, match="dataset must be nonempty"):
-        empirical_loss(random_sparse_sketch(3, 6, 1, 2), [], 2)
