@@ -3,7 +3,7 @@ import pytest
 
 from sketchlab.linalg import fro_sq
 from sketchlab.sketching import random_sparse_sketch, sketch_loss
-from sketchlab.synth import random_instance
+from sketchlab.synth import random_instance, random_unit_matrix
 from sketchlab.train import (
     TrainConfig,
     _descend,
@@ -209,8 +209,6 @@ def test_descent_aborts_on_non_finite_loss_or_gradient():
 def test_empty_training_sets_are_named():
     with pytest.raises(ValueError, match="dataset must be nonempty"):
         sgd_train(random_sparse_sketch(3, 6, 1, 2), [], 2, TrainConfig(1, 0.1, 1))
-    with pytest.raises(ValueError, match="dataset must be nonempty"):
-        empirical_loss(random_sparse_sketch(3, 6, 1, 2), [], 2)
 
 
 def test_fd_gradient_matches_four_point_stencil():
@@ -263,3 +261,15 @@ def test_safeguard_never_worse_than_either_input():
         cat = safeguard(sk, other)
         bound = min(sketch_loss(sk, a, k), sketch_loss(other, a, k))
         assert sketch_loss(cat, a, k) <= bound + 1e-8
+
+
+def test_few_shot_and_empirical_loss_name_bad_inputs():
+    # few_shot_loss is retired; empirical_loss names the same bad inputs
+    rng = np.random.default_rng(16)
+    a = random_unit_matrix(rng, 6, 4)
+    with pytest.raises(ValueError, match="sketch has 5 columns but .* 6 rows"):
+        empirical_loss(np.ones((2, 5)), [a], 2)
+    with pytest.raises(ValueError, match="non-finite"):
+        empirical_loss(np.ones((2, 6)), [np.full((6, 4), np.nan)], 2)
+    with pytest.raises(ValueError, match="dataset must be nonempty"):
+        empirical_loss(random_sparse_sketch(3, 6, 1, 2), [], 2)
