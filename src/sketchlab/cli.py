@@ -22,7 +22,7 @@ import numpy as np
 
 from . import gjdemos
 from .amg import amg_step, amg_step_error_form
-from .linalg import fro_sq
+from .linalg import _check_int, fro_sq
 from .matio import (
     MatrixFormatError,
     load_sketch,
@@ -400,6 +400,8 @@ def run_experiment(command: str, cfg: dict, seed: int = 0) -> dict:
     """Run one subcommand and return its report document.  Config faults are
     raised together: unknown keys, a missing dataset, rules, cross-key checks."""
     start = time.monotonic()
+    # any int, negative ones too: the mask below takes it mod 2^64
+    _check_int("seed", seed)
     table, checks, run = _COMMANDS[command]
     if isinstance(cfg, dict):
         cfg = {key: deepcopy(default) for key, (default, _) in table.items()} | cfg

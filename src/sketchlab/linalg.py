@@ -133,6 +133,8 @@ def best_rank_k(a: np.ndarray, k: int) -> np.ndarray:
     If ``k`` is at least the numerical rank, returns ``a`` up to roundoff.
     A stack ``(..., n, d)`` gives each matrix's approximation.
     """
+    if not isinstance(a, np.ndarray):
+        raise TypeError(f"a must be a numpy array, got {type(a).__name__}")
     _check_int("k", k, 1)
     u, s, v = svd(a)
     return (u[..., :k] * s[..., None, :k]) @ v[..., :k].swapaxes(-1, -2)

@@ -16,6 +16,11 @@ import numpy as np
 from .linalg import _check_int, _check_positive, _check_seed
 from .sketching import SparseSketch, sketch_loss
 
+# the member-stack elements (subsets per call times N n d) that one
+# sketch_loss call of verify_shattering may hold; its SA, A V and residual
+# stacks grow with it (8 MB for the residuals at the cap)
+_STACK_ELEMENTS = 2 ** 20
+
 
 @dataclass
 class ShatterFamily:
@@ -135,7 +140,11 @@ def verify_shattering(family: ShatterFamily, subset_budget: int = 256,
     the family has at most 14 members; otherwise ``subset_budget`` (at
     least 1) random subsets are drawn from the given seed.  The sketches
     of all S checked subsets are held at once, as one (S, m, n) stack, and
-    each takes one stacked ``sketch_loss`` call over the N members.
+    the (S, N) losses of every (subset, member) pair come from
+    ``sketch_loss`` calls that broadcast it against the N members: one
+    call per chunk of subsets, a chunk holding at most ``_STACK_ELEMENTS``
+    elements of member stacks (one subset when the (N, n, d) stack alone
+    holds more).  A small family takes a single call.
 
     Returns a JSON-ready report with per-family margins, including the
     smallest observed off-sketch loss compared against the ``1/k`` and
@@ -168,7 +177,11 @@ def verify_shattering(family: ShatterFamily, subset_budget: int = 256,
     subset, member = np.nonzero(~inside)
     j, t = family.slots[member].T
     sketches[subset, family.base.pattern[j, t], j] = 1.0
-    losses = np.stack([sketch_loss(sk, family.matrices, k) for sk in sketches])
+    # each chunk of subsets against the members: a (chunk, N) loss table
+    step = max(1, _STACK_ELEMENTS // family.matrices.size)
+    losses = np.concatenate([sketch_loss(sketches[c:c + step, None],
+                                         family.matrices, k)
+                             for c in range(0, checked, step)])
 
     r = family.thresholds
     margins = np.where(inside, losses - (r + gamma), (r - gamma) - losses)

@@ -85,14 +85,16 @@ class SparseSketch:
 
 
 def _dense(sketch, a: np.ndarray) -> np.ndarray:
-    """The finite dense sketch, checked to fit the finite matrix ``a``
-    (either may be a stack)."""
+    """The finite dense sketch, checked to fit the finite matrix ``a``, a
+    numpy array (either may be a stack)."""
     if hasattr(sketch, "dense"):
         s_mat = sketch.dense()
     else:
         s_mat = np.asarray(sketch, float)
         if not np.isfinite(s_mat).all():
             raise ValueError("sketch contains non-finite entries")
+    if not isinstance(a, np.ndarray):
+        raise TypeError(f"matrix must be a numpy array, got {type(a).__name__}")
     for name, arr in (("sketch", s_mat), ("matrix", a)):
         if arr.ndim < 2:
             raise ValueError(f"{name} must have ndim >= 2, got ndim={arr.ndim}")
@@ -209,7 +211,8 @@ def rank1_closed_form_loss(a: np.ndarray, w: np.ndarray) -> float:
     ``ValueError`` for a length of ``w`` that does not fit ``a`` and for a
     non-finite entry in either.
     """
-    t = a.T @ _dense(np.reshape(w, (1, -1)), a)[0]
+    row = _dense(np.reshape(w, (1, -1)), a)[0]
+    t = a.T @ row
     if not t.any():
         return fro_sq(a)
     t = t / np.abs(t).max()

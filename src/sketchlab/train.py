@@ -21,7 +21,10 @@ class TrainConfig:
     """Hyperparameters for mini-batch SGD.
 
     ``fd_step`` is a central-difference step, validated but read by no
-    package code; it is kept for callers that still pass it.
+    package code; it is kept for callers that still pass it.  An int
+    ``seed`` (or None) is the seed of each run's own generator, so an int
+    reproduces the run; a ``numpy`` Generator is drawn from directly and
+    advances, so each run with that config shuffles differently.
     """
 
     epochs: int
@@ -94,10 +97,12 @@ def _descend(vals, data, cfg: TrainConfig, batch_grads, mean_loss,
     ``amg.train_prolongation``: each epoch shuffles ``data`` afresh and
     steps once per batch ``idx`` against the mean gradient, from the
     batch's losses and summed gradient that ``batch_grads(vals, idx)``
-    returns as arrays.  With a fixed config the trajectory is
-    deterministic.  ``mean_loss(vals)`` is appended to ``history`` after
-    each epoch when a list is passed.  Aborts with a diagnostic if a loss
-    or the gradient evaluates non-finite.
+    returns as arrays.  The shuffles come from
+    ``np.random.default_rng(cfg.seed)``: an int seed gives the same
+    trajectory on every call, while a Generator seed is that generator
+    itself and advances with each call.  ``mean_loss(vals)`` is appended
+    to ``history`` after each epoch when a list is passed.  Aborts with a
+    diagnostic if a loss or the gradient evaluates non-finite.
     """
     n = len(_nonempty(data))
     rng = np.random.default_rng(cfg.seed)

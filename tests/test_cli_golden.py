@@ -238,6 +238,13 @@ def test_a_negative_seed_runs_as_its_value_mod_2_to_the_64(paths, command, cfg):
         assert low[key] == high[key]
 
 
+# FIXED: a float seed failed in the mod-2^64 mask with a bare TypeError
+@pytest.mark.parametrize("seed, shown", [(1.5, "1.5"), (True, "True"), ("3", "'3'")])
+def test_a_seed_that_is_not_an_integer_is_refused_by_name(seed, shown):
+    with pytest.raises(ValueError, match=f"^seed must be an integer, got {shown}$"):
+        run_experiment("shatter-verify", {}, seed=seed)
+
+
 # FIXED: the JSON report went to r.csv and the CSV table then overwrote it
 @pytest.mark.parametrize("out", ["r.csv", "R.CSV"])
 def test_out_path_ending_in_csv_is_refused_before_running(tmp_path, capsys, out):

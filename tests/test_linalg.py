@@ -5,7 +5,12 @@ from sketchlab import gjdemos
 from sketchlab.linalg import _orthonormal, as_matrix, best_rank_k, fro_sq, pinv, svd
 from sketchlab.proxy import ProxyConfig, proxy_loss, q_iterations
 from sketchlab.shatter import block_family, dense_family, rank1_family, verify_shattering
-from sketchlab.sketching import random_sparse_sketch, sketch_loss
+from sketchlab.sketching import (
+    random_sparse_sketch,
+    rank1_closed_form_loss,
+    sketch_loss,
+    sketch_loss_and_grad,
+)
 from sketchlab.train import TrainConfig
 
 from oracles import jacobi_singular_values
@@ -192,4 +197,21 @@ def test_counts_and_rates_are_refused_by_name(call, name):
     # each count is an integer of at least some value, each rate finite and
     # > 0, each seed an integer >= 0, None or a numpy Generator
     with pytest.raises(ValueError, match=f"^{name} must be "):
+        call()
+
+
+NESTED = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: sketch_loss(np.ones((2, 4)), NESTED, 1), "matrix"),
+    (lambda: sketch_loss_and_grad(np.ones((2, 4)), NESTED, 1), "matrix"),
+    (lambda: proxy_loss(np.ones((2, 4)), NESTED, 1, ProxyConfig(0.5)), "matrix"),
+    (lambda: rank1_closed_form_loss(NESTED, np.ones(4)), "matrix"),
+    (lambda: best_rank_k(NESTED, 1), "a"),
+], ids=["sketch_loss", "sketch_loss_and_grad", "proxy_loss",
+        "rank1_closed_form_loss", "best_rank_k"])
+def test_a_nested_list_for_the_matrix_is_refused_by_name(call, name):
+    # the pipeline reads the matrix's shape and ndim, so A must be an array
+    with pytest.raises(TypeError, match=f"^{name} must be a numpy array, got list$"):
         call()

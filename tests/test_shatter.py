@@ -1,9 +1,11 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sketchlab import shatter
 from sketchlab.cli import run_experiment
 from sketchlab.linalg import fro_sq, svd
 from sketchlab.shatter import (
@@ -219,7 +221,7 @@ def test_verify_shattering_reports_none_for_an_empty_side():
         assert type(report["one_over_sqrt_k"]) is float
 
 
-@pytest.mark.parametrize("fam, budget, gamma, seed", [
+CASES = [
     # the verify-labs families: exhaustive at 8 members, sampled at 16
     (rank1_family(8, 3), 32, 0.4, 201),
     (dense_family(6, 2), 32, 0.2, 201),
@@ -229,12 +231,56 @@ def test_verify_shattering_reports_none_for_an_empty_side():
     (block_family(18, 2, 1), 32, 0.2, 3),
     # masks of 70 bits do not fit an int64
     (rank1_family(70, 2), 8, 0.1, 0),
-], ids=lambda v: f"{v.builder}-{len(v.slots)}" if hasattr(v, "builder") else None)
+]
+_case_id = lambda v: f"{v.builder}-{len(v.slots)}" if hasattr(v, "builder") else None
+
+
+@pytest.mark.parametrize("fam, budget, gamma, seed", CASES, ids=_case_id)
 def test_verify_shattering_equals_the_per_pair_loop(fam, budget, gamma, seed):
     report = verify_shattering(fam, budget, gamma, seed)
     want = verify_shattering_loop(fam, budget, gamma, seed)
     assert report == want
     assert json.dumps(report) == json.dumps(want)
+
+
+@pytest.mark.parametrize("per_call", [1, 3])
+@pytest.mark.parametrize("fam, budget, gamma, seed", CASES, ids=_case_id)
+def test_chunked_verify_shattering_equals_the_per_pair_loop(monkeypatch, per_call,
+                                                            fam, budget, gamma, seed):
+    # a cap of per_call member stacks puts that many subsets in each
+    # sketch_loss call; under the default cap, as in the test above, every
+    # one of these families takes a single call
+    monkeypatch.setattr(shatter, "_STACK_ELEMENTS", per_call * fam.matrices.size)
+    report = verify_shattering(fam, budget, gamma, seed)
+    assert report == verify_shattering_loop(fam, budget, gamma, seed)
+
+
+@pytest.mark.parametrize("fam, budget, gamma, seed", CASES, ids=_case_id)
+def test_families_under_the_cap_take_one_sketch_loss_call(monkeypatch, fam, budget,
+                                                        gamma, seed):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return sketch_loss(*args)
+
+    monkeypatch.setattr(shatter, "sketch_loss", counted)
+    report = verify_shattering(fam, budget, gamma, seed)
+    assert calls == [(report["subsets_checked"], 1, fam.base.m, fam.base.n)]
+
+
+def test_a_family_over_the_stack_cap_keeps_its_memory_bounded():
+    # 300 members of 300x2: all 256 subsets in one stack would hold about
+    # 1 GB of residuals; chunked, five subsets go in each call
+    fam = rank1_family(300, 2)
+    tracemalloc.start()
+    try:
+        report = verify_shattering(fam, 256, 0.4, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["all_pass"] and report["subsets_checked"] == 256
+    assert peak < 48 * 2 ** 20
 
 
 def test_shatter_verify_default_equals_the_per_pair_loop():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,21 @@ def test_sgd_pattern_immutable_and_deterministic():
     np.testing.assert_array_equal(out1.values, out2.values)
     assert h1 == h2
     assert len(h1) == 3
+
+
+def test_an_int_seed_repeats_the_run_and_a_generator_seed_advances():
+    rng = np.random.default_rng(7)
+    data = make_dataset([rng.standard_normal((6, 4)) for _ in range(4)])
+    sk = random_sparse_sketch(3, 6, 2, 8)
+    by_int = TrainConfig(epochs=2, step_size=0.2, batch_size=1, seed=9)
+    # a Generator seed is drawn from: its first run takes the stream of
+    # default_rng(9), as the int seed does, and its second goes on from there
+    by_gen = replace(by_int, seed=np.random.default_rng(9))
+    runs = [sgd_train(sk, data, 2, cfg).values
+            for cfg in (by_int, by_int, by_gen, by_gen)]
+    for run in runs[1:3]:
+        np.testing.assert_array_equal(run, runs[0])
+    assert not np.array_equal(runs[3], runs[0])
 
 
 def test_sgd_train_follows_finite_difference_sgd_on_full_batches():
