@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import RANK_RTOL, _check_int, svd
+from .linalg import RANK_RTOL, _check_array, _check_int, svd
 from .train import TrainConfig, _descend, _nonempty
 
 # An iterate diverges once its norm passes this multiple of the problem's
@@ -31,7 +31,7 @@ class DivergenceError(ArithmeticError):
 def _has_zero_diagonal(a: np.ndarray) -> bool:
     """Diagonal entry ``a_ii`` at or below ``RANK_RTOL * max_j |a_ij|``, so a
     graded A is judged row by row, not against its largest entry."""
-    return bool((np.abs(np.diag(a)) <= RANK_RTOL * np.abs(a).max(axis=1)).any())
+    return bool((np.abs(np.diag(a)) <= RANK_RTOL * np.abs(a).max(1, initial=0)).any())
 
 
 def solve_triangular(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -45,16 +45,13 @@ def solve_triangular(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     return b
 
 
-def _check_finite(name, arr: np.ndarray):
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} must be finite")
-
-
 def _coarse_matrix(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """``P^T A P``, checked to have full numerical rank m."""
-    coarse = p.T @ a @ p
+    """``P^T A P``, checked to be finite and of full numerical rank m."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        coarse = p.T @ a @ p
+    _check_array("P^T A P", coarse)
     if svd(coarse).singular_values.size < p.shape[1]:
-        raise ValueError("coarse matrix P^T A P is numerically singular")
+        raise ValueError("P^T A P is numerically singular")
     return coarse
 
 
@@ -81,28 +78,19 @@ class AMGProblem:
     _pattern: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.a = np.asarray(self.a, dtype=np.float64)
-        self.b = np.asarray(self.b, dtype=np.float64).reshape(-1)
-        self.p = np.asarray(self.p, dtype=np.float64)
-        if self.a.ndim != 2 or self.a.shape[0] != self.a.shape[1]:
-            raise ValueError(f"A must be square, got {self.a.shape}")
-        n = self.a.shape[0]
-        if self.b.size != n:
-            raise ValueError(f"b has length {self.b.size}, expected {n}")
-        if self.p.ndim != 2 or self.p.shape[0] != n or self.p.shape[1] < 1:
-            raise ValueError(f"P must be n-by-m, got {self.p.shape}")
+        a, b, p = np.asarray(self.a), np.asarray(self.b), np.asarray(self.p)
+        n = a.shape[0] if a.ndim else None  # the rule then refuses a 0-d A
+        x0 = np.zeros(n or 0) if self.x0 is None else np.asarray(self.x0)
+        for name, arr, shape in (("A", a, (n, n)), ("b", b, (n,)),
+                                 ("P", p, (n, None)), ("x0", x0, (n,))):
+            _check_array(name, arr, shape)
         # zero sweeps are allowed so the bare coarse correction is testable
         _check_int("s1", self.s1, 0)
         _check_int("s2", self.s2, 0)
-        if self.x0 is None:
-            self.x0 = np.zeros(n)
-        self.x0 = np.asarray(self.x0, dtype=np.float64).reshape(-1)
-        if self.x0.size != n:
-            raise ValueError(f"x0 has length {self.x0.size}, expected {n}")
-        for name, arr in (("A", self.a), ("b", self.b), ("P", self.p), ("x0", self.x0)):
-            _check_finite(name, arr)
+        self.a, self.b, self.p, self.x0 = (np.asarray(arr, dtype=np.float64)
+                                           for arr in (a, b, p, x0))
         if _has_zero_diagonal(self.a):
-            raise ValueError("diagonal of A is numerically singular")
+            raise ValueError("A has a numerically singular diagonal")
         self.lower_inv = solve_triangular(self.a, np.eye(n))
         self.coarse = _coarse_matrix(self.a, self.p)
         self._pattern = self.p != 0.0
@@ -115,12 +103,8 @@ class AMGProblem:
         """Same problem with new values on the frozen P pattern, in its
         row-major order.  Only ``P^T A P`` is formed again; ``lower_inv``
         and the pattern are shared with this problem."""
-        values = np.asarray(values, dtype=np.float64).ravel()
-        slots = int(np.count_nonzero(self._pattern))
-        if values.size != slots:
-            raise ValueError(f"got {values.size} prolongation values for a "
-                             f"pattern of {slots}")
-        _check_finite("prolongation values", values)
+        values = np.ravel(values)
+        _check_array("values", values, (int(np.count_nonzero(self._pattern)),))
         out = copy.copy(self)
         out.p = np.zeros_like(self.p)
         out.p[self._pattern] = values

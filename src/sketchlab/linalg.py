@@ -1,13 +1,13 @@
 """Dense real-matrix core: validated storage, SVD, truncation, pseudo-inverse.
 
-Routines operate on float64 ``numpy`` arrays.  ``as_matrix`` is the
-validating entry point; everything downstream assumes its output format.
-``svd``, ``best_rank_k`` and ``fro_sq`` also take a stack ``(..., n, d)``
-of matrices and work on each one.  Singular values at or below
-``RANK_RTOL`` times the largest one of their matrix, and all of those of a
-zero matrix, count as zero: the package's one numerical rank rule.
-``_check_int``, ``_check_positive`` and ``_check_seed`` are the package's
-one rule for counts, rates and seeds.
+Routines operate on float64 ``numpy`` arrays.  ``svd``, ``best_rank_k``
+and ``fro_sq`` also take a stack ``(..., n, d)`` of matrices and work on
+each one.  Singular values at or below ``RANK_RTOL`` times the largest one
+of their matrix, and all of those of a zero matrix, count as zero: the
+package's one numerical rank rule.  ``_check_int``, ``_check_positive``,
+``_check_seed`` and ``_check_array`` are its one rule for counts, rates,
+seeds and arrays.  Every public entry point checks each array argument
+once; ``as_matrix`` (``charpoly``, ``matio``) converts lists first.
 """
 
 from typing import NamedTuple
@@ -49,6 +49,31 @@ def _check_seed(value):
                          f"Generator, got {value!r}")
 
 
+def _check_array(name, a, shape=None):
+    """Raise naming ``name`` unless ``a`` is a numpy array of a real dtype
+    (else TypeError), of ``shape`` (lengths, None for any; by default
+    ndim >= 2) and with finite entries (else ValueError)."""
+    if not isinstance(a, np.ndarray):
+        raise TypeError(f"{name} must be a numpy array, got {type(a).__name__}")
+    if a.dtype.kind not in "biuf":
+        raise TypeError(f"{name} must have a real dtype, got {a.dtype}")
+    if shape is None:
+        if a.ndim < 2:
+            raise ValueError(f"{name} must have ndim >= 2, got ndim={a.ndim}")
+    elif a.ndim != len(shape) or any(w not in (None, n)
+                                     for w, n in zip(shape, a.shape)):
+        raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
+    if a.dtype.kind == "f" and np.count_nonzero(np.isfinite(a)) != a.size:
+        raise ValueError(f"{name} contains non-finite entries")
+
+
+def _check_fro_sq(name, a):
+    """Raise ValueError naming ``name`` if the squared Frobenius norm of the
+    finite array ``a`` (of a stack's matrices together) is beyond float range."""
+    if np.vdot(a, a) == np.inf:  # unlike matmul, np.vdot does not warn
+        raise ValueError(f"{name} is too large: its squared Frobenius norm overflows")
+
+
 def as_matrix(a) -> np.ndarray:
     """Validate and convert ``a`` to a 2-D, C-contiguous float64 array.
 
@@ -64,18 +89,15 @@ def as_matrix(a) -> np.ndarray:
 
     Raises
     ------
-    ValueError
-        If the input is not 2-D, has a zero dimension, or contains
-        non-finite entries.
+    TypeError, ValueError
+        From ``_check_array`` (not a real 2-D finite matrix), or if the
+        input has a zero dimension.
     """
-    m = np.array(a, dtype=np.float64, order="C")
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
+    m = np.asarray(a)
+    _check_array("matrix", m, (None, None))
     if m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"matrix dimensions must be positive, got {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix contains non-finite entries")
-    return m
+    return np.array(m, dtype=np.float64, order="C")
 
 
 class SvdResult(NamedTuple):
@@ -133,9 +155,12 @@ def best_rank_k(a: np.ndarray, k: int) -> np.ndarray:
     If ``k`` is at least the numerical rank, returns ``a`` up to roundoff.
     A stack ``(..., n, d)`` gives each matrix's approximation.
     """
-    if not isinstance(a, np.ndarray):
-        raise TypeError(f"a must be a numpy array, got {type(a).__name__}")
+    _check_array("a", a)
     _check_int("k", k, 1)
+    return _rank_k(a, k)
+
+
+def _rank_k(a: np.ndarray, k: int) -> np.ndarray:  # for callers that checked a, k
     u, s, v = svd(a)
     return (u[..., :k] * s[..., None, :k]) @ v[..., :k].swapaxes(-1, -2)
 
@@ -155,7 +180,7 @@ def fro_sq(a: np.ndarray):
     if a.ndim <= 2:
         flat = a.ravel()
         return float(flat @ flat)
-    flat = a.reshape(*a.shape[:-2], 1, -1)
+    flat = a.reshape(*a.shape[:-2], 1, a.shape[-2] * a.shape[-1])
     return (flat @ flat.swapaxes(-1, -2))[..., 0, 0]
 
 

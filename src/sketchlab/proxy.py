@@ -22,7 +22,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import _check_int, _check_positive, _orthonormal, fro_sq
+from .linalg import (_check_array, _check_fro_sq, _check_int, _check_positive,
+                     _orthonormal, fro_sq)
 from .sketching import _sketched_rowspace
 
 DEFAULT_Q_CONSTANT = 4.0
@@ -60,7 +61,7 @@ class ProxyConfig:
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
         _check_int("subset_cap", self.subset_cap, 1)
-        _check_positive("q_constant", self.q_constant)
+        q_iterations(self.epsilon, 1, self.q_constant)  # q_constant, and epsilon for it
 
     def exhaustive(self, d: int, k: int) -> bool:
         """Whether all C(d, k) candidate subsets fit under ``subset_cap``;
@@ -70,13 +71,16 @@ class ProxyConfig:
 
 def q_iterations(epsilon: float, d: int, q_constant: float = DEFAULT_Q_CONSTANT) -> int:
     """Number of power-refinement steps: ceil(c/eps * ln(max(d,2)/eps)),
-    at least 1."""
+    at least 1; an ``epsilon`` for which that overflows is refused."""
     if not (0.0 < epsilon <= 1.0):
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
     _check_int("d", d, 1)
     _check_positive("q_constant", q_constant)
-    q = math.ceil(q_constant / epsilon * math.log(max(d, 2) / epsilon))
-    return max(q, 1)
+    q = float(q_constant) / float(epsilon) * math.log(max(d, 2) / float(epsilon))
+    if q == math.inf:  # in Python floats: numpy scalars would warn on overflow
+        raise ValueError(f"epsilon must give a finite step count, got {epsilon} "
+                         f"with q_constant={q_constant}, d={d}")
+    return max(math.ceil(q), 1)
 
 
 def greedy_pivot_columns(v_rows: np.ndarray) -> np.ndarray:
@@ -88,6 +92,7 @@ def greedy_pivot_columns(v_rows: np.ndarray) -> np.ndarray:
     The selection matrix ``P`` (d-by-k, distinct standard-basis columns)
     satisfies ``sigma_min(v_rows @ P) >= 1/sqrt(d)``.
     """
+    _check_array("v_rows", v_rows, (None, None))
     v = np.asarray(v_rows, dtype=np.float64)
     k, d = v.shape
     if k >= d:
@@ -117,10 +122,11 @@ def candidate_bases(b: np.ndarray, k: int, cfg: ProxyConfig) -> np.ndarray:
     rows of ``b``; it still keeps the refined loss within a factor 1 + d of
     optimal.
     """
+    _check_array("b", b, (None, None))
     d = b.shape[1]
     _check_int("k", k)
     if not (1 <= k <= d):
-        raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
+        raise ValueError(f"k must satisfy 1 <= k <= d, got k={k}, d={d}")
     if cfg.exhaustive(d, k):
         return np.eye(d)[:, list(combinations(range(d), k))].transpose(1, 0, 2)
     _, _, vh = np.linalg.svd(b, full_matrices=False)
@@ -154,14 +160,13 @@ def power_refine(b: np.ndarray, p: np.ndarray, q: int) -> np.ndarray:
     again; its result is bit for bit that of a fresh run.  Any other call
     starts fresh.
     """
+    _check_array("b", b, (None, None))
+    _check_array("p", p, (None, b.shape[1], None))
     _check_int("q", q, 1)
-    if p.ndim != 3 or p.shape[1] != b.shape[1]:
-        raise ValueError(
-            f"p must be a (C, {b.shape[1]}, k) stack of blocks, got shape {p.shape}"
-        )
 
     global _last_run
     b = np.asarray(b, dtype=np.float64)  # _orthonormal takes float64 only
+    _check_fro_sq("b", b)
     key = (b.shape, b.tobytes(), p.shape, p.dtype.str, p.tobytes())
     run = _last_run  # read once: another thread may replace it
     if run is not None and run[0] == key and q >= run[1]:
@@ -172,7 +177,7 @@ def power_refine(b: np.ndarray, p: np.ndarray, q: int) -> np.ndarray:
         z = b @ p
         n, k = z.shape[1:]
         out = np.zeros((len(z), n, min(n, k)))  # the columns of a reduced QR
-        live = np.flatnonzero(np.abs(z).max(axis=(1, 2)) != 0.0)
+        live = np.flatnonzero(np.abs(z).max(axis=(1, 2), initial=0.0) != 0.0)
         qmat = _orthonormal(z[live]) if live.size else None  # a fresh copy
         energy = np.full(live.size, -np.inf)
         stalled = np.zeros(live.size, dtype=np.int64)
@@ -209,7 +214,7 @@ def proxy_loss(sketch, a: np.ndarray, k: int, cfg: ProxyConfig) -> float:
     The result exceeds the true loss by at most ``cfg.epsilon`` (and is
     never below it) when the candidate enumeration is exhaustive.
     """
-    v = _sketched_rowspace(a, k, sketch).V
+    v = _sketched_rowspace(a, k, sketch, (None, None)).V
     b = a @ (v @ v.T)
     q = q_iterations(cfg.epsilon, a.shape[1], cfg.q_constant)
     qs = power_refine(b, candidate_bases(b, k, cfg), q)

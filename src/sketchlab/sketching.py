@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import SvdResult, _check_int, _check_seed, best_rank_k, fro_sq, svd
+from .linalg import (SvdResult, _check_array, _check_fro_sq, _check_int,
+                     _check_seed, _rank_k, fro_sq, svd)
 
 
 @dataclass(eq=False)
@@ -51,27 +52,18 @@ class SparseSketch:
             _check_int(name, getattr(self, name), 1)
         if self.s > self.m:
             raise ValueError(f"need 1 <= s <= m, got s={self.s}, m={self.m}")
-        pattern = np.asarray(self.pattern)
+        pattern, values = np.asarray(self.pattern), np.asarray(self.values)
         if not (pattern.dtype.kind in "iu" or pattern.dtype.kind == "f"
-                and np.isfinite(pattern).all()
-                and (pattern == np.floor(pattern)).all()):
+                and (pattern == np.floor(pattern)).all()):  # NaN and bool fail too
             raise ValueError("pattern entries must be integers")
+        _check_array("pattern", pattern, (self.n, self.s))
+        _check_array("values", values, (self.n, self.s))
         self.pattern = np.asarray(pattern, dtype=np.int64)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.pattern.shape != (self.n, self.s):
-            raise ValueError(
-                f"pattern shape {self.pattern.shape} != {(self.n, self.s)}"
-            )
-        if self.values.shape != (self.n, self.s):
-            raise ValueError(
-                f"values shape {self.values.shape} != {(self.n, self.s)}"
-            )
+        self.values = np.asarray(values, dtype=np.float64)
         if self.pattern.min() < 0 or self.pattern.max() >= self.m:
             raise ValueError("pattern indices out of range [0, m)")
         if np.any(np.diff(self.pattern, axis=1) <= 0):
             raise ValueError("pattern rows must be sorted and distinct per column")
-        if not np.isfinite(self.values).all():
-            raise ValueError("sketch values must be finite")
 
     def dense(self) -> np.ndarray:
         """Materialize the m-by-n matrix."""
@@ -84,27 +76,19 @@ class SparseSketch:
         return SparseSketch(self.m, self.n, self.s, self.pattern, values)
 
 
-def _dense(sketch, a: np.ndarray) -> np.ndarray:
-    """The finite dense sketch, checked to fit the finite matrix ``a``, a
-    numpy array (either may be a stack)."""
+def _dense(sketch, a: np.ndarray, shape=None) -> np.ndarray:
+    """The dense float64 sketch, after the array rule on it and ``a`` (of
+    ``shape``, by default any matrix or stack) and the width and norm checks."""
     if hasattr(sketch, "dense"):
         s_mat = sketch.dense()
     else:
+        _check_array("sketch", sketch, shape)
         s_mat = np.asarray(sketch, float)
-        if not np.isfinite(s_mat).all():
-            raise ValueError("sketch contains non-finite entries")
-    if not isinstance(a, np.ndarray):
-        raise TypeError(f"matrix must be a numpy array, got {type(a).__name__}")
-    for name, arr in (("sketch", s_mat), ("matrix", a)):
-        if arr.ndim < 2:
-            raise ValueError(f"{name} must have ndim >= 2, got ndim={arr.ndim}")
+    _check_array("matrix", a, shape)
     if s_mat.shape[-1] != a.shape[-2]:
-        raise ValueError(
-            f"sketch has {s_mat.shape[-1]} columns but the matrix has "
-            f"{a.shape[-2]} rows"
-        )
-    if not np.isfinite(a).all():
-        raise ValueError("matrix contains non-finite entries")
+        raise ValueError(f"sketch has {s_mat.shape[-1]} columns but the matrix has "
+                         f"{a.shape[-2]} rows")
+    _check_fro_sq("matrix", a)
     return s_mat
 
 
@@ -130,15 +114,15 @@ def random_sparse_sketch(m: int, n: int, s: int, seed) -> SparseSketch:
     return SparseSketch(m, n, s, pattern, values)
 
 
-def _sketched_rowspace(a: np.ndarray, k: int, sketch) -> SvdResult:
-    """Validate the inputs and return the rank-trimmed SVD
-    ``U Sigma V^T`` of ``SA``; ``V`` (d-by-r) is an orthonormal basis of its
-    row space.  The true loss, its gradient and the proxy all start from
-    it."""
-    s_mat = _dense(sketch, a)
+def _sketched_rowspace(a: np.ndarray, k: int, sketch, shape=None) -> SvdResult:
+    """Validate the inputs (the sketch and ``a`` of ``shape``, as in
+    :func:`_dense`) and return the rank-trimmed SVD ``U Sigma V^T`` of
+    ``SA``; ``V`` (d-by-r) is an orthonormal basis of its row space.  The
+    true loss, its gradient and the proxy all start from it."""
+    s_mat = _dense(sketch, a, shape)
     _check_int("k", k)
     if not (1 <= k <= min(a.shape[-2:])):
-        raise ValueError(f"need 1 <= k <= min(A.shape), got k={k}")
+        raise ValueError(f"k must satisfy 1 <= k <= min(A.shape), got k={k}")
     return svd(s_mat @ a)
 
 
@@ -150,14 +134,14 @@ def sketch_lowrank(a: np.ndarray, k: int, sketch) -> np.ndarray:
     is the zero matrix.  The output always has rank at most ``k``.
     """
     v = _sketched_rowspace(a, k, sketch).V
-    return best_rank_k(a @ v, k) @ v.swapaxes(-1, -2)
+    return _rank_k(a @ v, k) @ v.swapaxes(-1, -2)
 
 
 def sketch_lowrank_via_projection(a: np.ndarray, k: int, sketch) -> np.ndarray:
     """Equivalent form of :func:`sketch_lowrank`: ``[A P]_k`` where
     ``P = V V^T`` projects onto the row space of ``SA``."""
     v = _sketched_rowspace(a, k, sketch).V
-    return best_rank_k(a @ (v @ v.swapaxes(-1, -2)), k)
+    return _rank_k(a @ (v @ v.swapaxes(-1, -2)), k)
 
 
 def sketch_loss(sketch, a: np.ndarray, k: int):

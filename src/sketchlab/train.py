@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _check_int, _check_positive, _check_seed, fro_sq
+from .linalg import (_check_array, _check_fro_sq, _check_int, _check_positive,
+                     _check_seed, fro_sq)
 from .sketching import SparseSketch, sketch_loss, sketch_loss_and_grad
 
 
@@ -42,27 +43,25 @@ class TrainConfig:
             raise ValueError(f"fd_step must be in (0, 1e-3], got {self.fd_step}")
 
 
-def _nonempty(data):
+def _nonempty(data, name="dataset"):
     """``data`` itself, after checking that it holds at least one item."""
     if not len(data):
-        raise ValueError("dataset must be nonempty")
+        raise ValueError(f"{name} must be nonempty")
     return data
 
 
-def _stacked(data) -> np.ndarray:
-    """``data`` as one (N, n, d) array, after checking that it holds at
-    least one item and that all items are matrices of one shape."""
+def _stacked(data, name="dataset") -> np.ndarray:
+    """``data`` as one (N, n, d) array of its own dtype (for the caller's
+    array rule), after checking that it holds matrices of one shape."""
     if isinstance(data, np.ndarray):  # an array must be the stack itself
         if data.ndim != 3:
-            raise ValueError(f"expected an (N, n, d) stack, got ndim={data.ndim}")
-        return np.asarray(_nonempty(data), dtype=np.float64)
-    mats = _nonempty([np.asarray(m, dtype=np.float64) for m in data])
+            raise ValueError(f"{name} must be an (N, n, d) stack, got ndim={data.ndim}")
+        return _nonempty(data, name)
+    mats = _nonempty([np.asarray(m) for m in data], name)
     shape = mats[0].shape
     for i, m in enumerate(mats):
         if m.ndim != 2 or m.shape != shape:
-            raise ValueError(
-                f"matrix {i} has shape {m.shape}, expected {shape}"
-            )
+            raise ValueError(f"matrix {i} has shape {m.shape}, expected {shape}")
     return np.stack(mats)
 
 
@@ -71,13 +70,16 @@ def make_dataset(matrices) -> np.ndarray:
     stack.
 
     All matrices must share one shape; each is rescaled to unit squared
-    Frobenius norm.  The input is never modified.
+    Frobenius norm; each passes the array rule as ``matrix i``.  The input
+    is never modified.
     """
-    data = _stacked(matrices)
-    finite = np.isfinite(data).all(axis=(1, 2))
-    if not finite.all():
-        raise ValueError(f"matrix {np.flatnonzero(~finite)[0]} contains "
-                         f"non-finite entries")
+    if not isinstance(matrices, np.ndarray):
+        matrices = [np.asarray(m) for m in matrices]
+    data = _stacked(matrices, "matrices")
+    for i, mat in enumerate(matrices):  # the items as given, before stacking
+        _check_array(f"matrix {i}", mat)
+        _check_fro_sq(f"matrix {i}", mat)
+    data = np.asarray(data, dtype=np.float64)
     norm_sq = fro_sq(data)
     if not norm_sq.all():
         raise ValueError(f"matrix {np.flatnonzero(norm_sq == 0.0)[0]} is zero and "
@@ -135,8 +137,9 @@ def sgd_train(pattern: SparseSketch, data, k: int, cfg: TrainConfig,
     cols = np.arange(pattern.n)[:, None]
 
     def batch_grads(vals, idx):
-        losses, g = sketch_loss_and_grad(pattern.with_values(vals).dense(),
-                                         data[idx], k)
+        dense = np.zeros((pattern.m, pattern.n))  # SparseSketch.dense, unchecked
+        dense[pattern.pattern, cols] = vals
+        losses, g = sketch_loss_and_grad(dense, data[idx], k)
         # summed before the gather: the gathered copy has the batch axis
         # innermost, which numpy sums pairwise, not item by item
         return losses, g.sum(axis=0)[pattern.pattern, cols]
@@ -153,15 +156,12 @@ def safeguard(learned: SparseSketch, oblivious: SparseSketch) -> SparseSketch:
     spaces, so its sketch-and-solve loss never exceeds either input's.
     Per-column sparsity becomes s1 + s2.
     """
+    for name, sk in (("learned", learned), ("oblivious", oblivious)):
+        if not isinstance(sk, SparseSketch):
+            raise TypeError(f"{name} must be a SparseSketch, got {type(sk).__name__}")
     if learned.n != oblivious.n:
-        raise ValueError(
-            f"column counts differ: {learned.n} vs {oblivious.n}"
-        )
-    pattern = np.concatenate(
-        [learned.pattern, oblivious.pattern + learned.m], axis=1
-    )
+        raise ValueError(f"column counts differ: {learned.n} vs {oblivious.n}")
+    pattern = np.concatenate([learned.pattern, oblivious.pattern + learned.m], axis=1)
     values = np.concatenate([learned.values, oblivious.values], axis=1)
-    return SparseSketch(
-        learned.m + oblivious.m, learned.n, learned.s + oblivious.s,
-        pattern, values,
-    )
+    return SparseSketch(learned.m + oblivious.m, learned.n, learned.s + oblivious.s,
+                        pattern, values)

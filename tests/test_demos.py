@@ -2,8 +2,9 @@
 unnoticed.
 
 Each demo runs in its own interpreter with ``src`` on the path and must
-exit 0.  Demo 03 (proxy calibration sweep) is left out: it takes about
-5 s, against 1 to 2 s for the others.
+exit 0 under ``-W error``, so a warning fails it as it fails the suite.
+Demo 03 (proxy calibration sweep) is left out: it takes about 5 s,
+against 1 to 2 s for the others.
 """
 
 import os
@@ -27,7 +28,7 @@ def test_demo_runs(name):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
+    done = subprocess.run([sys.executable, "-W", "error", str(ROOT / "demos" / name)],
                           env=env, capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr

@@ -2,16 +2,25 @@ import numpy as np
 import pytest
 
 from sketchlab import gjdemos
+from sketchlab.amg import AMGProblem
 from sketchlab.linalg import _orthonormal, as_matrix, best_rank_k, fro_sq, pinv, svd
-from sketchlab.proxy import ProxyConfig, proxy_loss, q_iterations
+from sketchlab.proxy import (
+    ProxyConfig,
+    candidate_bases,
+    greedy_pivot_columns,
+    power_refine,
+    proxy_loss,
+    q_iterations,
+)
 from sketchlab.shatter import block_family, dense_family, rank1_family, verify_shattering
 from sketchlab.sketching import (
+    SparseSketch,
     random_sparse_sketch,
     rank1_closed_form_loss,
     sketch_loss,
     sketch_loss_and_grad,
 )
-from sketchlab.train import TrainConfig
+from sketchlab.train import TrainConfig, make_dataset, safeguard
 
 from oracles import jacobi_singular_values
 
@@ -197,6 +206,84 @@ def test_counts_and_rates_are_refused_by_name(call, name):
     # each count is an integer of at least some value, each rate finite and
     # > 0, each seed an integer >= 0, None or a numpy Generator
     with pytest.raises(ValueError, match=f"^{name} must be "):
+        call()
+
+
+A64 = np.random.default_rng(24).standard_normal((6, 4))
+SK = random_sparse_sketch(3, 6, 1, 0)
+BLOCKS = np.eye(4)[None, :, :2]
+
+
+def _amg(**changes):
+    """A 4x4 diagonally dominant problem with one coarse column."""
+    return AMGProblem(**dict(a=np.diag([1.5, 1.2, 1.8, 1.1]) + 0.1, b=np.ones(4),
+                             p=np.ones((4, 1)), s1=1, s2=1) | changes)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: sketch_loss(SK, A64 * (1 + 1j), 2), TypeError,
+     "matrix must have a real dtype"),
+    (lambda: sketch_loss(SK, A64.astype(object), 2), TypeError,
+     "matrix must have a real dtype"),
+    (lambda: sketch_loss_and_grad(SK.dense().astype(complex), A64, 2), TypeError,
+     "sketch must have a real dtype"),
+    (lambda: sketch_loss(SK.dense().tolist(), A64, 2), TypeError,
+     "sketch must be a numpy array, got list"),
+    (lambda: sketch_loss(SK, A64 * 1e154, 2), ValueError, "matrix is too large"),
+    (lambda: proxy_loss(SK, A64 * 1e154, 2, ProxyConfig(0.5)), ValueError,
+     "matrix is too large"),
+    (lambda: proxy_loss(SK, np.stack([A64, A64]), 2, ProxyConfig(0.5)), ValueError,
+     r"matrix must have shape \(None, None\), got \(2, 6, 4\)"),
+    (lambda: best_rank_k(np.full((3, 2), np.nan), 1), ValueError,
+     "a contains non-finite"),
+    (lambda: best_rank_k(np.ones(3), 1), ValueError,
+     "a must have ndim >= 2, got ndim=1"),
+    (lambda: as_matrix(np.eye(2) * 1j), TypeError, "matrix must have a real dtype"),
+    (lambda: power_refine(np.full((3, 4), np.nan), BLOCKS, 2), ValueError,
+     "b contains non-finite"),
+    (lambda: power_refine(np.ones(4), BLOCKS, 2), ValueError,
+     r"b must have shape \(None, None\), got \(4,\)"),
+    (lambda: power_refine(np.ones((3, 4)) * 1e300, BLOCKS, 2), ValueError,
+     "b is too large"),
+    (lambda: candidate_bases(np.ones(4), 1, ProxyConfig(0.5)), ValueError,
+     r"b must have shape \(None, None\), got \(4,\)"),
+    (lambda: greedy_pivot_columns(np.ones(3)), ValueError,
+     r"v_rows must have shape \(None, None\), got \(3,\)"),
+    (lambda: q_iterations(1e-310, 4), ValueError,
+     "epsilon must give a finite step count"),
+    (lambda: ProxyConfig(5e-324), ValueError, "epsilon must give a finite step count"),
+    (lambda: AMGProblem(np.ones((0, 0)), np.ones(0), np.ones((0, 1)), 1, 1), ValueError,
+     r"P\^T A P is numerically singular"),
+    (lambda: _amg(a=np.eye(4) * 1j), TypeError, "A must have a real dtype"),
+    (lambda: _amg(b=np.ones((4, 1))), ValueError,
+     r"b must have shape \(4,\), got \(4, 1\)"),
+    (lambda: _amg(p=np.ones((4, 1)) * 1e300), ValueError,
+     r"P\^T A P contains non-finite entries"),
+    (lambda: _amg().with_prolongation_values(np.ones(4) * 1j), TypeError,
+     "values must have a real dtype"),
+    (lambda: SparseSketch(2, 2, 1, [[0], [1]], np.ones((2, 1)) * 1j), TypeError,
+     "values must have a real dtype"),
+    (lambda: make_dataset([A64, A64 * 1j]), TypeError,
+     "matrix 1 must have a real dtype"),
+    (lambda: make_dataset([A64, A64 * 1e300]), ValueError, "matrix 1 is too large"),
+    (lambda: safeguard(SK, np.ones((2, 6))), TypeError,
+     "oblivious must be a SparseSketch"),
+], ids=["sketch_loss-complex", "sketch_loss-object",
+        "sketch_loss_and_grad-complex-sketch", "sketch_loss-list-sketch",
+        "sketch_loss-overflow", "proxy_loss-overflow", "proxy_loss-stack",
+        "best_rank_k-nan", "best_rank_k-1d", "as_matrix-complex", "power_refine-nan-b",
+        "power_refine-1d-b", "power_refine-overflow", "candidate_bases-1d-b",
+        "greedy_pivot_columns-1d", "q_iterations-tiny-epsilon",
+        "ProxyConfig-tiny-epsilon", "AMGProblem-empty", "AMGProblem-complex",
+        "AMGProblem-column-b", "AMGProblem-overflow",
+        "with_prolongation_values-complex", "SparseSketch-complex",
+        "make_dataset-complex", "make_dataset-overflow", "safeguard-array"])
+def test_arrays_are_refused_by_name(call, error, match):
+    # each array passes linalg._check_array: a numpy array of a real dtype,
+    # of the expected shape, with finite entries; the loss family, the
+    # refinement and the dataset also refuse a squared norm beyond float
+    # range.  None of these may warn: the suite turns warnings into errors
+    with pytest.raises(error, match=f"^{match}"):
         call()
 
 

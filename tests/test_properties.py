@@ -8,15 +8,20 @@ closed-form gradient is checked against central differences of
 ``sketch_loss`` on sparse sketches with an empty row or a rank-deficient
 input, at scales 10**(+-50) of A and of the sketch.  Stacked losses and
 gradients are checked against the per-matrix loop, on stacks that mix
-ranks, scales and zero sketches.
+ranks, scales and zero sketches.  Every public entry point that takes an
+array is fed arrays of every dtype kind, ndim 0-3, zero-length axes and
+scales 10**(+-300), and must return a finite value or name its fault.
 """
+
+import re
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sketchlab.linalg import fro_sq, svd
-from sketchlab.proxy import ProxyConfig, proxy_loss
+from sketchlab.amg import AMGProblem
+from sketchlab.linalg import best_rank_k, fro_sq, svd
+from sketchlab.proxy import ProxyConfig, power_refine, proxy_loss
 from sketchlab.sketching import (
     SparseSketch,
     rank1_closed_form_loss,
@@ -25,6 +30,7 @@ from sketchlab.sketching import (
     sketch_loss_and_grad,
 )
 from sketchlab.synth import random_instance
+from sketchlab.train import make_dataset
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
                     database=None)
@@ -254,3 +260,58 @@ def test_stacked_loss_and_gradient_equal_the_per_matrix_loop(stack):
     _assert_matches_loop(s, a, k, loss, grad)
     loss, grad = sketch_loss_and_grad(s[0], a, k)
     _assert_matches_loop(np.broadcast_to(s[0], s.shape), a, k, loss, grad)
+
+
+@st.composite
+def any_arrays(draw):
+    """An array of dtype bool, int, float, complex or object, ndim 0-3 with
+    axes of length 0-3, Gaussian entries times 10**e, e in [-300, 300]."""
+    shape = tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal(shape) * 10.0 ** draw(st.integers(-300, 300))
+    kind = draw(st.sampled_from(["bool", "int", "float", "complex", "object"]))
+    if kind == "int":  # clipped where the int64 cast would overflow
+        x = np.clip(np.rint(x), -2.0 ** 62, 2.0 ** 62).astype(np.int64)
+    elif kind != "float":
+        x = {"bool": x > 0.0, "complex": x * (1.0 + 1.0j),
+             "object": np.asarray(x, dtype=object)}[kind]
+    return np.asarray(x)  # ndim 0 gives a numpy scalar until here
+
+
+def _entry_point_calls(x):
+    """(call, names) for each entry point with ``x`` in one array argument
+    and fitting valid arrays in the others; a refusal must start with one
+    of ``names``."""
+    n = x.shape[-2] if x.ndim >= 2 else 3
+    d = x.shape[-1] if x.ndim >= 1 else 3
+    sketch = np.eye(2, n) + 0.5
+    loss_names = ("matrix", "sketch", "k")
+    amg = dict(a=np.diag([1.5, 1.2, 1.8]) + 0.1, b=np.ones(3), p=np.ones((3, 1)),
+               s1=1, s2=1, x0=np.zeros(3))
+    return [
+        (lambda: sketch_loss(sketch, x, 1), loss_names),
+        (lambda: sketch_loss_and_grad(sketch, x, 1), loss_names),
+        (lambda: proxy_loss(sketch, x, 1, ProxyConfig(0.5)), loss_names),
+        (lambda: best_rank_k(x, 1), ("a", "k")),
+        (lambda: make_dataset(x), ("matrices", r"matrix \d+")),
+        *((lambda key=key: AMGProblem(**(amg | {key: x})), ("A", "b", "P", "x0"))
+          for key in ("a", "b", "p", "x0")),
+        (lambda: power_refine(x, np.eye(d)[None, :, :1], 2), ("b", "p", "q")),
+        (lambda: power_refine(np.ones((2, 3)), x, 2), ("b", "p", "q")),
+    ]
+
+
+@settings(PROPERTY, max_examples=300)
+@given(any_arrays())
+def test_every_array_entry_point_returns_finite_values_or_names_its_fault(x):
+    # no warning either: the suite turns warnings into errors
+    for call, names in _entry_point_calls(x):
+        try:
+            out = call()
+        except (TypeError, ValueError) as exc:
+            assert re.match(rf"({'|'.join(names)})\b", str(exc)), repr(exc)
+            continue
+        if isinstance(out, AMGProblem):
+            out = (out.lower_inv, out.coarse)
+        for part in out if isinstance(out, tuple) else (out,):
+            assert np.isfinite(part).all()

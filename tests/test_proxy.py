@@ -122,7 +122,7 @@ def test_power_refine_rejects_q_below_one_and_non_stack_blocks():
     with pytest.raises(ValueError, match="^q must be an integer, got 2.5"):
         power_refine(b, stack, 2.5)
     for p in (stack[0], stack[:, :3], stack[None]):
-        with pytest.raises(ValueError, match=r"p must be a \(C, 4, k\) stack"):
+        with pytest.raises(ValueError, match=r"^p must have shape \(None, 4, None\)"):
             power_refine(b, p, 3)
 
 
@@ -449,13 +449,16 @@ def test_proxy_config_validation():
 @pytest.mark.parametrize("sketch, a, k, match", [
     (np.ones((2, 5)), np.ones((4, 3)), 1,
      "sketch has 5 columns but the matrix has 4 rows"),
-    (np.ones((2, 4)), np.ones((4, 3)), 0, r"need 1 <= k <= min\(A.shape\)"),
-    (np.ones((2, 4)), np.ones((4, 3)), 4, r"need 1 <= k <= min\(A.shape\)"),
+    (np.ones((2, 4)), np.ones((4, 3)), 0, r"^k must satisfy 1 <= k <= min\(A.shape\)"),
+    (np.ones((2, 4)), np.ones((4, 3)), 4, r"^k must satisfy 1 <= k <= min\(A.shape\)"),
     (np.ones((2, 4)), np.full((4, 3), np.nan), 1, "non-finite"),
     (np.ones((2, 4)), np.full((4, 3), -np.inf), 1, "non-finite"),
     (np.full((2, 4), np.nan), np.ones((4, 3)), 1, "sketch contains non-finite"),
-    (np.ones((2, 4)), np.ones(3), 1, "matrix must have ndim >= 2, got ndim=1"),
-    (np.ones(4), np.ones((4, 3)), 1, "sketch must have ndim >= 2, got ndim=1"),
+    # the proxy takes one matrix, the losses a matrix or a stack
+    (np.ones((2, 4)), np.ones(3), 1,
+     r"^matrix must have (ndim >= 2, got ndim=1|shape \(None, None\), got \(3,\))"),
+    (np.ones(4), np.ones((4, 3)), 1,
+     r"^sketch must have (ndim >= 2, got ndim=1|shape \(None, None\), got \(4,\))"),
 ], ids=["width", "k-zero", "k-above-min", "nan", "inf", "sketch-nan", "a-1d",
         "sketch-1d"])
 def test_proxy_loss_rejects_what_sketch_loss_rejects(sketch, a, k, match):
