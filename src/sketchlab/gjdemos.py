@@ -118,9 +118,7 @@ def proxy_pipeline_trace(sketch, a, k, epsilon, q_constant=1.0, tr=None):
     d = a.shape[1]
 
     s_t = np.full((sketch.m, sketch.n), tr.const(0.0), dtype=object)
-    for j in range(sketch.n):
-        for t in range(sketch.s):
-            s_t[sketch.pattern[j, t], j] = tr.input(f"s{j}_{t}", sketch.values[j, t])
+    sketch._scatter(_lift_inputs(tr, sketch.values, "s"), s_t)  # inputs s{j}_{t}
     a_t = np.array([[tr.const(v) for v in row] for row in a], dtype=object)
 
     sa = s_t @ a_t

@@ -68,10 +68,13 @@ def _check_array(name, a, shape=None):
 
 
 def _check_fro_sq(name, a):
-    """Raise ValueError naming ``name`` if the squared Frobenius norm of the
-    finite array ``a`` (of a stack's matrices together) is beyond float range."""
-    if np.vdot(a, a) == np.inf:  # unlike matmul, np.vdot does not warn
+    """The squared Frobenius norm of the finite array ``a`` (of a stack's
+    matrices together); raise ValueError naming ``name`` if it is beyond
+    float range."""
+    total = np.vdot(a, a)  # unlike matmul, np.vdot does not warn
+    if total == np.inf:
         raise ValueError(f"{name} is too large: its squared Frobenius norm overflows")
+    return total
 
 
 def as_matrix(a) -> np.ndarray:

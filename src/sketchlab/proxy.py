@@ -166,7 +166,7 @@ def power_refine(b: np.ndarray, p: np.ndarray, q: int) -> np.ndarray:
 
     global _last_run
     b = np.asarray(b, dtype=np.float64)  # _orthonormal takes float64 only
-    _check_fro_sq("b", b)
+    floor = _ENERGY_STALL_RTOL * _check_fro_sq("b", b)
     key = (b.shape, b.tobytes(), p.shape, p.dtype.str, p.tobytes())
     run = _last_run  # read once: another thread may replace it
     if run is not None and run[0] == key and q >= run[1]:
@@ -181,7 +181,6 @@ def power_refine(b: np.ndarray, p: np.ndarray, q: int) -> np.ndarray:
         qmat = _orthonormal(z[live]) if live.size else None  # a fresh copy
         energy = np.full(live.size, -np.inf)
         stalled = np.zeros(live.size, dtype=np.int64)
-    floor = _ENERGY_STALL_RTOL * fro_sq(b)
     while live.size and t < q:
         btq = b.T @ qmat
         e = fro_sq(btq)  # ||B^T Q||_F^2 per block

@@ -4,8 +4,10 @@ Each family stores the gadget behind the lower bound as data: a base
 sketch (the sketch of the empty subset) and one switch slot per member.
 Setting a member's slot to 1 drives that member's loss to zero; members
 whose slots stay at their base value keep a loss bounded away from zero.
-The verifier walks subsets, switches their slots on, and checks the margin
-condition around per-matrix thresholds.
+The verifier walks subsets, switches their slots on in value space, as
+:func:`subset_sketch` does, scatters the settings through the base
+sketch's slot layout, and checks the margin condition around per-matrix
+thresholds.
 """
 
 import math
@@ -82,9 +84,7 @@ def _block_gadget(n: int, k: int, s: int):
             f"divisibility violated: need s | k and k | n*s, got n={n}, "
             f"k={k}, s={s}"
         )
-    rows_per = n * s // k
-    if rows_per <= s:
-        raise ValueError(f"blocks of shape ({rows_per}, {s}) leave no swap rows")
+    rows_per = n * s // k  # > s, since k < n
     rows = np.arange(n)
     pattern = (rows // rows_per)[:, None] * s + np.arange(s)
     values = ((rows % rows_per)[:, None] == np.arange(s)).astype(np.float64)
@@ -155,7 +155,8 @@ def verify_shattering(family: ShatterFamily, subset_budget: int = 256,
     _check_positive("gamma", gamma)
     _check_seed(seed)
     n_members = len(family.matrices)
-    k = family.base.m
+    base = family.base
+    k = base.m
 
     # row s, column i: member i is in subset s, bit i of the subset's mask
     if n_members <= 14:
@@ -172,11 +173,12 @@ def verify_shattering(family: ShatterFamily, subset_budget: int = 256,
     inside = inside.astype(bool)
     checked = len(inside)
     # every subset's sketch is built on its complement: switch those slots
-    # on, slot (j, t) being the dense entry (pattern[j, t], j)
-    sketches = np.repeat(family.base.dense()[None], checked, axis=0)
+    # on in value space, as subset_sketch does, then scatter the stack
+    values = np.repeat(base.values[None], checked, axis=0)
     subset, member = np.nonzero(~inside)
     j, t = family.slots[member].T
-    sketches[subset, family.base.pattern[j, t], j] = 1.0
+    values[subset, j, t] = 1.0
+    sketches = base._scatter(values, np.zeros((checked, base.m, base.n)))
     # each chunk of subsets against the members: a (chunk, N) loss table
     step = max(1, _STACK_ELEMENTS // family.matrices.size)
     losses = np.concatenate([sketch_loss(sketches[c:c + step, None],

@@ -2,12 +2,17 @@
 
 A :class:`SparseSketch` is an m-by-n matrix with a frozen per-column
 sparsity pattern (``s`` nonzero slots per column) and freely settable slot
-values; the slot values are what gets trained.  ``sketch_lowrank``
-implements the classic sketch-and-solve rank-``k`` approximation: sketch
-the input down to ``S @ A``, take its SVD, and solve the small problem in
-the sketched row space; its projection form shares that one SVD of ``SA``,
-and so does ``sketch_loss_and_grad``, the loss with its closed-form
-gradient in the dense sketch.
+values; the slot values are what gets trained.  It owns the slot layout
+(slot (j, t) is the dense entry (pattern[j, t], j)): its ``_scatter`` and
+``_gather`` map stacks of slot values to dense sketches and back, for
+training, the shattering verifier and the tracer alike.
+
+``sketch_lowrank`` implements the classic sketch-and-solve rank-``k``
+approximation: sketch the input down to ``S @ A``, take its SVD, and solve
+the small problem in the sketched row space; its projection form shares
+that one SVD of ``SA``, and so does ``sketch_loss_and_grad``, the loss
+with its closed-form gradient in the dense sketch.  An ``SA`` beyond float
+range is a ``ValueError``.
 
 The pipeline broadcasts: the sketch may be a ``SparseSketch``, an m-by-n
 matrix or a stack ``(..., m, n)``, and ``A`` an n-by-d matrix or a stack
@@ -67,9 +72,18 @@ class SparseSketch:
 
     def dense(self) -> np.ndarray:
         """Materialize the m-by-n matrix."""
-        out = np.zeros((self.m, self.n))
-        out[self.pattern, np.arange(self.n)[:, None]] = self.values
+        return self._scatter(self.values, np.zeros((self.m, self.n)))
+
+    def _scatter(self, values, out):
+        """Write slot values ``(..., n, s)`` into ``out`` ``(..., m, n)``,
+        slot (j, t) at entry (pattern[j, t], j); returns ``out``.  Unchecked."""
+        out[..., self.pattern, np.arange(self.n)[:, None]] = values
         return out
+
+    def _gather(self, dense):
+        """The slot entries of ``dense`` ``(..., m, n)`` as ``(..., n, s)``,
+        the inverse of :meth:`_scatter`.  Unchecked."""
+        return dense[..., self.pattern, np.arange(self.n)[:, None]]
 
     def with_values(self, values: np.ndarray) -> "SparseSketch":
         """New sketch with the same pattern and the given slot values."""
@@ -123,7 +137,12 @@ def _sketched_rowspace(a: np.ndarray, k: int, sketch, shape=None) -> SvdResult:
     _check_int("k", k)
     if not (1 <= k <= min(a.shape[-2:])):
         raise ValueError(f"k must satisfy 1 <= k <= min(A.shape), got k={k}")
-    return svd(s_mat @ a)
+    try:
+        with np.errstate(over="raise"):
+            sa = s_mat @ a
+    except FloatingPointError:
+        raise ValueError("sketch @ matrix overflows: SA is beyond float range") from None
+    return svd(sa)
 
 
 def sketch_lowrank(a: np.ndarray, k: int, sketch) -> np.ndarray:

@@ -134,19 +134,19 @@ def sgd_train(pattern: SparseSketch, data, k: int, cfg: TrainConfig,
     loop, ``history`` and the aborts are those of :func:`_descend`.
     """
     data = _stacked(data)
-    cols = np.arange(pattern.n)[:, None]
+
+    def dense(vals):
+        return pattern._scatter(vals, np.zeros((pattern.m, pattern.n)))
 
     def batch_grads(vals, idx):
-        dense = np.zeros((pattern.m, pattern.n))  # SparseSketch.dense, unchecked
-        dense[pattern.pattern, cols] = vals
-        losses, g = sketch_loss_and_grad(dense, data[idx], k)
+        losses, g = sketch_loss_and_grad(dense(vals), data[idx], k)
         # summed before the gather: the gathered copy has the batch axis
         # innermost, which numpy sums pairwise, not item by item
-        return losses, g.sum(axis=0)[pattern.pattern, cols]
+        return losses, pattern._gather(g.sum(axis=0))
 
     return pattern.with_values(_descend(
         pattern.values, data, cfg, batch_grads,
-        lambda v: empirical_loss(pattern.with_values(v), data, k), history))
+        lambda v: empirical_loss(dense(v), data, k), history))
 
 
 def safeguard(learned: SparseSketch, oblivious: SparseSketch) -> SparseSketch:

@@ -253,3 +253,21 @@ def test_out_path_ending_in_csv_is_refused_before_running(tmp_path, capsys, out)
     assert capsys.readouterr().err == \
         f"error: --out must not end in .csv, got {str(target)!r}\n"
     assert not list(tmp_path.iterdir())
+
+
+# each default tracer demo's counts at seed 0, as the reports gave them
+@pytest.mark.parametrize("demo, n_inputs, max_degree, predicate_count, pdim_bound", [
+    ("power", 12, 4, 0, 24.0),
+    ("min-of-r", 5, 1, 10, 16.609640474436812),
+    ("projection", 9, 6, 6, 46.529325012980806),
+    ("knapsack", 1, 1, 15, 3.9068905956085187),
+    ("proxy-pipeline", 3, 152, 14, 33.165847306503565),
+])
+def test_default_gj_trace_reports(demo, n_inputs, max_degree, predicate_count,
+                                  pdim_bound):
+    report = run_experiment("gj-trace", {"demo": demo}, seed=0)
+    metrics = report["metrics"]
+    assert report["pass"]
+    assert (metrics["n_inputs"], metrics["max_degree"], metrics["predicate_count"]) \
+        == (n_inputs, max_degree, predicate_count)
+    assert metrics["pdim_bound"] == pytest.approx(pdim_bound, rel=1e-12)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from sketchlab import gjdemos
+from sketchlab import gjdemos, synth
 from sketchlab.amg import AMGProblem
+from sketchlab.charpoly import charpoly_coefficients
+from sketchlab.gjtrace import Trace, gj_argmin
 from sketchlab.linalg import _orthonormal, as_matrix, best_rank_k, fro_sq, pinv, svd
 from sketchlab.proxy import (
     ProxyConfig,
@@ -211,6 +213,7 @@ def test_counts_and_rates_are_refused_by_name(call, name):
 
 A64 = np.random.default_rng(24).standard_normal((6, 4))
 SK = random_sparse_sketch(3, 6, 1, 0)
+S36 = np.random.default_rng(0).standard_normal((3, 6))
 BLOCKS = np.eye(4)[None, :, :2]
 
 
@@ -232,6 +235,10 @@ def _amg(**changes):
     (lambda: sketch_loss(SK, A64 * 1e154, 2), ValueError, "matrix is too large"),
     (lambda: proxy_loss(SK, A64 * 1e154, 2, ProxyConfig(0.5)), ValueError,
      "matrix is too large"),
+    (lambda: sketch_loss(S36 * 1e200, A64 * 1e150, 2), ValueError,
+     "sketch @ matrix overflows"),
+    (lambda: sketch_loss(np.stack([S36, S36 * 1e200]), A64 * 1e150, 2), ValueError,
+     "sketch @ matrix overflows"),
     (lambda: proxy_loss(SK, np.stack([A64, A64]), 2, ProxyConfig(0.5)), ValueError,
      r"matrix must have shape \(None, None\), got \(2, 6, 4\)"),
     (lambda: best_rank_k(np.full((3, 2), np.nan), 1), ValueError,
@@ -270,7 +277,8 @@ def _amg(**changes):
      "oblivious must be a SparseSketch"),
 ], ids=["sketch_loss-complex", "sketch_loss-object",
         "sketch_loss_and_grad-complex-sketch", "sketch_loss-list-sketch",
-        "sketch_loss-overflow", "proxy_loss-overflow", "proxy_loss-stack",
+        "sketch_loss-overflow", "proxy_loss-overflow", "sketch_loss-SA-overflow",
+        "sketch_loss-stacked-SA-overflow", "proxy_loss-stack",
         "best_rank_k-nan", "best_rank_k-1d", "as_matrix-complex", "power_refine-nan-b",
         "power_refine-1d-b", "power_refine-overflow", "candidate_bases-1d-b",
         "greedy_pivot_columns-1d", "q_iterations-tiny-epsilon",
@@ -282,7 +290,8 @@ def test_arrays_are_refused_by_name(call, error, match):
     # each array passes linalg._check_array: a numpy array of a real dtype,
     # of the expected shape, with finite entries; the loss family, the
     # refinement and the dataset also refuse a squared norm beyond float
-    # range.  None of these may warn: the suite turns warnings into errors
+    # range, and the loss family a product SA beyond it.  None of these may
+    # warn: the suite turns warnings into errors
     with pytest.raises(error, match=f"^{match}"):
         call()
 
@@ -301,4 +310,27 @@ NESTED = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]
 def test_a_nested_list_for_the_matrix_is_refused_by_name(call, name):
     # the pipeline reads the matrix's shape and ndim, so A must be an array
     with pytest.raises(TypeError, match=f"^{name} must be a numpy array, got list$"):
+        call()
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: charpoly_coefficients(np.ones((2, 3))),
+     r"expected a square matrix, got shape \(2, 3\)"),
+    (lambda: gjdemos.knapsack_trace([1.0, -1.0], [1.0, 2.0], 2.0, 1.0),
+     "item values and costs must be positive"),
+    (lambda: gjdemos.knapsack_trace([1.0, 2.0], [1.0, 1.0], 2.0, 1.0),
+     "demo requires pairwise distinct costs"),
+    (lambda: gj_argmin(Trace(), []), "need at least one value"),
+    (lambda: greedy_pivot_columns(np.eye(3)), "need k < d, got k=3, d=3"),
+    (lambda: candidate_bases(np.ones((3, 3)), 4, ProxyConfig(0.1)),
+     "k must satisfy 1 <= k <= d, got k=4, d=3"),
+    (lambda: block_family(4, 2, 3), "need 1 <= s <= k < n, got s=3, k=2, n=4"),
+    (lambda: synth.aggregation_prolongation(np.random.default_rng(0), 3, 4),
+     "need 1 <= m <= n, got m=4, n=3"),
+], ids=["charpoly_coefficients-not-square", "knapsack_trace-nonpositive",
+        "knapsack_trace-equal-costs", "gj_argmin-empty", "greedy_pivot_columns-square",
+        "candidate_bases-k", "block_family-s", "aggregation_prolongation-m"])
+def test_size_and_shape_faults_are_named(call, match):
+    # raise sites no other test reaches, each with its own text
+    with pytest.raises(ValueError, match=f"^{match}$"):
         call()

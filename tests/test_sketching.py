@@ -54,6 +54,19 @@ def test_dense_materialization():
     assert np.count_nonzero(sk.dense()) <= sk.s * sk.n
 
 
+def test_scatter_and_gather_map_stacks_of_slot_values():
+    sk = random_sparse_sketch(4, 7, 3, 11)
+    stack = np.random.default_rng(12).standard_normal((2, 5, 7, 3))
+    dense = sk._scatter(stack, np.zeros((2, 5, 4, 7)))
+    want = np.stack([[sk.with_values(v).dense() for v in row] for row in stack])
+    np.testing.assert_array_equal(dense, want)
+    np.testing.assert_array_equal(sk._gather(dense), stack)
+    # one matrix, and an object matrix as the tracer fills it
+    np.testing.assert_array_equal(sk._gather(sk.dense()), sk.values)
+    out = sk._scatter(sk.values.astype(object), np.full((4, 7), 0.0, dtype=object))
+    np.testing.assert_array_equal(out.astype(float), sk.dense())
+
+
 def test_sampler_full_pattern_when_s_equals_m():
     sk = random_sparse_sketch(3, 5, 3, 0)
     np.testing.assert_array_equal(sk.pattern, np.tile(np.arange(3), (5, 1)))
