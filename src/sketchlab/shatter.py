@@ -7,7 +7,10 @@ whose slots stay at their base value keep a loss bounded away from zero.
 The verifier walks subsets, switches their slots on in value space, as
 :func:`subset_sketch` does, scatters the settings through the base
 sketch's slot layout, and checks the margin condition around per-matrix
-thresholds.
+thresholds.  Since ``SA = sum_j S[:, j] A[j, :]``, a member's loss reads
+only its local slots, those in the sketch columns where its matrix has a
+nonzero row; the verifier computes one loss per member and distinct
+setting of those slots, and every subset with that setting shares it.
 """
 
 import math
@@ -18,9 +21,9 @@ import numpy as np
 from .linalg import _check_int, _check_positive, _check_seed
 from .sketching import SparseSketch, sketch_loss
 
-# the member-stack elements (subsets per call times N n d) that one
-# sketch_loss call of verify_shattering may hold; its SA, A V and residual
-# stacks grow with it (8 MB for the residuals at the cap)
+# the elements of the sketch and member stacks (pairs per call times
+# m n + n d) that one sketch_loss call of verify_shattering may hold; its
+# A V and residual stacks grow with it (at most 8 MB each at the cap)
 _STACK_ELEMENTS = 2 ** 20
 
 
@@ -139,12 +142,19 @@ def verify_shattering(family: ShatterFamily, subset_budget: int = 256,
     loss below ``r_i - gamma``.  All ``2^N`` subsets are enumerated when
     the family has at most 14 members; otherwise ``subset_budget`` (at
     least 1) random subsets are drawn from the given seed.  The sketches
-    of all S checked subsets are held at once, as one (S, m, n) stack, and
-    the (S, N) losses of every (subset, member) pair come from
-    ``sketch_loss`` calls that broadcast it against the N members: one
-    call per chunk of subsets, a chunk holding at most ``_STACK_ELEMENTS``
-    elements of member stacks (one subset when the (N, n, d) stack alone
-    holds more).  A small family takes a single call.
+    of all S checked subsets are held at once, as one (S, m, n) stack.
+
+    Member ``i``'s loss reads only its local slots, the switch slots in
+    the sketch columns where ``family.matrices[i]`` has a nonzero row,
+    read off the data, so hand-built families are served too.  The
+    (subset, member) pairs are grouped by the member and the setting of
+    its local slots, and each group's loss comes from its first subset:
+    a rank1 member takes at most 2 losses, a block one ``2^s`` and a
+    dense one ``2^k``, while a member that touches every slot takes one
+    per subset, as a loss per pair would.  The groups' pairs go to ``sketch_loss`` as paired sketch
+    and member stacks in chunks of at most ``_STACK_ELEMENTS`` elements
+    (one pair when a pair alone holds more); a small family takes a
+    single call.
 
     Returns a JSON-ready report with per-family margins, including the
     smallest observed off-sketch loss compared against the ``1/k`` and
@@ -163,12 +173,13 @@ def verify_shattering(family: ShatterFamily, subset_budget: int = 256,
         inside = (np.arange(2 ** n_members)[:, None] >> np.arange(n_members)) & 1
     else:
         _check_int("subset_budget", subset_budget, 1)
-        # one rng.bytes call per subset; unpacking to n_members bits drops
-        # the high bits of the last byte, so no mask passes through int64
+        # the bytes of one rng.bytes call per subset, drawn in one call;
+        # unpacking to n_members bits drops the high bits of the last
+        # byte, so no mask passes through int64
         rng = np.random.default_rng(seed)
-        width = (n_members + 7) // 8
-        packed = b"".join(rng.bytes(width) for _ in range(subset_budget))
-        inside = np.unpackbits(np.frombuffer(packed, np.uint8).reshape(-1, width),
+        words = rng.integers(0, 2 ** 32, size=(subset_budget, -(-n_members // 32)),
+                             dtype=np.uint32)
+        inside = np.unpackbits(words.astype("<u4", copy=False).view(np.uint8),
                                axis=1, count=n_members, bitorder="little")
     inside = inside.astype(bool)
     checked = len(inside)
@@ -179,11 +190,27 @@ def verify_shattering(family: ShatterFamily, subset_budget: int = 256,
     j, t = family.slots[member].T
     values[subset, j, t] = 1.0
     sketches = base._scatter(values, np.zeros((checked, base.m, base.n)))
-    # each chunk of subsets against the members: a (chunk, N) loss table
-    step = max(1, _STACK_ELEMENTS // family.matrices.size)
-    losses = np.concatenate([sketch_loss(sketches[c:c + step, None],
-                                         family.matrices, k)
-                             for c in range(0, checked, step)])
+    # local[i, r]: slot r lies in a sketch column where member i has a
+    # nonzero row.  Row i of pos lists member i's local slots first (on
+    # marks them).  Key each (subset, member) pair by the member and its
+    # local setting, fed in 31 bits at a time and ranked after each step
+    # so the key stays within int64; a key's first pair stands for it.
+    local = (family.matrices != 0).any(axis=2)[:, family.slots[:, 0]]
+    pos = np.argsort(~local, axis=1, kind="stable")[:, :local.sum(axis=1).max()]
+    on = np.take_along_axis(local, pos, axis=1)
+    key = np.arange(n_members)
+    for c in range(0, max(pos.shape[1], 1), 31):
+        bits = inside[:, pos[:, c:c + 31]] & on[:, c:c + 31]
+        code = key * 2 ** 31 + (bits << np.arange(bits.shape[2])).sum(axis=2)
+        _, first, key = np.unique(code, return_index=True, return_inverse=True)
+        key = key.reshape(code.shape)
+    pair_subset, pair_member = np.divmod(first, n_members)
+    # each chunk of (subset, member) pairs in one call: a loss per pair
+    step = max(1, _STACK_ELEMENTS // (sketches[0].size + family.matrices[0].size))
+    losses = np.concatenate([
+        sketch_loss(sketches[pair_subset[c:c + step]],
+                    family.matrices[pair_member[c:c + step]], k)
+        for c in range(0, len(first), step)])[key]
 
     r = family.thresholds
     margins = np.where(inside, losses - (r + gamma), (r - gamma) - losses)

@@ -212,9 +212,12 @@ def rank1_closed_form_loss(a: np.ndarray, w: np.ndarray) -> float:
     ``fro_sq(A - A t t^T / ||t||^2)`` with ``t = A^T w``.  Agrees with
     ``sketch_loss`` for the 1-row sketch ``w^T``, and raises its
     ``ValueError`` for a length of ``w`` that does not fit ``a`` and for a
-    non-finite entry in either.
+    non-finite entry in either (naming ``w`` as ``w``).  ``a`` is one
+    matrix: a stack is refused.
     """
-    row = _dense(np.reshape(w, (1, -1)), a)[0]
+    w = np.reshape(w, (1, -1))
+    _check_array("w", w, (1, None))
+    row = _dense(w, a, (None, None))[0]
     t = a.T @ row
     if not t.any():
         return fro_sq(a)

@@ -9,13 +9,14 @@ from sketchlab import shatter
 from sketchlab.cli import run_experiment
 from sketchlab.linalg import fro_sq, svd
 from sketchlab.shatter import (
+    ShatterFamily,
     block_family,
     dense_family,
     rank1_family,
     subset_sketch,
     verify_shattering,
 )
-from sketchlab.sketching import sketch_loss
+from sketchlab.sketching import SparseSketch, sketch_loss
 
 from oracles import family_members_loop, verify_shattering_loop
 
@@ -247,39 +248,70 @@ def test_verify_shattering_equals_the_per_pair_loop(fam, budget, gamma, seed):
 @pytest.mark.parametrize("fam, budget, gamma, seed", CASES, ids=_case_id)
 def test_chunked_verify_shattering_equals_the_per_pair_loop(monkeypatch, per_call,
                                                             fam, budget, gamma, seed):
-    # a cap of per_call member stacks puts that many subsets in each
-    # sketch_loss call; under the default cap, as in the test above, every
-    # one of these families takes a single call
+    # a cap of per_call member stacks' elements splits the (subset, member)
+    # pairs over several sketch_loss calls; under the default cap, as in the
+    # test below, every one of these families takes a single call
     monkeypatch.setattr(shatter, "_STACK_ELEMENTS", per_call * fam.matrices.size)
     report = verify_shattering(fam, budget, gamma, seed)
     assert report == verify_shattering_loop(fam, budget, gamma, seed)
 
 
-@pytest.mark.parametrize("fam, budget, gamma, seed", CASES, ids=_case_id)
-def test_families_under_the_cap_take_one_sketch_loss_call(monkeypatch, fam, budget,
-                                                        gamma, seed):
+def _counted_pairs(monkeypatch):
+    """Patch the verifier's sketch_loss to record the pair count of each call."""
     calls = []
 
-    def counted(*args):
-        calls.append(args[0].shape)
-        return sketch_loss(*args)
+    def counted(sketches, matrices, k):
+        calls.append(len(sketches))
+        return sketch_loss(sketches, matrices, k)
 
     monkeypatch.setattr(shatter, "sketch_loss", counted)
-    report = verify_shattering(fam, budget, gamma, seed)
-    assert calls == [(report["subsets_checked"], 1, fam.base.m, fam.base.n)]
+    return calls
 
 
-def test_a_family_over_the_stack_cap_keeps_its_memory_bounded():
-    # 300 members of 300x2: all 256 subsets in one stack would hold about
-    # 1 GB of residuals; chunked, five subsets go in each call
-    fam = rank1_family(300, 2)
+# a member's loss reads only the slots of its own sketch columns: two
+# settings for a rank1 or block member, four for a dense member (k = 2),
+# fewer when the sampled subsets do not reach them all
+@pytest.mark.parametrize("fam, budget, gamma, seed, pairs",
+                         [case + (pairs,) for case, pairs
+                          in zip(CASES, [16, 32, 16, 32, 64, 32, 139])],
+                         ids=[f"{_case_id(f)}-{b}-{g}-{s}" for f, b, g, s in CASES])
+def test_families_under_the_cap_take_one_sketch_loss_call(monkeypatch, fam, budget,
+                                                        gamma, seed, pairs):
+    calls = _counted_pairs(monkeypatch)
+    verify_shattering(fam, budget, gamma, seed)
+    assert calls == [pairs]
+
+
+def test_a_family_without_locality_takes_one_pair_per_subset_and_member(monkeypatch):
+    # dense Gaussian members touch all 70 switch slots, so every member's
+    # local setting is 70 bits wide and every (subset, member) pair its own
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((70, 70, 3))
+    a /= np.sqrt((a ** 2).sum(axis=(1, 2)))[:, None, None]
+    base = SparseSketch(1, 70, 1, np.zeros((70, 1)), np.zeros((70, 1)))
+    fam = ShatterFamily(a, base, [(j, 0) for j in range(70)], "gaussian")
+    calls = _counted_pairs(monkeypatch)
+    report = verify_shattering(fam, 8, 0.1, 0)
+    assert calls == [8 * 70]
+    want = verify_shattering_loop(fam, 8, 0.1, 0)
+    assert report == want
+    assert json.dumps(report) == json.dumps(want)
+
+
+def test_a_family_over_the_stack_cap_keeps_its_memory_bounded(monkeypatch):
+    # 161 members of 30x7 at 256 sampled subsets: about 18,000 distinct
+    # (subset, member) pairs, whose sketch and member stacks would hold
+    # about 30 MB each in one call; chunked, they take several calls
+    fam = dense_family(30, 7)
+    calls = _counted_pairs(monkeypatch)
     tracemalloc.start()
     try:
-        report = verify_shattering(fam, 256, 0.4, 1)
+        report = verify_shattering(fam, 256, 0.05, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert report["all_pass"] and report["subsets_checked"] == 256
+    assert len(calls) > 1
     assert peak < 48 * 2 ** 20
 
 

@@ -187,16 +187,27 @@ def test_rank1_closed_form_matches_pipeline():
         assert abs(closed - pipeline) <= 1e-8
 
 
-@pytest.mark.parametrize("a, w, match", [
-    (np.ones((3, 2)), [1.0, np.nan, 0.0], "sketch contains non-finite"),
-    (np.ones((3, 2)), [1.0, np.inf, 0.0], "sketch contains non-finite"),
+@pytest.mark.parametrize("a, w, closed, piped", [
+    (np.ones((3, 2)), [1.0, np.nan, 0.0], "w contains non-finite",
+     "sketch contains non-finite"),
+    (np.ones((3, 2)), [1.0, np.inf, 0.0], "w contains non-finite",
+     "sketch contains non-finite"),
     (np.array([[1.0, np.nan], [1.0, 1.0], [1.0, 1.0]]), [1.0, 0.0, 0.0],
-     "matrix contains non-finite"),
-    (np.ones((3, 2)), [1.0, 0.0], "sketch has 2 columns but the matrix has 3 rows"),
-    (np.ones(3), [1.0, 0.0, 0.0], "matrix must have ndim >= 2, got ndim=1"),
+     "matrix contains non-finite", "matrix contains non-finite"),
+    (np.ones((3, 2)), [1.0, 0.0], "sketch has 2 columns but the matrix has 3 rows",
+     "sketch has 2 columns but the matrix has 3 rows"),
+    (np.ones(3), [1.0, 0.0, 0.0], r"matrix must have shape \(None, None\), got \(3,\)",
+     "matrix must have ndim >= 2, got ndim=1"),
 ], ids=["w-nan", "w-inf", "a-nan", "length", "a-1d"])
-def test_rank1_closed_form_refuses_what_sketch_loss_refuses(a, w, match):
-    for loss in (lambda: rank1_closed_form_loss(a, w),
-                 lambda: sketch_loss(np.reshape(w, (1, -1)), a, 1)):
-        with pytest.raises(ValueError, match=match):
-            loss()
+def test_rank1_closed_form_refuses_what_sketch_loss_refuses(a, w, closed, piped):
+    with pytest.raises(ValueError, match=closed):
+        rank1_closed_form_loss(a, w)
+    with pytest.raises(ValueError, match=piped):
+        sketch_loss(np.reshape(w, (1, -1)), a, 1)
+
+
+def test_rank1_closed_form_refuses_a_stack_by_name():
+    # its formula is for one matrix; sketch_loss takes the stack
+    with pytest.raises(ValueError, match=r"^matrix must have shape \(None, None\), "
+                                         r"got \(2, 3, 4\)$"):
+        rank1_closed_form_loss(np.ones((2, 3, 4)), np.ones(3))
