@@ -24,7 +24,7 @@ import numpy as np
 
 from .charpoly import _floats, _projection
 from .gjtrace import Trace, _pairwise_table, gj_argmin
-from .linalg import _check_int
+from .linalg import _check_array, _check_int
 from .proxy import q_iterations
 
 # The pipeline's final predicate compares the proxy loss with this constant.
@@ -39,10 +39,13 @@ def _lift_inputs(tr, arr, prefix):
 
 def power_trace(m, pi, q, tr=None):
     """Trace ``M^q @ pi`` on traced inputs; entry degrees reach q + 1."""
+    m, pi = np.asarray(m), np.asarray(pi)
+    n = m.shape[0] if m.ndim else None
+    _check_array("m", m, (n, n))
+    _check_array("pi", pi, (n,))
     _check_int("q", q, 0)
     tr = tr if tr is not None else Trace()
     m_t = _lift_inputs(tr, m, "m")
-    pi = np.asarray(pi, dtype=np.float64)
     x = np.array([tr.input(f"p{i}", v) for i, v in enumerate(pi)], dtype=object)
     for _ in range(q):
         x = m_t @ x
@@ -51,6 +54,8 @@ def power_trace(m, pi, q, tr=None):
 
 def min_trace(values, tr=None):
     """Trace the all-pairs minimum of ``r`` inputs; C(r, 2) predicates."""
+    values = np.asarray(values)
+    _check_array("values", values, (None,))
     tr = tr if tr is not None else Trace()
     lifted = [tr.input(f"v{i}", v) for i, v in enumerate(values)]
     return float(lifted[gj_argmin(tr, lifted)]), tr
@@ -64,6 +69,8 @@ def rowspace_projection_trace(z, tr=None):
     size, and the single final division pairs numerator and denominator of
     matching degree.
     """
+    z = np.asarray(z)
+    _check_array("z", z, (None, None))
     tr = tr if tr is not None else Trace()
     numer, denom = _projection(tr, _lift_inputs(tr, z, "z"))
     return _floats(numer / denom), tr
@@ -77,6 +84,11 @@ def knapsack_trace(values, costs, capacity, rho, tr=None):
     predicate count is C(#items, 2) (for distinct thresholds) and the
     degree stays 1.  Capacity checks involve instance constants only.
     """
+    values, costs = np.asarray(values), np.asarray(costs)
+    _check_array("values", values, (None,))
+    _check_array("costs", costs, values.shape)
+    _check_array("capacity", np.asarray(capacity), ())
+    _check_array("rho", np.asarray(rho), ())
     tr = tr if tr is not None else Trace()
     values = [float(v) for v in values]
     costs = [float(c) for c in costs]
@@ -113,8 +125,9 @@ def proxy_pipeline_trace(sketch, a, k, epsilon, q_constant=1.0, tr=None):
     Returns the numeric proxy loss and the trace (the final comparison
     against ``_LOSS_THRESHOLD`` is included).
     """
+    a = np.asarray(a)
+    _check_array("a", a, (sketch.n, None))
     tr = tr if tr is not None else Trace()
-    a = np.asarray(a, dtype=np.float64)
     d = a.shape[1]
 
     s_t = np.full((sketch.m, sketch.n), tr.const(0.0), dtype=object)

@@ -13,24 +13,30 @@ A program written against the trace API runs unchanged on :class:`Trace`,
 through ``const`` or ``input`` (an operator refuses a raw number, so no
 float can slip into an exact replay), and ``float()`` reads a value out
 on any of the three.
+
+:class:`TracedValue` is a plain slotted record compared by identity (a
+value's place in the DAG is its ``node``), and every operator goes
+through :meth:`Trace.op`, so wrapping that one method sees each traced
+``+ - * /``.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 
-@dataclass(frozen=True)
 class TracedValue:
     """A value in the expression DAG with degree bounds and its concrete
     float, used for branching.  Inputs carry degrees (1, 0), constants
-    (0, 0)."""
+    (0, 0).  A plain slotted record, compared by identity."""
 
-    trace: "Trace"
-    node: int
-    num_deg: int
-    den_deg: int
-    numeric: float
+    __slots__ = ("trace", "node", "num_deg", "den_deg", "numeric")
+
+    def __init__(self, trace, node, num_deg, den_deg, numeric):
+        self.trace = trace
+        self.node = node
+        self.num_deg = num_deg
+        self.den_deg = den_deg
+        self.numeric = numeric
 
     @property
     def degree(self) -> int:
@@ -53,6 +59,10 @@ class TracedValue:
 
     def __float__(self):
         return self.numeric
+
+    def __repr__(self):
+        return (f"TracedValue(node={self.node}, num_deg={self.num_deg}, "
+                f"den_deg={self.den_deg}, numeric={self.numeric!r})")
 
 
 class Trace:
@@ -104,21 +114,43 @@ class Trace:
     def op(self, a: TracedValue, b: TracedValue, kind: str) -> TracedValue:
         """Apply one of ``+ - * /``; degree bounds compose conservatively
         (no cancellation is assumed), and ``/`` is ``*`` by the divisor
-        with its degrees swapped."""
-        if not (isinstance(a, TracedValue) and isinstance(b, TracedValue)
-                and a.trace is self and b.trace is self):
+        with its degrees swapped.  The key of ``+`` and ``*`` lists the
+        smaller node id first."""
+        if (type(a) is not TracedValue or type(b) is not TracedValue
+                or a.trace is not self or b.trace is not self):
             self._refuse_operands(kind, a, b)
-        b_num, b_den = (b.den_deg, b.num_deg) if kind == "/" else (b.num_deg, b.den_deg)
-        if kind in ("+", "-"):
-            numeric = a.numeric + b.numeric if kind == "+" else a.numeric - b.numeric
-            num_deg = max(a.num_deg + b_den, b_num + a.den_deg)
+        an, bn = a.node, b.node
+        if kind == "+" or kind == "-":
+            ad, bd = a.den_deg, b.den_deg
+            num_deg = a.num_deg + bd
+            if b.num_deg + ad > num_deg:
+                num_deg = b.num_deg + ad
+            den_deg = ad + bd
+            if kind == "+":
+                numeric = a.numeric + b.numeric
+                key = ("+", an, bn) if an <= bn else ("+", bn, an)
+            else:
+                numeric = a.numeric - b.numeric
+                key = ("-", an, bn)
+        elif kind == "*":
+            numeric = a.numeric * b.numeric
+            num_deg = a.num_deg + b.num_deg
+            den_deg = a.den_deg + b.den_deg
+            key = ("*", an, bn) if an <= bn else ("*", bn, an)
+        elif kind == "/":
+            numeric = a.numeric / b.numeric  # ZeroDivisionError is intended
+            num_deg = a.num_deg + b.den_deg
+            den_deg = a.den_deg + b.num_deg
+            key = ("/", an, bn)
         else:
-            # ZeroDivisionError on a zero divisor is intended
-            numeric = a.numeric * b.numeric if kind == "*" else a.numeric / b.numeric
-            num_deg = a.num_deg + b_num
-        key = ((kind, *sorted((a.node, b.node))) if kind in ("+", "*")
-               else (kind, a.node, b.node))
-        return self._make(key, num_deg, a.den_deg + b_den, numeric)
+            raise ValueError(f"unknown operator {kind!r}")
+        if num_deg > self.max_degree:
+            self.max_degree = num_deg
+        if den_deg > self.max_degree:
+            self.max_degree = den_deg
+        ids = self._node_ids
+        return TracedValue(self, ids.setdefault(key, len(ids)), num_deg,
+                           den_deg, numeric)
 
     def branch(self, v: TracedValue) -> bool:
         """Record the predicate "v >= 0" and return its concrete outcome."""

@@ -1,9 +1,11 @@
 """Independent brute-force oracles used to cross-check the library."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from sketchlab.gjtrace import pdim_bound
 from sketchlab.linalg import fro_sq
 from sketchlab.proxy import _ENERGY_STALL_RTOL
 from sketchlab.shatter import subset_sketch
@@ -223,3 +225,100 @@ def amg_error_propagator(a, p, s1, s2):
     corrector = eye - p @ np.linalg.solve(p.T @ a @ p, p.T @ a)
     return (np.linalg.matrix_power(smoother, s2) @ corrector
             @ np.linalg.matrix_power(smoother, s1))
+
+
+@dataclass(frozen=True)
+class ReferenceTracedValue:
+    """``gjtrace.TracedValue`` as a frozen dataclass: the record the
+    slotted one must match field for field."""
+
+    trace: "ReferenceTrace"
+    node: int
+    num_deg: int
+    den_deg: int
+    numeric: float
+
+    def __add__(self, other):
+        return self.trace.op(self, other, "+")
+
+    def __sub__(self, other):
+        return self.trace.op(self, other, "-")
+
+    def __mul__(self, other):
+        return self.trace.op(self, other, "*")
+
+    def __truediv__(self, other):
+        return self.trace.op(self, other, "/")
+
+    def __neg__(self):
+        return self.trace.const(-1.0) * self
+
+    def __float__(self):
+        return self.numeric
+
+
+class ReferenceTrace:
+    """``gjtrace.Trace`` with one generic ``op``: the divisor's degrees
+    swapped for ``/``, the degree rule picked by the operator, commutative
+    keys sorted, and every new value made through ``max`` and
+    ``setdefault``."""
+
+    def __init__(self):
+        self._node_ids = {}
+        self.n_inputs = 0
+        self.predicate_nodes = set()
+        self.max_degree = 0
+
+    def _make(self, key, num_deg, den_deg, numeric):
+        self.max_degree = max(self.max_degree, num_deg, den_deg)
+        node = self._node_ids.setdefault(key, len(self._node_ids))
+        return ReferenceTracedValue(self, node, num_deg, den_deg, float(numeric))
+
+    def input(self, name, value):
+        if ("in", name) in self._node_ids:
+            raise ValueError(f"duplicate input name: {name!r}")
+        self.n_inputs += 1
+        return self._make(("in", name), 1, 0, value)
+
+    def const(self, value):
+        if isinstance(value, ReferenceTracedValue):
+            raise TypeError("Trace.const takes a number, not a traced value")
+        return self._make(("const", float(value)), 0, 0, value)
+
+    def _check(self, kind, v):
+        if not isinstance(v, ReferenceTracedValue):
+            raise TypeError(f"{type(v).__name__} operand of {kind}: "
+                            "lift every number with Trace.const")
+        if v.trace is not self:
+            raise ValueError("cannot mix values from different traces")
+
+    def op(self, a, b, kind):
+        self._check(kind, a)
+        self._check(kind, b)
+        b_num, b_den = (b.den_deg, b.num_deg) if kind == "/" else (b.num_deg, b.den_deg)
+        if kind in ("+", "-"):
+            numeric = a.numeric + b.numeric if kind == "+" else a.numeric - b.numeric
+            num_deg = max(a.num_deg + b_den, b_num + a.den_deg)
+        else:
+            numeric = a.numeric * b.numeric if kind == "*" else a.numeric / b.numeric
+            num_deg = a.num_deg + b_num
+        key = ((kind, *sorted((a.node, b.node))) if kind in ("+", "*")
+               else (kind, a.node, b.node))
+        return self._make(key, num_deg, a.den_deg + b_den, numeric)
+
+    def branch(self, v):
+        self._check("branch", v)
+        self.predicate_nodes.add(v.node)
+        return v.numeric >= 0.0
+
+    @property
+    def predicate_count(self):
+        return len(self.predicate_nodes)
+
+    def report(self):
+        return {
+            "n_inputs": self.n_inputs,
+            "max_degree": self.max_degree,
+            "predicate_count": self.predicate_count,
+            "pdim_bound": pdim_bound(self.n_inputs, self),
+        }

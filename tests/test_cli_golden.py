@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from sketchlab.cli import main, run_experiment
+from sketchlab.gjtrace import Trace
 from sketchlab.matio import write_matrix
 
 
@@ -271,3 +272,22 @@ def test_default_gj_trace_reports(demo, n_inputs, max_degree, predicate_count,
     assert (metrics["n_inputs"], metrics["max_degree"], metrics["predicate_count"]) \
         == (n_inputs, max_degree, predicate_count)
     assert metrics["pdim_bound"] == pytest.approx(pdim_bound, rel=1e-12)
+
+
+# the Trace.op calls each default tracer demo makes at seed 0: the
+# benchmark's gjtrace.ops counter counts them by rebinding Trace.op
+@pytest.mark.parametrize("demo, ops", [
+    ("power", 45), ("min-of-r", 10), ("projection", 369), ("knapsack", 15),
+    ("proxy-pipeline", 731),
+])
+def test_default_gj_trace_op_counts(monkeypatch, demo, ops):
+    kinds = []
+    op = Trace.op
+
+    def counted(self, a, b, kind):
+        kinds.append(kind)
+        return op(self, a, b, kind)
+
+    monkeypatch.setattr(Trace, "op", counted)
+    assert run_experiment("gj-trace", {"demo": demo}, seed=0)["pass"]
+    assert len(kinds) == ops

@@ -1,15 +1,19 @@
 import math
+import operator
+import struct
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sketchlab import gjdemos
 from sketchlab.charpoly import projection_rowspace
 from sketchlab.gjtrace import ExactBackend, FloatBackend, Trace, gj_argmin, pdim_bound
 
-from oracles import rowspace_projector_svd
+from oracles import ReferenceTrace, rowspace_projector_svd
 
 
 def test_input_and_const_degrees():
@@ -293,3 +297,100 @@ def test_exact_replays_branch_on_exact_values():
                                  random_unit_matrix(rng, 3, 3), k=1,
                                  epsilon=0.5, tr=tr)
     assert tr.types == {Fraction}
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def _assert_same_trace(tr, ref):
+    assert tr.report() == ref.report()
+    assert list(tr._node_ids.items()) == list(ref._node_ids.items())
+    assert tr.predicate_nodes == ref.predicate_nodes
+
+
+def _demo(name, rng, tr):
+    from sketchlab.sketching import random_sparse_sketch
+    from sketchlab.synth import random_unit_matrix
+
+    if name == "power":
+        return gjdemos.power_trace(rng.standard_normal((3, 3)),
+                                   rng.standard_normal(3), 3, tr=tr)
+    if name == "min-of-r":
+        return gjdemos.min_trace(rng.standard_normal(5), tr=tr)
+    if name == "projection":
+        return gjdemos.rowspace_projection_trace(rng.standard_normal((3, 4)), tr=tr)
+    if name == "knapsack":
+        costs = np.sort(rng.uniform(1.0, 3.0, 6)) * np.arange(1, 7)
+        return gjdemos.knapsack_trace(rng.uniform(1.0, 5.0, 6), costs,
+                                      costs.sum() / 2, 1.0, tr=tr)
+    return gjdemos.proxy_pipeline_trace(random_sparse_sketch(2, 3, 1, rng),
+                                        random_unit_matrix(rng, 3, 3), 1, 0.5,
+                                        tr=tr)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("demo", ["power", "min-of-r", "projection", "knapsack",
+                                  "proxy-pipeline"])
+def test_each_demo_traces_as_the_reference_tracer_does(demo, seed):
+    out, tr = _demo(demo, np.random.default_rng(seed), Trace())
+    ref_out, ref = _demo(demo, np.random.default_rng(seed), ReferenceTrace())
+    _assert_same_trace(tr, ref)
+    assert _bits(out) == _bits(ref_out)
+
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+        "/": operator.truediv}
+
+
+def _run_program(tr, inputs, consts, program):
+    """Run a straight-line program of ``+ - * /``, ``-x`` and branches,
+    whose operands index (mod its length) a pool that starts with the
+    inputs and constants and grows by each result.  Returns the pool as
+    (node, degrees, float bits) and the branch outcomes, with a division
+    by zero as the outcome "ZeroDivisionError"."""
+    pool = ([tr.input(f"x{i}", v) for i, v in enumerate(inputs)]
+            + [tr.const(c) for c in consts])
+    outcomes = []
+    for kind, i, j in program:
+        a, b = pool[i % len(pool)], pool[j % len(pool)]
+        if kind == "branch":
+            outcomes.append(tr.branch(a))
+        elif kind == "neg":
+            pool.append(-a)
+        else:
+            try:
+                pool.append(_OPS[kind](a, b))
+            except ZeroDivisionError:
+                outcomes.append("ZeroDivisionError")
+    return ([(v.node, v.num_deg, v.den_deg, struct.pack("<d", v.numeric))
+             for v in pool], outcomes)
+
+
+_floats64 = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(_floats64, min_size=1, max_size=4),
+       st.lists(st.one_of(_floats64, st.sampled_from([0.0, -0.0, 1.0, -1.0])),
+                max_size=3),
+       st.lists(st.tuples(st.sampled_from(["+", "-", "*", "/", "neg", "branch"]),
+                          st.integers(0, 63), st.integers(0, 63)),
+                min_size=1, max_size=40))
+def test_straight_line_programs_trace_as_the_reference_tracer_does(inputs, consts,
+                                                                   program):
+    tr, ref = Trace(), ReferenceTrace()
+    assert _run_program(tr, inputs, consts, program) == \
+        _run_program(ref, inputs, consts, program)
+    _assert_same_trace(tr, ref)
+
+
+def test_traced_value_is_a_slotted_record_compared_by_identity():
+    tr = Trace()
+    x = tr.input("x", 1.5)
+    a, b = x * x, x * x  # one node, two records
+    assert a.node == b.node and a != b and a == a
+    assert not hasattr(a, "__dict__")
+    assert repr(x) == "TracedValue(node=0, num_deg=1, den_deg=0, numeric=1.5)"
+    with pytest.raises(ValueError, match="^unknown operator '%'$"):
+        tr.op(x, x, "%")

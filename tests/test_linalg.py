@@ -275,6 +275,28 @@ def _amg(**changes):
     (lambda: make_dataset([A64, A64 * 1e300]), ValueError, "matrix 1 is too large"),
     (lambda: safeguard(SK, np.ones((2, 6))), TypeError,
      "oblivious must be a SparseSketch"),
+    (lambda: gjdemos.min_trace([1.0, np.nan]), ValueError,
+     "values contains non-finite"),
+    (lambda: gjdemos.power_trace(np.full((2, 2), np.nan), np.ones(2), 1), ValueError,
+     "m contains non-finite"),
+    (lambda: gjdemos.power_trace(np.ones((2, 3)), np.ones(3), 2), ValueError,
+     r"m must have shape \(2, 2\), got \(2, 3\)"),
+    (lambda: gjdemos.power_trace(np.eye(2), np.ones(3), 1), ValueError,
+     r"pi must have shape \(2,\), got \(3,\)"),
+    (lambda: gjdemos.rowspace_projection_trace(np.ones(3)), ValueError,
+     r"z must have shape \(None, None\), got \(3,\)"),
+    (lambda: gjdemos.rowspace_projection_trace([[1.0, np.inf], [0.0, 1.0]]), ValueError,
+     "z contains non-finite"),
+    (lambda: gjdemos.knapsack_trace([1.0, 2.0], [1.0, 2.0, 3.0], 2.0, 1.0), ValueError,
+     r"costs must have shape \(2,\), got \(3,\)"),
+    (lambda: gjdemos.knapsack_trace([1.0, 2.0], [1.0, 2.0], np.inf, 1.0), ValueError,
+     "capacity contains non-finite"),
+    (lambda: gjdemos.knapsack_trace([1.0, 2.0], [1.0, 2.0], 2.0, np.nan), ValueError,
+     "rho contains non-finite"),
+    (lambda: gjdemos.proxy_pipeline_trace(SK, A64[:, :3] * np.nan, 1, 0.5), ValueError,
+     "a contains non-finite"),
+    (lambda: gjdemos.proxy_pipeline_trace(SK, np.ones((4, 3)), 1, 0.5), ValueError,
+     r"a must have shape \(6, None\), got \(4, 3\)"),
 ], ids=["sketch_loss-complex", "sketch_loss-object",
         "sketch_loss_and_grad-complex-sketch", "sketch_loss-list-sketch",
         "sketch_loss-overflow", "proxy_loss-overflow", "sketch_loss-SA-overflow",
@@ -285,7 +307,12 @@ def _amg(**changes):
         "ProxyConfig-tiny-epsilon", "AMGProblem-empty", "AMGProblem-complex",
         "AMGProblem-column-b", "AMGProblem-overflow",
         "with_prolongation_values-complex", "SparseSketch-complex",
-        "make_dataset-complex", "make_dataset-overflow", "safeguard-array"])
+        "make_dataset-complex", "make_dataset-overflow", "safeguard-array",
+        "min_trace-nan", "power_trace-nan", "power_trace-not-square",
+        "power_trace-pi", "rowspace_projection_trace-1d",
+        "rowspace_projection_trace-inf", "knapsack_trace-costs",
+        "knapsack_trace-capacity", "knapsack_trace-rho",
+        "proxy_pipeline_trace-nan", "proxy_pipeline_trace-rows"])
 def test_arrays_are_refused_by_name(call, error, match):
     # each array passes linalg._check_array: a numpy array of a real dtype,
     # of the expected shape, with finite entries; the loss family, the
