@@ -25,13 +25,16 @@ import numpy as np
 from .charpoly import _floats, _projection
 from .gjtrace import Trace, _pairwise_table, gj_argmin
 from .linalg import _check_array, _check_int
-from .proxy import q_iterations
+from .proxy import ProxyConfig, q_iterations
+from .sketching import SparseSketch, _check_loss_args
 
 # The pipeline's final predicate compares the proxy loss with this constant.
 _LOSS_THRESHOLD = 0.5
 
 
 def _lift_inputs(tr, arr, prefix):
+    if not arr.size:  # prefix is the argument's name
+        raise ValueError(f"{prefix} must be nonempty, got shape {arr.shape}")
     arr = np.asarray(arr, dtype=np.float64)
     return np.array([[tr.input(f"{prefix}{i}_{j}", v) for j, v in enumerate(row)]
                      for i, row in enumerate(arr)], dtype=object)
@@ -89,6 +92,8 @@ def knapsack_trace(values, costs, capacity, rho, tr=None):
     _check_array("costs", costs, values.shape)
     _check_array("capacity", np.asarray(capacity), ())
     _check_array("rho", np.asarray(rho), ())
+    if not values.size:
+        raise ValueError("values must be nonempty, got shape (0,)")
     tr = tr if tr is not None else Trace()
     values = [float(v) for v in values]
     costs = [float(c) for c in costs]
@@ -122,11 +127,13 @@ def proxy_pipeline_trace(sketch, a, k, epsilon, q_constant=1.0, tr=None):
     pattern, and the candidate subsets are constants.  All projectors are
     computed division-last, so the degree stays proportional to
     ``m * k * q`` instead of compounding through nested quotients.
-    Returns the numeric proxy loss and the trace (the final comparison
-    against ``_LOSS_THRESHOLD`` is included).
+    Returns the numeric proxy loss and the trace (with the final comparison
+    against ``_LOSS_THRESHOLD``); refuses what ``proxy_loss`` refuses, by its texts.
     """
-    a = np.asarray(a)
-    _check_array("a", a, (sketch.n, None))
+    if not isinstance(sketch, SparseSketch):
+        raise TypeError(f"sketch must be a SparseSketch, got {type(sketch).__name__}")
+    ProxyConfig(epsilon, q_constant=q_constant)  # its epsilon and q_constant rules
+    _check_loss_args(sketch, a, k, (None, None))
     tr = tr if tr is not None else Trace()
     d = a.shape[1]
 

@@ -171,6 +171,7 @@ def _rank_k(a: np.ndarray, k: int) -> np.ndarray:  # for callers that checked a,
 def pinv(a: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudo-inverse of a 2-D matrix via the rank-trimmed
     SVD."""
+    _check_array("a", a, (None, None))
     u, s, v = svd(a)
     return (v / s) @ u.T
 

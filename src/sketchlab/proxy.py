@@ -24,7 +24,7 @@ import numpy as np
 
 from .linalg import (_check_array, _check_fro_sq, _check_int, _check_positive,
                      _orthonormal, fro_sq)
-from .sketching import _sketched_rowspace
+from .sketching import _check_loss_args, _rowspace
 
 DEFAULT_Q_CONSTANT = 4.0
 
@@ -213,7 +213,7 @@ def proxy_loss(sketch, a: np.ndarray, k: int, cfg: ProxyConfig) -> float:
     The result exceeds the true loss by at most ``cfg.epsilon`` (and is
     never below it) when the candidate enumeration is exhaustive.
     """
-    v = _sketched_rowspace(a, k, sketch, (None, None)).V
+    v = _rowspace(_check_loss_args(sketch, a, k, (None, None)), a).V
     b = a @ (v @ v.T)
     q = q_iterations(cfg.epsilon, a.shape[1], cfg.q_constant)
     qs = power_refine(b, candidate_bases(b, k, cfg), q)

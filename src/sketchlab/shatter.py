@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import _check_int, _check_positive, _check_seed
-from .sketching import SparseSketch, sketch_loss
+from .sketching import SparseSketch, _check_loss_args, _loss, sketch_loss
 
 # the elements of the sketch and member stacks (pairs per call times
-# m n + n d) that one sketch_loss call of verify_shattering may hold; its
+# m n + n d) that one loss call of verify_shattering may hold; its
 # A V and residual stacks grow with it (at most 8 MB each at the cap)
 _STACK_ELEMENTS = 2 ** 20
 
@@ -151,10 +151,10 @@ def verify_shattering(family: ShatterFamily, subset_budget: int = 256,
     its local slots, and each group's loss comes from its first subset:
     a rank1 member takes at most 2 losses, a block one ``2^s`` and a
     dense one ``2^k``, while a member that touches every slot takes one
-    per subset, as a loss per pair would.  The groups' pairs go to ``sketch_loss`` as paired sketch
-    and member stacks in chunks of at most ``_STACK_ELEMENTS`` elements
-    (one pair when a pair alone holds more); a small family takes a
-    single call.
+    per subset, as a loss per pair would.  Checked once, the groups' pairs
+    go to the unchecked loss kernel as paired sketch and member stacks in
+    chunks of at most ``_STACK_ELEMENTS`` elements (one pair when a pair
+    alone holds more); a small family takes a single call.
 
     Returns a JSON-ready report with per-family margins, including the
     smallest observed off-sketch loss compared against the ``1/k`` and
@@ -165,8 +165,7 @@ def verify_shattering(family: ShatterFamily, subset_budget: int = 256,
     _check_positive("gamma", gamma)
     _check_seed(seed)
     n_members = len(family.matrices)
-    base = family.base
-    k = base.m
+    base, k = family.base, family.base.m
 
     # row s, column i: member i is in subset s, bit i of the subset's mask
     if n_members <= 14:
@@ -190,6 +189,7 @@ def verify_shattering(family: ShatterFamily, subset_budget: int = 256,
     j, t = family.slots[member].T
     values[subset, j, t] = 1.0
     sketches = base._scatter(values, np.zeros((checked, base.m, base.n)))
+    _check_loss_args(sketches, family.matrices, k)  # once; the chunks run unchecked
     # local[i, r]: slot r lies in a sketch column where member i has a
     # nonzero row.  Row i of pos lists member i's local slots first (on
     # marks them).  Key each (subset, member) pair by the member and its
@@ -208,8 +208,8 @@ def verify_shattering(family: ShatterFamily, subset_budget: int = 256,
     # each chunk of (subset, member) pairs in one call: a loss per pair
     step = max(1, _STACK_ELEMENTS // (sketches[0].size + family.matrices[0].size))
     losses = np.concatenate([
-        sketch_loss(sketches[pair_subset[c:c + step]],
-                    family.matrices[pair_member[c:c + step]], k)
+        _loss(sketches[pair_subset[c:c + step]],
+              family.matrices[pair_member[c:c + step]], k)
         for c in range(0, len(first), step)])[key]
 
     r = family.thresholds

@@ -11,8 +11,9 @@ training, the shattering verifier and the tracer alike.
 approximation: sketch the input down to ``S @ A``, take its SVD, and solve
 the small problem in the sketched row space; its projection form shares
 that one SVD of ``SA``, and so does ``sketch_loss_and_grad``, the loss
-with its closed-form gradient in the dense sketch.  An ``SA`` beyond float
-range is a ``ValueError``.
+with its gradient.  Each public loss checks (sketch, A, k) once, at
+``_check_loss_args``, then runs an unchecked kernel, as training and the
+shattering verifier do; an ``SA`` beyond float range is a ``ValueError``.
 
 The pipeline broadcasts: the sketch may be a ``SparseSketch``, an m-by-n
 matrix or a stack ``(..., m, n)``, and ``A`` an n-by-d matrix or a stack
@@ -90,9 +91,10 @@ class SparseSketch:
         return SparseSketch(self.m, self.n, self.s, self.pattern, values)
 
 
-def _dense(sketch, a: np.ndarray, shape=None) -> np.ndarray:
-    """The dense float64 sketch, after the array rule on it and ``a`` (of
-    ``shape``, by default any matrix or stack) and the width and norm checks."""
+def _check_loss_args(sketch, a: np.ndarray, k, shape=None) -> np.ndarray:
+    """The loss family's one door: the array rule on the sketch and ``a`` (of
+    ``shape``; by default any matrix or stack), the width, norm and k checks
+    (none for ``k=None``); returns the dense float64 sketch for the kernels."""
     if hasattr(sketch, "dense"):
         s_mat = sketch.dense()
     else:
@@ -103,6 +105,10 @@ def _dense(sketch, a: np.ndarray, shape=None) -> np.ndarray:
         raise ValueError(f"sketch has {s_mat.shape[-1]} columns but the matrix has "
                          f"{a.shape[-2]} rows")
     _check_fro_sq("matrix", a)
+    if k is not None:
+        _check_int("k", k)
+        if not (1 <= k <= min(a.shape[-2:])):
+            raise ValueError(f"k must satisfy 1 <= k <= min(A.shape), got k={k}")
     return s_mat
 
 
@@ -128,21 +134,35 @@ def random_sparse_sketch(m: int, n: int, s: int, seed) -> SparseSketch:
     return SparseSketch(m, n, s, pattern, values)
 
 
-def _sketched_rowspace(a: np.ndarray, k: int, sketch, shape=None) -> SvdResult:
-    """Validate the inputs (the sketch and ``a`` of ``shape``, as in
-    :func:`_dense`) and return the rank-trimmed SVD ``U Sigma V^T`` of
-    ``SA``; ``V`` (d-by-r) is an orthonormal basis of its row space.  The
-    true loss, its gradient and the proxy all start from it."""
-    s_mat = _dense(sketch, a, shape)
-    _check_int("k", k)
-    if not (1 <= k <= min(a.shape[-2:])):
-        raise ValueError(f"k must satisfy 1 <= k <= min(A.shape), got k={k}")
+def _rowspace(s_mat: np.ndarray, a: np.ndarray) -> SvdResult:
+    """The rank-trimmed SVD ``U Sigma V^T`` of ``SA``: ``V`` spans its row space."""
     try:
         with np.errstate(over="raise"):
             sa = s_mat @ a
     except FloatingPointError:
         raise ValueError("sketch @ matrix overflows: SA is beyond float range") from None
     return svd(sa)
+
+
+def _lowrank(s_mat: np.ndarray, a: np.ndarray, k: int) -> np.ndarray:
+    v = _rowspace(s_mat, a).V
+    return _rank_k(a @ v, k) @ v.swapaxes(-1, -2)
+
+
+def _loss(s_mat: np.ndarray, a: np.ndarray, k: int):
+    low = _lowrank(s_mat, a, k)  # then in place: for a stack, the largest array
+    return fro_sq(np.subtract(a, low, out=low))
+
+
+def _loss_and_grad(s_mat: np.ndarray, a: np.ndarray, k: int) -> tuple:
+    u, sv_sa, v = _rowspace(s_mat, a)
+    w, sv, z = svd(a @ v)
+    w, sv, z = w[..., :k], sv[..., None, :k], z[..., :k]
+    resid = a - ((w * sv) @ z.swapaxes(-1, -2)) @ v.swapaxes(-1, -2)
+    # masked columns of u are zero; dividing by 1 keeps them so
+    x = (u / np.where(sv_sa > 0.0, sv_sa, 1.0)[..., None, :]) @ z
+    grad = -2.0 * (x * sv) @ ((w.swapaxes(-1, -2) @ resid) @ a.swapaxes(-1, -2))
+    return fro_sq(resid), grad
 
 
 def sketch_lowrank(a: np.ndarray, k: int, sketch) -> np.ndarray:
@@ -152,14 +172,13 @@ def sketch_lowrank(a: np.ndarray, k: int, sketch) -> np.ndarray:
     ``[A V]_k V^T``; when ``SA`` vanishes, ``V`` is empty and the result
     is the zero matrix.  The output always has rank at most ``k``.
     """
-    v = _sketched_rowspace(a, k, sketch).V
-    return _rank_k(a @ v, k) @ v.swapaxes(-1, -2)
+    return _lowrank(_check_loss_args(sketch, a, k), a, k)
 
 
 def sketch_lowrank_via_projection(a: np.ndarray, k: int, sketch) -> np.ndarray:
     """Equivalent form of :func:`sketch_lowrank`: ``[A P]_k`` where
     ``P = V V^T`` projects onto the row space of ``SA``."""
-    v = _sketched_rowspace(a, k, sketch).V
+    v = _rowspace(_check_loss_args(sketch, a, k), a).V
     return _rank_k(a @ (v @ v.swapaxes(-1, -2)), k)
 
 
@@ -170,9 +189,7 @@ def sketch_loss(sketch, a: np.ndarray, k: int):
     For inputs normalized to unit squared Frobenius norm the value lies in
     [0, 1]; in general it never exceeds ``fro_sq(a)``.
     """
-    low = sketch_lowrank(a, k, sketch)
-    # in place: for a stack this is the call's largest array
-    return fro_sq(np.subtract(a, low, out=low))
+    return _loss(_check_loss_args(sketch, a, k), a, k)
 
 
 def sketch_loss_and_grad(sketch, a: np.ndarray, k: int) -> tuple:
@@ -194,14 +211,7 @@ def sketch_loss_and_grad(sketch, a: np.ndarray, k: int) -> tuple:
     and ``sigma_k > sigma_{k+1}``.  Sketch rows with no part in ``SA``'s
     left singular space (empty rows among them) get zero.
     """
-    u, sv_sa, v = _sketched_rowspace(a, k, sketch)
-    w, sv, z = svd(a @ v)
-    w, sv, z = w[..., :k], sv[..., None, :k], z[..., :k]
-    resid = a - ((w * sv) @ z.swapaxes(-1, -2)) @ v.swapaxes(-1, -2)
-    # masked columns of u are zero; dividing by 1 keeps them so
-    x = (u / np.where(sv_sa > 0.0, sv_sa, 1.0)[..., None, :]) @ z
-    grad = -2.0 * (x * sv) @ ((w.swapaxes(-1, -2) @ resid) @ a.swapaxes(-1, -2))
-    return fro_sq(resid), grad
+    return _loss_and_grad(_check_loss_args(sketch, a, k), a, k)
 
 
 def rank1_closed_form_loss(a: np.ndarray, w: np.ndarray) -> float:
@@ -217,7 +227,7 @@ def rank1_closed_form_loss(a: np.ndarray, w: np.ndarray) -> float:
     """
     w = np.reshape(w, (1, -1))
     _check_array("w", w, (1, None))
-    row = _dense(w, a, (None, None))[0]
+    row = _check_loss_args(w, a, None, (None, None))[0]
     t = a.T @ row
     if not t.any():
         return fro_sq(a)

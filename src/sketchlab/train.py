@@ -14,15 +14,15 @@ import numpy as np
 
 from .linalg import (_check_array, _check_fro_sq, _check_int, _check_positive,
                      _check_seed, fro_sq)
-from .sketching import SparseSketch, sketch_loss, sketch_loss_and_grad
+from .sketching import SparseSketch, _check_loss_args, _loss, _loss_and_grad
 
 
 @dataclass
 class TrainConfig:
     """Hyperparameters for mini-batch SGD.
 
-    ``fd_step`` is a central-difference step, validated but read by no
-    package code; it is kept for callers that still pass it.  An int
+    ``fd_step`` is validated but read by nothing; the learn-sketch benchmark
+    still passes it, until ROADMAP item 1b deletes it.  An int
     ``seed`` (or None) is the seed of each run's own generator, so an int
     reproduces the run; a ``numpy`` Generator is drawn from directly and
     advances, so each run with that config shuffles differently.
@@ -90,7 +90,8 @@ def make_dataset(matrices) -> np.ndarray:
 def empirical_loss(sketch, data, k: int) -> float:
     """Mean sketch-and-solve loss over a nonempty dataset of matrices of
     one shape, from one stacked call."""
-    return float(np.mean(sketch_loss(sketch, _stacked(data), k)))
+    data = _stacked(data)
+    return float(np.mean(_loss(_check_loss_args(sketch, data, k), data, k)))
 
 
 def _descend(vals, data, cfg: TrainConfig, batch_grads, mean_loss,
@@ -104,7 +105,7 @@ def _descend(vals, data, cfg: TrainConfig, batch_grads, mean_loss,
     trajectory on every call, while a Generator seed is that generator
     itself and advances with each call.  ``mean_loss(vals)`` is appended
     to ``history`` after each epoch when a list is passed.  Aborts with a
-    diagnostic if a loss or the gradient evaluates non-finite.
+    diagnostic if a loss, or a value after a step, evaluates non-finite.
     """
     n = len(_nonempty(data))
     rng = np.random.default_rng(cfg.seed)
@@ -114,10 +115,10 @@ def _descend(vals, data, cfg: TrainConfig, batch_grads, mean_loss,
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             losses, grad = batch_grads(vals, idx)
-            if not (np.isfinite(losses).all() and np.isfinite(grad).all()):
-                raise FloatingPointError(f"non-finite loss or gradient at epoch "
-                                         f"{epoch}, items {idx.tolist()}: {losses}")
             vals -= cfg.step_size * (grad / idx.size)
+            if not (np.isfinite(losses).all() and np.isfinite(vals).all()):
+                raise FloatingPointError(f"non-finite loss, gradient or step at epoch "
+                                         f"{epoch}, items {idx.tolist()}: {losses}")
         if history is not None:
             history.append(float(mean_loss(vals)))
             if not np.isfinite(history[-1]):
@@ -130,23 +131,24 @@ def sgd_train(pattern: SparseSketch, data, k: int, cfg: TrainConfig,
               history: list | None = None) -> SparseSketch:
     """Train the slot values of ``pattern`` by mini-batch SGD on the mean
     sketch-and-solve loss, with its closed-form gradient at the slot
-    positions.  The returned sketch has exactly the input pattern; the
-    loop, ``history`` and the aborts are those of :func:`_descend`.
+    positions, after one check at the loss family's door.  The result has
+    the input pattern; its loop, ``history`` and aborts are :func:`_descend`'s.
     """
     data = _stacked(data)
+    _check_loss_args(pattern, data, k)
 
     def dense(vals):
         return pattern._scatter(vals, np.zeros((pattern.m, pattern.n)))
 
     def batch_grads(vals, idx):
-        losses, g = sketch_loss_and_grad(dense(vals), data[idx], k)
+        losses, g = _loss_and_grad(dense(vals), data[idx], k)
         # summed before the gather: the gathered copy has the batch axis
         # innermost, which numpy sums pairwise, not item by item
         return losses, pattern._gather(g.sum(axis=0))
 
     return pattern.with_values(_descend(
         pattern.values, data, cfg, batch_grads,
-        lambda v: empirical_loss(dense(v), data, k), history))
+        lambda v: np.mean(_loss(dense(v), data, k)), history))
 
 
 def safeguard(learned: SparseSketch, oblivious: SparseSketch) -> SparseSketch:

@@ -142,16 +142,33 @@ def central_difference_grad(loss_fn, values, h):
     return grad
 
 
-def finite_difference_sgd(values, loss_fn, cfg, history=None):
-    """Full-batch gradient descent on central-difference gradients: one
-    step of ``cfg.step_size`` per epoch with step ``cfg.fd_step``, and the
-    loss after each epoch appended to ``history`` when given."""
+def finite_difference_sgd(values, loss_fn, cfg, history=None, h=1e-5):
+    """Full-batch gradient descent on central-difference gradients of step
+    ``h``: one step of ``cfg.step_size`` per epoch, and the loss after each
+    epoch appended to ``history`` when given."""
     vals = np.array(values, dtype=np.float64).ravel()
     for _ in range(cfg.epochs):
-        vals -= cfg.step_size * central_difference_grad(loss_fn, vals, cfg.fd_step)
+        vals -= cfg.step_size * central_difference_grad(loss_fn, vals, h)
         if history is not None:
             history.append(float(loss_fn(vals)))
     return vals
+
+
+def small_gap_instance(d, k, delta, tail, seed):
+    """(A, sketch) of the small-gap family, the slow case of block power
+    refinement: A is d-by-d, ``U diag(sigma) V^T`` scaled to unit squared
+    Frobenius norm, with sigma_1..sigma_k = 1, sigma_{k+1} = 1 - delta
+    and ``tail`` below (k < d).  U is Haar-random from ``seed``; V's first
+    column is the all-ones direction, spread evenly over the standard
+    starting blocks, and the rest random.  The sketch is the identity, so
+    the proxy refines B = A."""
+    rng = np.random.default_rng(seed)
+    sigma = np.full(d, float(tail))
+    sigma[:k], sigma[k] = 1.0, 1.0 - delta
+    u = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    v = np.linalg.qr(np.column_stack([np.ones(d), rng.standard_normal((d, d - 1))]))[0]
+    a = (u * sigma) @ v.T
+    return a / np.sqrt(fro_sq(a)), np.eye(d)
 
 
 def family_members_loop(base, slots, width):

@@ -271,6 +271,29 @@ def test_pipeline_float_replays_are_bit_identical_over_draws(n, d, m):
         assert exact == pytest.approx(reference, abs=1e-12)
 
 
+@pytest.mark.parametrize("k, epsilon", [(0, 0.5), (4, 0.5), (1.0, 0.5), (1, 1.0)],
+                         ids=["k-zero", "k-above-min", "k-float", "epsilon-one"])
+def test_proxy_pipeline_trace_refuses_what_proxy_loss_refuses(k, epsilon):
+    # the same texts: ProxyConfig's epsilon rule, then the loss family's k
+    # rule; the 4x3 instance has min(n, d) = 3
+    from sketchlab.proxy import ProxyConfig, proxy_loss
+    from sketchlab.sketching import random_sparse_sketch
+
+    sk, a = random_sparse_sketch(2, 4, 1, 0), np.eye(4, 3)
+    with pytest.raises(ValueError) as want:
+        proxy_loss(sk, a, k, ProxyConfig(epsilon, q_constant=1.0))
+    with pytest.raises(ValueError) as got:
+        gjdemos.proxy_pipeline_trace(sk, a, k, epsilon)
+    assert str(got.value) == str(want.value)
+
+
+def test_proxy_pipeline_trace_refuses_a_dense_sketch_by_name():
+    # its traced inputs are the slot values, so a dense sketch cannot be
+    # traced, though proxy_loss takes one
+    with pytest.raises(TypeError, match="^sketch must be a SparseSketch, got ndarray$"):
+        gjdemos.proxy_pipeline_trace(np.ones((2, 4)), np.eye(4, 3), 1, 0.5)
+
+
 class _BranchTypes(ExactBackend):
     """Exact backend that records the type of every branch argument."""
 

@@ -294,9 +294,21 @@ def _amg(**changes):
     (lambda: gjdemos.knapsack_trace([1.0, 2.0], [1.0, 2.0], 2.0, np.nan), ValueError,
      "rho contains non-finite"),
     (lambda: gjdemos.proxy_pipeline_trace(SK, A64[:, :3] * np.nan, 1, 0.5), ValueError,
-     "a contains non-finite"),
+     "matrix contains non-finite"),
     (lambda: gjdemos.proxy_pipeline_trace(SK, np.ones((4, 3)), 1, 0.5), ValueError,
-     r"a must have shape \(6, None\), got \(4, 3\)"),
+     "sketch has 6 columns but the matrix has 4 rows"),
+    (lambda: gjdemos.power_trace(np.zeros((0, 0)), np.zeros(0), 2), ValueError,
+     r"m must be nonempty, got shape \(0, 0\)"),
+    (lambda: gjdemos.rowspace_projection_trace(np.zeros((0, 3))), ValueError,
+     r"z must be nonempty, got shape \(0, 3\)"),
+    (lambda: gjdemos.rowspace_projection_trace(np.zeros((2, 0))), ValueError,
+     r"z must be nonempty, got shape \(2, 0\)"),
+    (lambda: gjdemos.knapsack_trace([], [], 1.0, 1.0), ValueError,
+     r"values must be nonempty, got shape \(0,\)"),
+    (lambda: pinv([[1.0, 2.0]]), TypeError, "a must be a numpy array, got list"),
+    (lambda: pinv(np.ones(3)), ValueError,
+     r"a must have shape \(None, None\), got \(3,\)"),
+    (lambda: pinv(np.full((2, 2), np.nan)), ValueError, "a contains non-finite"),
 ], ids=["sketch_loss-complex", "sketch_loss-object",
         "sketch_loss_and_grad-complex-sketch", "sketch_loss-list-sketch",
         "sketch_loss-overflow", "proxy_loss-overflow", "sketch_loss-SA-overflow",
@@ -312,7 +324,9 @@ def _amg(**changes):
         "power_trace-pi", "rowspace_projection_trace-1d",
         "rowspace_projection_trace-inf", "knapsack_trace-costs",
         "knapsack_trace-capacity", "knapsack_trace-rho",
-        "proxy_pipeline_trace-nan", "proxy_pipeline_trace-rows"])
+        "proxy_pipeline_trace-nan", "proxy_pipeline_trace-rows", "power_trace-empty",
+        "rowspace_projection_trace-no-rows", "rowspace_projection_trace-no-columns",
+        "knapsack_trace-empty", "pinv-list", "pinv-1d", "pinv-nan"])
 def test_arrays_are_refused_by_name(call, error, match):
     # each array passes linalg._check_array: a numpy array of a real dtype,
     # of the expected shape, with finite entries; the loss family, the

@@ -3,7 +3,9 @@
 Inputs are drawn by ``synth.random_instance`` from a hypothesis-chosen seed,
 scaled by ``10**e`` with ``e`` in [-150, 150], and their sketches are made
 rank-deficient on purpose: zero rows, duplicated rows, or all-zero values.
-Losses are compared relative to ``fro_sq`` of the scaled input.  The
+Losses are compared relative to ``fro_sq`` of the scaled input.  The proxy
+bracket is also searched on the small-gap family of
+``oracles.small_gap_instance``, over scales 10**(+-100).  The
 closed-form gradient is checked against central differences of
 ``sketch_loss`` on sparse sketches with an empty row or a rank-deficient
 input, at scales 10**(+-50) of A and of the sketch.  Stacked losses and
@@ -13,10 +15,11 @@ array is fed arrays of every dtype kind, ndim 0-3, zero-length axes and
 scales 10**(+-300), and must return a finite value or name its fault.
 """
 
+import math
 import re
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, settings, target
 from hypothesis import strategies as st
 
 from sketchlab.amg import AMGProblem
@@ -31,6 +34,8 @@ from sketchlab.sketching import (
 )
 from sketchlab.synth import random_instance
 from sketchlab.train import make_dataset
+
+from oracles import small_gap_instance
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
                     database=None)
@@ -115,6 +120,24 @@ def test_proxy_at_eps_001_is_bracketed_and_scale_free(inst, scale):
     assert abs(relative - unit) <= 1e-8
     delta = relative - sketch_loss(s, a, k) / fro_sq(a)
     assert -1e-9 <= delta <= cfg.epsilon + 1e-9
+
+
+@settings(PROPERTY, max_examples=30)
+@given(st.sampled_from([3, 5, 7]), st.sampled_from([1, 2]),
+       st.floats(math.log10(1e-5), math.log10(0.9)).map(lambda e: 10.0 ** e),
+       st.sampled_from([0.0, 0.05, 0.1]),
+       st.integers(-100, 100).map(lambda e: 10.0 ** e),
+       st.integers(0, 2**32 - 1))
+def test_proxy_bracket_holds_on_the_small_gap_family(d, k, delta, tail, scale, seed):
+    # sigma_{k+1} = 1 - delta slows refinement most near delta ~ 1/(4t);
+    # the bracket must hold there at the default q_constant, at both epsilons
+    a, s = small_gap_instance(d, k, delta, tail, seed)
+    a = scale * a
+    true = sketch_loss(s, a, k)
+    for eps in (0.1, 0.01):
+        delta_rel = (proxy_loss(s, a, k, ProxyConfig(eps)) - true) / fro_sq(a)
+        target(delta_rel / eps, label=f"eps={eps}")  # search toward the edge
+        assert -1e-9 <= delta_rel <= eps + 1e-9
 
 
 @st.composite

@@ -16,7 +16,7 @@ from sketchlab.shatter import (
     subset_sketch,
     verify_shattering,
 )
-from sketchlab.sketching import SparseSketch, sketch_loss
+from sketchlab.sketching import SparseSketch, _loss, sketch_loss
 
 from oracles import family_members_loop, verify_shattering_loop
 
@@ -249,7 +249,7 @@ def test_verify_shattering_equals_the_per_pair_loop(fam, budget, gamma, seed):
 def test_chunked_verify_shattering_equals_the_per_pair_loop(monkeypatch, per_call,
                                                             fam, budget, gamma, seed):
     # a cap of per_call member stacks' elements splits the (subset, member)
-    # pairs over several sketch_loss calls; under the default cap, as in the
+    # pairs over several loss kernel calls; under the default cap, as in the
     # test below, every one of these families takes a single call
     monkeypatch.setattr(shatter, "_STACK_ELEMENTS", per_call * fam.matrices.size)
     report = verify_shattering(fam, budget, gamma, seed)
@@ -257,14 +257,14 @@ def test_chunked_verify_shattering_equals_the_per_pair_loop(monkeypatch, per_cal
 
 
 def _counted_pairs(monkeypatch):
-    """Patch the verifier's sketch_loss to record the pair count of each call."""
+    """Patch the verifier's loss kernel to record the pair count of each call."""
     calls = []
 
     def counted(sketches, matrices, k):
         calls.append(len(sketches))
-        return sketch_loss(sketches, matrices, k)
+        return _loss(sketches, matrices, k)
 
-    monkeypatch.setattr(shatter, "sketch_loss", counted)
+    monkeypatch.setattr(shatter, "_loss", counted)
     return calls
 
 
@@ -296,6 +296,18 @@ def test_a_family_without_locality_takes_one_pair_per_subset_and_member(monkeypa
     want = verify_shattering_loop(fam, 8, 0.1, 0)
     assert report == want
     assert json.dumps(report) == json.dumps(want)
+
+
+@pytest.mark.parametrize("fam, chunks",
+                         [(rank1_family(4, 3), 1), (dense_family(30, 7), 8)],
+                         ids=["one-chunk", "eight-chunks"])
+def test_verify_shattering_checks_its_member_stack_once(monkeypatch, array_checks,
+                                                        fam, chunks):
+    # once per call, not per chunk: the chunks run on the unchecked kernel
+    calls = _counted_pairs(monkeypatch)
+    verify_shattering(fam, 256, 0.05, 1)
+    assert len(calls) == chunks
+    assert array_checks.count("matrix") == 1
 
 
 def test_a_family_over_the_stack_cap_keeps_its_memory_bounded(monkeypatch):

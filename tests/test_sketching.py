@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from sketchlab import gjdemos
 from sketchlab.linalg import fro_sq, svd
 from sketchlab.sketching import (
     SparseSketch,
@@ -12,6 +13,7 @@ from sketchlab.sketching import (
     sketch_loss,
 )
 from sketchlab.synth import random_instance, random_unit_matrix
+from sketchlab.train import TrainConfig, empirical_loss, make_dataset, sgd_train
 
 
 def test_sparse_sketch_validation():
@@ -211,3 +213,25 @@ def test_rank1_closed_form_refuses_a_stack_by_name():
     with pytest.raises(ValueError, match=r"^matrix must have shape \(None, None\), "
                                          r"got \(2, 3, 4\)$"):
         rank1_closed_form_loss(np.ones((2, 3, 4)), np.ones(3))
+
+
+@pytest.mark.parametrize("epochs", [1, 3])
+def test_sgd_train_checks_its_dataset_once(array_checks, epochs):
+    rng = np.random.default_rng(28)
+    data = make_dataset([rng.standard_normal((6, 4)) for _ in range(8)])
+    history = []
+    sgd_train(random_sparse_sketch(3, 6, 1, 0), data, 2, TrainConfig(epochs, 0.1, 2),
+              history=history)
+    assert len(history) == epochs
+    assert array_checks.count("matrix") == 1
+
+
+def test_empirical_loss_and_the_traced_pipeline_check_once(array_checks):
+    rng = np.random.default_rng(29)
+    a = random_unit_matrix(rng, 3, 3)
+    sk = random_sparse_sketch(2, 3, 1, 0)
+    empirical_loss(sk, [a, a, a], 1)
+    assert array_checks.count("matrix") == 1
+    array_checks.clear()
+    gjdemos.proxy_pipeline_trace(sk, a, 1, 0.5)
+    assert array_checks.count("matrix") == 1

@@ -223,6 +223,32 @@ def test_descent_aborts_on_non_finite_loss_or_gradient():
                  lambda v: float("inf"), [])
 
 
+def test_descent_aborts_on_a_step_that_leaves_a_value_non_finite():
+    cfg = TrainConfig(1, 1e10, 1)
+
+    def huge(vals, idx):
+        return [1.0] * len(idx), np.full(2, 1e300)
+
+    with np.errstate(over="ignore"):
+        with pytest.raises(FloatingPointError, match=r"^non-finite loss, gradient "
+                                                     r"or step at epoch 0, items"):
+            _descend(np.ones(2), [0, 1], cfg, huge, lambda v: 1.0, None)
+
+
+@pytest.mark.parametrize("epochs", [0, 1])
+@pytest.mark.parametrize("change, match", [
+    ({"data": np.full((2, 6, 4), np.nan)}, "matrix contains non-finite entries"),
+    ({"k": 99}, r"k must satisfy 1 <= k <= min\(A.shape\), got k=99"),
+    ({"data": np.ones((2, 5, 4))}, "sketch has 6 columns but the matrix has 5 rows"),
+], ids=["nan-data", "k-out-of-range", "width-mismatch"])
+def test_sgd_train_refuses_bad_loss_arguments_before_any_epoch(epochs, change, match):
+    # the loss family's texts, at epochs=0 too, where no loss is computed
+    args = {"data": make_dataset([np.eye(6, 4), np.ones((6, 4))]), "k": 2} | change
+    with pytest.raises(ValueError, match=f"^{match}$"):
+        sgd_train(random_sparse_sketch(3, 6, 1, 2), args["data"], args["k"],
+                  TrainConfig(epochs, 0.1, 1))
+
+
 def test_empty_training_sets_are_named():
     with pytest.raises(ValueError, match="dataset must be nonempty"):
         sgd_train(random_sparse_sketch(3, 6, 1, 2), [], 2, TrainConfig(1, 0.1, 1))
