@@ -8,6 +8,8 @@ central identity.  A problem forms ``L^{-1}`` (L the lower-triangular part
 of A) and ``P^T A P`` once, so a sweep is a matrix-vector product; new
 prolongation values form only ``P^T A P`` again and share ``L^{-1}``.  The
 step, the loss and its gradient in P run one cycle and one forward pass.
+Each public step and loss checks its arguments once, at ``_check_args``,
+then runs unchecked kernels; training runs them directly.
 """
 
 import copy
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import RANK_RTOL, _check_array, _check_int, svd
+from .linalg import RANK_RTOL, _check_array, _check_int, _check_type, svd
 from .train import TrainConfig, _descend, _nonempty
 
 # An iterate diverges once its norm passes this multiple of the problem's
@@ -105,17 +107,39 @@ class AMGProblem:
         and the pattern are shared with this problem."""
         values = np.ravel(values)
         _check_array("values", values, (int(np.count_nonzero(self._pattern)),))
+        return self._with_p(self._scatter(values))
+
+    def _scatter(self, values) -> np.ndarray:
+        """A new P holding ``values`` on the pattern.  Unchecked."""
+        p = np.zeros_like(self.p)
+        p[self._pattern] = values
+        return p
+
+    def _with_p(self, p) -> "AMGProblem":
+        """This problem with P = ``p``; only ``P^T A P`` is formed again."""
         out = copy.copy(self)
-        out.p = np.zeros_like(self.p)
-        out.p[self._pattern] = values
-        out.coarse = _coarse_matrix(self.a, out.p)
+        out.p, out.coarse = p, _coarse_matrix(self.a, p)
         return out
+
+
+def _check_args(prob, q=0, **iterates):
+    """The family's one door: ``prob`` must be an :class:`AMGProblem`, ``q``
+    a count >= 0 (a step runs none) and each named iterate an (n,) array."""
+    _check_type("prob", prob, AMGProblem)
+    _check_int("q", q, 0)
+    for name, x in iterates.items():
+        _check_array(name, x, prob.b.shape)
+
+
+def _sweep(prob: AMGProblem, x: np.ndarray) -> np.ndarray:
+    return x + prob.lower_inv @ (prob.b - prob.a @ x)
 
 
 def smoothing_sweep(prob: AMGProblem, x: np.ndarray) -> np.ndarray:
     """One forward Gauss-Seidel sweep: ``x + L^{-1}(b - A x)`` with L the
     lower-triangular part of A.  The error contracts by ``I - L^{-1} A``."""
-    return x + prob.lower_inv @ (prob.b - prob.a @ x)
+    _check_args(prob, x=x)
+    return _sweep(prob, x)
 
 
 def _cycle(prob: AMGProblem, x: np.ndarray):
@@ -123,18 +147,19 @@ def _cycle(prob: AMGProblem, x: np.ndarray):
     with ``r = b - A y`` and ``e = (P^T A P)^{-1} P^T r``, then s2 sweeps.
     Returns the new iterate and the coarse step's ``r`` and ``e``."""
     for _ in range(prob.s1):
-        x = smoothing_sweep(prob, x)
+        x = _sweep(prob, x)
     r = prob.b - prob.a @ x
     e = np.linalg.solve(prob.coarse, prob.p.T @ r)
     x = x + prob.p @ e
     for _ in range(prob.s2):
-        x = smoothing_sweep(prob, x)
+        x = _sweep(prob, x)
     return x, r, e
 
 
 def amg_step(prob: AMGProblem, x: np.ndarray) -> np.ndarray:
     """One explicit cycle: s1 sweeps, a coarse correction solved against
     ``prob.coarse`` (full rank, checked by :class:`AMGProblem`), s2 sweeps."""
+    _check_args(prob, x=x)
     return _cycle(prob, x)[0]
 
 
@@ -148,6 +173,7 @@ def amg_step_error_form(prob: AMGProblem, x: np.ndarray,
     Applied to ``x - x*`` right to left, one matrix-vector product at a
     time, so no n-by-n propagator is formed.
     """
+    _check_args(prob, x=x, x_star=x_star)
     a, lower_inv = prob.a, prob.lower_inv
     e = x - x_star
     for _ in range(prob.s1):
@@ -159,9 +185,8 @@ def amg_step_error_form(prob: AMGProblem, x: np.ndarray,
 
 
 def _forward(prob: AMGProblem, q: int):
-    """Run ``q`` cycles from ``prob.x0`` under the divergence guard.
-    Returns the final residual ``A x_q - b`` and each cycle's ``(r, e)``."""
-    _check_int("q", q, 0)
+    """Run ``q`` cycles from ``prob.x0`` under the divergence guard; returns
+    the loss, the final residual ``A x_q - b`` and each cycle's ``(r, e)``."""
     x, steps = prob.x0, []
     limit = _DIVERGENCE_RATIO * (np.linalg.norm(x) + np.linalg.norm(prob.b)
                                  / np.linalg.norm(prob.a))
@@ -171,7 +196,8 @@ def _forward(prob: AMGProblem, q: int):
         norm = float(np.linalg.norm(x))
         if not np.isfinite(norm) or norm > limit:
             raise DivergenceError(f"iterate norm {norm:.3e} after cycle {i + 1}")
-    return prob.a @ x - prob.b, steps
+    residual = prob.a @ x - prob.b
+    return float(residual @ residual), residual, steps
 
 
 def amg_loss(prob: AMGProblem, q: int) -> float:
@@ -184,8 +210,8 @@ def amg_loss(prob: AMGProblem, q: int) -> float:
         If an iterate's norm is not finite or passes 1e12 times
         ``||x0|| + ||b|| / ||A||_F``.
     """
-    residual, _ = _forward(prob, q)
-    return float(residual @ residual)
+    _check_args(prob, q)
+    return _forward(prob, q)[0]
 
 
 def amg_loss_and_grad(prob: AMGProblem, q: int) -> tuple[float, np.ndarray]:
@@ -195,7 +221,12 @@ def amg_loss_and_grad(prob: AMGProblem, q: int) -> tuple[float, np.ndarray]:
     (``e = G P^T r``, ``r = b - A y``, ``G = (P^T A P)^{-1}``) pulls it back
     to ``g - A^T P h`` with ``h = G^T P^T g``, adding
     ``(g - A^T P h) e^T + (r - A P e) h^T``."""
-    residual, steps = _forward(prob, q)
+    _check_args(prob, q)
+    return _loss_and_grad(prob, q)
+
+
+def _loss_and_grad(prob: AMGProblem, q: int) -> tuple[float, np.ndarray]:
+    loss, residual, steps = _forward(prob, q)
     a, p, lower_inv = prob.a, prob.p, prob.lower_inv
     g, grad = 2.0 * a.T @ residual, np.zeros_like(p)
     for r, e in reversed(steps):
@@ -206,7 +237,7 @@ def amg_loss_and_grad(prob: AMGProblem, q: int) -> tuple[float, np.ndarray]:
         grad += np.outer(g, e) + np.outer(r - a @ (p @ e), h)
         for _ in range(prob.s1):
             g = g - a.T @ (lower_inv.T @ g)
-    return float(residual @ residual), grad
+    return loss, grad
 
 
 def train_prolongation(problems, cfg: TrainConfig, q: int = 1,
@@ -214,19 +245,22 @@ def train_prolongation(problems, cfg: TrainConfig, q: int = 1,
     """Fit shared prolongation values over problems that share one P
     pattern, by ``sgd_train``'s mini-batch SGD on the mean cycle loss with
     the gradient of :func:`amg_loss_and_grad`.  Returns the flat value
-    vector; apply it with :meth:`AMGProblem.with_prolongation_values`."""
-    mask = _nonempty(problems)[0]._pattern
+    vector; apply it with :meth:`AMGProblem.with_prolongation_values`.
+    Checked once, it scatters one P per step for every problem."""
+    for i, prob in enumerate(_nonempty(problems)):
+        _check_type(f"problems[{i}]", prob, AMGProblem)
+    _check_int("q", q, 0)
+    first, mask = problems[0], problems[0]._pattern
     if any(not np.array_equal(prob._pattern, mask) for prob in problems):
         raise ValueError("problems must share one prolongation pattern")
 
     def batch_grads(vals, idx):
-        pairs = [amg_loss_and_grad(problems[i].with_prolongation_values(vals), q)
-                 for i in idx]
+        p = first._scatter(vals)
+        pairs = [_loss_and_grad(problems[i]._with_p(p), q) for i in idx]
         return [loss for loss, _ in pairs], sum(g[mask] for _, g in pairs)
 
     def mean_loss(vals):
-        return np.mean([amg_loss(prob.with_prolongation_values(vals), q)
-                        for prob in problems])
+        p = first._scatter(vals)
+        return np.mean([_forward(prob._with_p(p), q)[0] for prob in problems])
 
-    return _descend(problems[0].p[mask], problems, cfg, batch_grads, mean_loss,
-                    history)
+    return _descend(first.p[mask], problems, cfg, batch_grads, mean_loss, history)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .charpoly import _floats, _projection
 from .gjtrace import Trace, _pairwise_table, gj_argmin
-from .linalg import _check_array, _check_int
+from .linalg import _check_array, _check_int, _check_type
 from .proxy import ProxyConfig, q_iterations
 from .sketching import SparseSketch, _check_loss_args
 
@@ -130,8 +130,7 @@ def proxy_pipeline_trace(sketch, a, k, epsilon, q_constant=1.0, tr=None):
     Returns the numeric proxy loss and the trace (with the final comparison
     against ``_LOSS_THRESHOLD``); refuses what ``proxy_loss`` refuses, by its texts.
     """
-    if not isinstance(sketch, SparseSketch):
-        raise TypeError(f"sketch must be a SparseSketch, got {type(sketch).__name__}")
+    _check_type("sketch", sketch, SparseSketch)
     ProxyConfig(epsilon, q_constant=q_constant)  # its epsilon and q_constant rules
     _check_loss_args(sketch, a, k, (None, None))
     tr = tr if tr is not None else Trace()

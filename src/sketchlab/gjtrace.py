@@ -23,6 +23,8 @@ through :meth:`Trace.op`, so wrapping that one method sees each traced
 import math
 from fractions import Fraction
 
+from .linalg import _check_int, _check_type
+
 
 class TracedValue:
     """A value in the expression DAG with degree bounds and its concrete
@@ -176,6 +178,8 @@ class Trace:
 def pdim_bound(n_params: int, trace: Trace) -> float:
     """Pseudo-dimension bound ``n_params * log2(max(2, degree * predicates))``,
     reported up to the framework's hidden constant."""
+    _check_int("n_params", n_params, 0)
+    _check_type("trace", trace, Trace)
     delta = max(1, trace.max_degree)
     p = max(1, trace.predicate_count)
     return float(n_params) * math.log2(max(2.0, float(delta) * float(p)))

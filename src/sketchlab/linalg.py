@@ -31,6 +31,13 @@ def _check_int(name, value, least=None):
         raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
+def _check_type(name, value, cls):
+    """Raise TypeError naming ``name`` and ``cls`` unless ``value`` is one."""
+    if not isinstance(value, cls):
+        a = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise TypeError(f"{name} must be {a} {cls.__name__}, got {type(value).__name__}")
+
+
 def _check_positive(name, value):
     """Raise ValueError naming ``name`` unless ``value`` is finite and > 0
     (a bool is not a rate)."""

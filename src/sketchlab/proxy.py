@@ -23,7 +23,7 @@ from itertools import combinations
 import numpy as np
 
 from .linalg import (_check_array, _check_fro_sq, _check_int, _check_positive,
-                     _orthonormal, fro_sq)
+                     _check_type, _orthonormal, fro_sq)
 from .sketching import _check_loss_args, _rowspace
 
 DEFAULT_Q_CONSTANT = 4.0
@@ -49,9 +49,9 @@ _ENERGY_STALL_RTOL = 4 * np.finfo(float).eps
 _last_run = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProxyConfig:
-    """Accuracy and enumeration knobs for the proxy loss."""
+    """Accuracy and enumeration knobs for the proxy loss, frozen once checked."""
 
     epsilon: float
     subset_cap: int = 1000
@@ -213,6 +213,7 @@ def proxy_loss(sketch, a: np.ndarray, k: int, cfg: ProxyConfig) -> float:
     The result exceeds the true loss by at most ``cfg.epsilon`` (and is
     never below it) when the candidate enumeration is exhaustive.
     """
+    _check_type("cfg", cfg, ProxyConfig)
     v = _rowspace(_check_loss_args(sketch, a, k, (None, None)), a).V
     b = a @ (v @ v.T)
     q = q_iterations(cfg.epsilon, a.shape[1], cfg.q_constant)

@@ -163,6 +163,7 @@ def verify_shattering(family: ShatterFamily, subset_budget: int = 256,
     empty.
     """
     _check_positive("gamma", gamma)
+    _check_int("subset_budget", subset_budget, 1)
     _check_seed(seed)
     n_members = len(family.matrices)
     base, k = family.base, family.base.m
@@ -171,7 +172,6 @@ def verify_shattering(family: ShatterFamily, subset_budget: int = 256,
     if n_members <= 14:
         inside = (np.arange(2 ** n_members)[:, None] >> np.arange(n_members)) & 1
     else:
-        _check_int("subset_budget", subset_budget, 1)
         # the bytes of one rng.bytes call per subset, drawn in one call;
         # unpacking to n_members bits drops the high bits of the last
         # byte, so no mask passes through int64

@@ -64,8 +64,9 @@ class SparseSketch:
             raise ValueError("pattern entries must be integers")
         _check_array("pattern", pattern, (self.n, self.s))
         _check_array("values", values, (self.n, self.s))
-        self.pattern = np.asarray(pattern, dtype=np.int64)
-        self.values = np.asarray(values, dtype=np.float64)
+        # copies: a caller's later writes to its arrays must not reach the sketch
+        self.pattern = np.array(pattern, dtype=np.int64)
+        self.values = np.array(values, dtype=np.float64)
         if self.pattern.min() < 0 or self.pattern.max() >= self.m:
             raise ValueError("pattern indices out of range [0, m)")
         if np.any(np.diff(self.pattern, axis=1) <= 0):
@@ -95,11 +96,9 @@ def _check_loss_args(sketch, a: np.ndarray, k, shape=None) -> np.ndarray:
     """The loss family's one door: the array rule on the sketch and ``a`` (of
     ``shape``; by default any matrix or stack), the width, norm and k checks
     (none for ``k=None``); returns the dense float64 sketch for the kernels."""
-    if hasattr(sketch, "dense"):
-        s_mat = sketch.dense()
-    else:
-        _check_array("sketch", sketch, shape)
-        s_mat = np.asarray(sketch, float)
+    s_mat = sketch.dense() if hasattr(sketch, "dense") else sketch
+    _check_array("sketch", s_mat, shape)  # a SparseSketch's values can be reassigned
+    s_mat = np.asarray(s_mat, float)
     _check_array("matrix", a, shape)
     if s_mat.shape[-1] != a.shape[-2]:
         raise ValueError(f"sketch has {s_mat.shape[-1]} columns but the matrix has "

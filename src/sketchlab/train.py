@@ -13,13 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (_check_array, _check_fro_sq, _check_int, _check_positive,
-                     _check_seed, fro_sq)
+                     _check_seed, _check_type, fro_sq)
 from .sketching import SparseSketch, _check_loss_args, _loss, _loss_and_grad
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters for mini-batch SGD.
+    """Hyperparameters for mini-batch SGD, frozen once checked.
 
     ``fd_step`` is validated but read by nothing; the learn-sketch benchmark
     still passes it, until ROADMAP item 1b deletes it.  An int
@@ -107,6 +107,7 @@ def _descend(vals, data, cfg: TrainConfig, batch_grads, mean_loss,
     to ``history`` after each epoch when a list is passed.  Aborts with a
     diagnostic if a loss, or a value after a step, evaluates non-finite.
     """
+    _check_type("cfg", cfg, TrainConfig)
     n = len(_nonempty(data))
     rng = np.random.default_rng(cfg.seed)
     vals = np.array(vals, dtype=np.float64)
@@ -158,9 +159,8 @@ def safeguard(learned: SparseSketch, oblivious: SparseSketch) -> SparseSketch:
     spaces, so its sketch-and-solve loss never exceeds either input's.
     Per-column sparsity becomes s1 + s2.
     """
-    for name, sk in (("learned", learned), ("oblivious", oblivious)):
-        if not isinstance(sk, SparseSketch):
-            raise TypeError(f"{name} must be a SparseSketch, got {type(sk).__name__}")
+    _check_type("learned", learned, SparseSketch)
+    _check_type("oblivious", oblivious, SparseSketch)
     if learned.n != oblivious.n:
         raise ValueError(f"column counts differ: {learned.n} vs {oblivious.n}")
     pattern = np.concatenate([learned.pattern, oblivious.pattern + learned.m], axis=1)

@@ -5,7 +5,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sketchlab.gjtrace import pdim_bound
 from sketchlab.linalg import fro_sq
 from sketchlab.proxy import _ENERGY_STALL_RTOL
 from sketchlab.shatter import subset_sketch
@@ -337,5 +336,7 @@ class ReferenceTrace:
             "n_inputs": self.n_inputs,
             "max_degree": self.max_degree,
             "predicate_count": self.predicate_count,
-            "pdim_bound": pdim_bound(self.n_inputs, self),
+            # the bound's formula, which pdim_bound computes for a Trace alone
+            "pdim_bound": self.n_inputs * math.log2(
+                max(2.0, max(1, self.max_degree) * max(1, self.predicate_count))),
         }

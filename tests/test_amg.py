@@ -276,13 +276,13 @@ def test_train_prolongation_reduces_loss():
 
 def test_gradient_runs_the_cycles_once(monkeypatch):
     prob = random_amg_problem(np.random.default_rng(15), 10, 3, 2, 1)
-    calls = []
+    calls, sweep = [], amg._sweep
 
     def counted(pr, x):
         calls.append(1)
-        return smoothing_sweep(pr, x)
+        return sweep(pr, x)
 
-    monkeypatch.setattr(amg, "smoothing_sweep", counted)
+    monkeypatch.setattr(amg, "_sweep", counted)
     amg_loss_and_grad(prob, 3)
     assert len(calls) == 3 * (prob.s1 + prob.s2)
 
@@ -365,6 +365,44 @@ def test_train_prolongation_follows_finite_difference_sgd_on_full_batches():
     np.testing.assert_allclose(closed, fd, rtol=1e-9)
     np.testing.assert_allclose(h_closed, h_fd, rtol=1e-9)
     assert h_closed[-1] < mean_loss(problems[0].p[mask])
+
+
+def test_each_call_checks_its_arrays_once_and_kernels_run_unchecked(
+        monkeypatch, amg_array_checks):
+    def no_public_sweep(*args):
+        raise AssertionError("a kernel called the public smoothing_sweep")
+
+    monkeypatch.setattr(amg, "smoothing_sweep", no_public_sweep)
+    problems = _family(np.random.default_rng(19), 8, 3, 3)
+    prob, x = problems[0], np.random.default_rng(20).standard_normal(8)
+    for call, want in [
+        (lambda: amg_step(prob, x), ["x"]),
+        (lambda: smoothing_sweep(prob, x), ["x"]),  # this module's own binding
+        (lambda: amg_step_error_form(prob, x, x), ["x", "x_star"]),
+        (lambda: amg_loss(prob, 3), []),
+        (lambda: amg_loss_and_grad(prob, 3), []),
+        # 3 full-batch steps and 3 history entries over 3 problems: only
+        # the P^T A P guard runs, once per problem in each
+        (lambda: train_prolongation(problems, TrainConfig(3, 0.05, 3), history=[]),
+         ["P^T A P"] * 18),
+    ]:
+        amg_array_checks.clear()
+        call()
+        assert amg_array_checks == want
+
+
+def test_train_prolongation_refuses_bad_arguments_before_any_cycle(monkeypatch):
+    def no_cycle(*args):
+        raise AssertionError("a cycle ran")
+
+    monkeypatch.setattr(amg, "_cycle", no_cycle)
+    problems = _family(np.random.default_rng(21), 8, 3, 2)
+    with pytest.raises(TypeError, match=r"^problems\[2\] must be an AMGProblem"):
+        train_prolongation(problems + [problems[0].p], TrainConfig(1, 0.1, 1))
+    with pytest.raises(ValueError, match="^q must be an integer"):
+        train_prolongation(problems, TrainConfig(1, 0.1, 1), q="x")
+    with pytest.raises(TypeError, match="^cfg must be a TrainConfig"):
+        train_prolongation(problems, {"epochs": 1})
 
 
 def test_train_prolongation_rejects_empty_and_mixed_families():

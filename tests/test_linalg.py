@@ -2,9 +2,17 @@ import numpy as np
 import pytest
 
 from sketchlab import gjdemos, synth
-from sketchlab.amg import AMGProblem
+from sketchlab.amg import (
+    AMGProblem,
+    amg_loss,
+    amg_loss_and_grad,
+    amg_step,
+    amg_step_error_form,
+    smoothing_sweep,
+    train_prolongation,
+)
 from sketchlab.charpoly import charpoly_coefficients
-from sketchlab.gjtrace import Trace, gj_argmin
+from sketchlab.gjtrace import Trace, gj_argmin, pdim_bound
 from sketchlab.linalg import _orthonormal, as_matrix, best_rank_k, fro_sq, pinv, svd
 from sketchlab.proxy import (
     ProxyConfig,
@@ -22,7 +30,7 @@ from sketchlab.sketching import (
     sketch_loss,
     sketch_loss_and_grad,
 )
-from sketchlab.train import TrainConfig, make_dataset, safeguard
+from sketchlab.train import TrainConfig, make_dataset, safeguard, sgd_train
 
 from oracles import jacobi_singular_values
 
@@ -198,12 +206,19 @@ def test_orthonormal_is_np_qr_q_bit_for_bit():
     (lambda: random_sparse_sketch(3, 6, 1, -3), "seed"),
     (lambda: verify_shattering(rank1_family(4, 2), seed=1.5), "seed"),
     (lambda: TrainConfig(1, 0.1, 1, seed=True), "seed"),
+    (lambda: verify_shattering(rank1_family(4, 2), subset_budget="x"), "subset_budget"),
+    (lambda: verify_shattering(rank1_family(4, 2), subset_budget=0), "subset_budget"),
+    (lambda: pdim_bound(-1, Trace()), "n_params"),
+    (lambda: pdim_bound("x", Trace()), "n_params"),
 ], ids=["q_iterations-d", "q_iterations-q_constant", "best_rank_k-k",
         "rank1_family-d", "sketch_loss-k", "proxy_loss-k", "power_trace-q",
         "ProxyConfig-q_constant-bool", "random_sparse_sketch-m",
         "random_sparse_sketch-s", "block_family-k", "dense_family-k",
         "rank1_family-n", "random_sparse_sketch-seed",
-        "verify_shattering-seed", "TrainConfig-seed-bool"])
+        "verify_shattering-seed", "TrainConfig-seed-bool",
+        "verify_shattering-exhaustive-subset_budget-str",
+        "verify_shattering-exhaustive-subset_budget-0", "pdim_bound-negative",
+        "pdim_bound-str"])
 def test_counts_and_rates_are_refused_by_name(call, name):
     # each count is an integer of at least some value, each rate finite and
     # > 0, each seed an integer >= 0, None or a numpy Generator
@@ -221,6 +236,31 @@ def _amg(**changes):
     """A 4x4 diagonally dominant problem with one coarse column."""
     return AMGProblem(**dict(a=np.diag([1.5, 1.2, 1.8, 1.1]) + 0.1, b=np.ones(4),
                              p=np.ones((4, 1)), s1=1, s2=1) | changes)
+
+
+def _reassigned(values):
+    """``SK`` with its slot values reassigned after construction."""
+    sk = random_sparse_sketch(3, 6, 1, 0)
+    sk.values = values
+    return sk
+
+
+# the step functions with one iterate left open, keyed by function and
+# iterate name, and the faults of an iterate with the refusal each earns
+_STEPS = {
+    "smoothing_sweep-x": ("x", lambda x: smoothing_sweep(_amg(), x)),
+    "amg_step-x": ("x", lambda x: amg_step(_amg(), x)),
+    "amg_step_error_form-x": ("x", lambda x: amg_step_error_form(_amg(), x, np.ones(4))),
+    "amg_step_error_form-x_star": (
+        "x_star", lambda x: amg_step_error_form(_amg(), np.ones(4), x)),
+}
+_BAD_ITERATES = {
+    "list": ([1.0] * 4, TypeError, "{} must be a numpy array, got list"),
+    "nan": (np.array([1.0, np.nan, 1.0, 1.0]), ValueError, "{} contains non-finite"),
+    "length": (np.ones(5), ValueError, r"{} must have shape \(4,\), got \(5,\)"),
+    "column": (np.ones((4, 1)), ValueError, r"{} must have shape \(4,\), got \(4, 1\)"),
+}
+_NOT_A_PROBLEM = (TypeError, "prob must be an AMGProblem, got list")
 
 
 @pytest.mark.parametrize("call, error, match", [
@@ -309,6 +349,32 @@ def _amg(**changes):
     (lambda: pinv(np.ones(3)), ValueError,
      r"a must have shape \(None, None\), got \(3,\)"),
     (lambda: pinv(np.full((2, 2), np.nan)), ValueError, "a contains non-finite"),
+    *((lambda call=call, x=x: call(x), error, match.format(name))
+      for name, call in _STEPS.values() for x, error, match in _BAD_ITERATES.values()),
+    (lambda: smoothing_sweep([[1.0]], np.ones(4)), *_NOT_A_PROBLEM),
+    (lambda: amg_step([[1.0]], np.ones(4)), *_NOT_A_PROBLEM),
+    (lambda: amg_step_error_form([[1.0]], np.ones(4), np.ones(4)), *_NOT_A_PROBLEM),
+    (lambda: amg_loss([[1.0]], 1), *_NOT_A_PROBLEM),
+    (lambda: amg_loss_and_grad([[1.0]], 1), *_NOT_A_PROBLEM),
+    (lambda: train_prolongation([_amg(), [[1.0]]], TrainConfig(1, 0.1, 1)), TypeError,
+     r"problems\[1\] must be an AMGProblem, got list"),
+    (lambda: train_prolongation([_amg()], TrainConfig(1, 0.1, 1), q="x"), ValueError,
+     "q must be an integer, got 'x'"),
+    (lambda: train_prolongation([_amg()], None), TypeError,
+     "cfg must be a TrainConfig, got NoneType"),
+    (lambda: sgd_train(SK, [A64], 2, None), TypeError,
+     "cfg must be a TrainConfig, got NoneType"),
+    (lambda: proxy_loss(SK, A64, 2, None), TypeError,
+     "cfg must be a ProxyConfig, got NoneType"),
+    (lambda: proxy_loss(SK, A64, 2, TrainConfig(1, 0.1, 1)), TypeError,
+     "cfg must be a ProxyConfig, got TrainConfig"),
+    (lambda: pdim_bound(2, None), TypeError, "trace must be a Trace, got NoneType"),
+    (lambda: sketch_loss(_reassigned(np.full((6, 1), np.inf)), A64, 2), ValueError,
+     "sketch contains non-finite"),
+    (lambda: sketch_loss_and_grad(_reassigned(np.full((6, 1), np.nan)), A64, 2),
+     ValueError, "sketch contains non-finite"),
+    (lambda: proxy_loss(_reassigned(np.full((6, 1), np.inf)), A64, 2, ProxyConfig(0.5)),
+     ValueError, "sketch contains non-finite"),
 ], ids=["sketch_loss-complex", "sketch_loss-object",
         "sketch_loss_and_grad-complex-sketch", "sketch_loss-list-sketch",
         "sketch_loss-overflow", "proxy_loss-overflow", "sketch_loss-SA-overflow",
@@ -326,7 +392,15 @@ def _amg(**changes):
         "knapsack_trace-capacity", "knapsack_trace-rho",
         "proxy_pipeline_trace-nan", "proxy_pipeline_trace-rows", "power_trace-empty",
         "rowspace_projection_trace-no-rows", "rowspace_projection_trace-no-columns",
-        "knapsack_trace-empty", "pinv-list", "pinv-1d", "pinv-nan"])
+        "knapsack_trace-empty", "pinv-list", "pinv-1d", "pinv-nan",
+        *(f"{step}-{bad}" for step in _STEPS for bad in _BAD_ITERATES),
+        "smoothing_sweep-not-a-problem", "amg_step-not-a-problem",
+        "amg_step_error_form-not-a-problem", "amg_loss-not-a-problem",
+        "amg_loss_and_grad-not-a-problem", "train_prolongation-not-a-problem",
+        "train_prolongation-q", "train_prolongation-cfg", "sgd_train-cfg",
+        "proxy_loss-cfg", "proxy_loss-cfg-TrainConfig", "pdim_bound-trace",
+        "sketch_loss-reassigned-values", "sketch_loss_and_grad-reassigned-values",
+        "proxy_loss-reassigned-values"])
 def test_arrays_are_refused_by_name(call, error, match):
     # each array passes linalg._check_array: a numpy array of a real dtype,
     # of the expected shape, with finite entries; the loss family, the

@@ -41,6 +41,15 @@ def test_sparse_sketch_refuses_what_it_would_truncate(m, n, s, pattern, match):
         SparseSketch(m, n, s, pattern, np.ones((2, 1)))
 
 
+def test_sparse_sketch_keeps_its_own_copies_of_pattern_and_values():
+    pattern, values = np.array([[0], [1], [2], [0]]), np.ones((4, 1))
+    sk = SparseSketch(3, 4, 1, pattern, values)
+    a = random_unit_matrix(np.random.default_rng(3), 4, 3)
+    before = sketch_loss(sk, a, 1)
+    pattern[0, 0], values[0, 0] = 5, np.nan
+    assert sketch_loss(sk, a, 1) == before
+
+
 def test_sparse_sketch_takes_integral_float_and_numpy_integer_fields():
     sk = SparseSketch(np.int64(2), 3, 1, np.array([[1.0], [0.0], [1.0]]),
                       np.ones((3, 1)))

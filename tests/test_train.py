@@ -1,9 +1,10 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
 from sketchlab.linalg import fro_sq
+from sketchlab.proxy import ProxyConfig
 from sketchlab.sketching import random_sparse_sketch, sketch_loss
 from sketchlab.synth import random_instance, random_unit_matrix
 from sketchlab.train import (
@@ -40,6 +41,19 @@ def test_train_config_validation():
 def test_train_config_refuses_non_integer_counts(args, name):
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):
         TrainConfig(*args)
+
+
+@pytest.mark.parametrize("cfg, field, bad, match", [
+    (TrainConfig(2, 0.1, 1), "step_size", -1.0, "^step_size must be finite and > 0"),
+    (TrainConfig(2, 0.1, 1), "batch_size", 0, "^batch_size must be >= 1"),
+    (ProxyConfig(0.5), "subset_cap", 0, "^subset_cap must be >= 1"),
+], ids=["TrainConfig-step_size", "TrainConfig-batch_size", "ProxyConfig-subset_cap"])
+def test_configs_are_frozen_and_replace_checks_the_copy(cfg, field, bad, match):
+    # a config is checked at construction only, so it must not change after
+    with pytest.raises(FrozenInstanceError):
+        setattr(cfg, field, bad)
+    with pytest.raises(ValueError, match=match):
+        replace(cfg, **{field: bad})
 
 
 def test_make_dataset_normalizes_and_validates():
