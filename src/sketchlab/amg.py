@@ -4,15 +4,17 @@ One cycle is ``s1`` forward Gauss-Seidel sweeps, a coarse correction
 through the prolongation matrix, then ``s2`` more sweeps.  The error
 propagates linearly, so the same step has a closed matrix form around the
 exact solution; checking the two against each other is the module's
-central identity.  A problem forms ``L^{-1}`` (L the lower-triangular part
-of A) and ``P^T A P`` once, so a sweep is a matrix-vector product; new
-prolongation values form only ``P^T A P`` again and share ``L^{-1}``.  The
-step, the loss and its gradient in P run one cycle and one forward pass.
-Each public step and loss checks its arguments once, at ``_check_args``,
-then runs unchecked kernels; training runs them directly.
+central identity.  A problem stores the smoother ``S = I - L^{-1} A``, the
+shift ``c = L^{-1} b`` (L the lower-triangular part of A) and
+``(P^T A P)^{-1}``, so a sweep ``S x + c`` is one matrix-vector product and
+no cycle solves a system.  The step, the loss and its gradient in P run one
+cycle and one forward pass.  Each public step and loss checks its arguments
+once, at ``_check_args``, then runs unchecked kernels; training runs them
+directly.
 """
 
 import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,26 +49,30 @@ def solve_triangular(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     return b
 
 
-def _coarse_matrix(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """``P^T A P``, checked to be finite and of full numerical rank m."""
+def _coarse_fields(a: np.ndarray, p: np.ndarray) -> dict:
+    """``coarse = P^T A P``, checked to be finite and of full numerical
+    rank m, and its LU inverse ``coarse_inv``, checked to be finite."""
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
         coarse = p.T @ a @ p
     _check_array("P^T A P", coarse)
     if svd(coarse).singular_values.size < p.shape[1]:
         raise ValueError("P^T A P is numerically singular")
-    return coarse
+    coarse_inv = np.linalg.inv(coarse)
+    _check_array("(P^T A P)^{-1}", coarse_inv)
+    return dict(coarse=coarse, coarse_inv=coarse_inv)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AMGProblem:
     """Square system with a prolongation and smoothing counts.
 
     ``a`` is n-by-n with a numerically invertible lower-triangular part,
     ``p`` is the n-by-m prolongation (its nonzero positions here are the
     frozen training pattern, which later zero values do not change), and
-    ``x0`` the initial guess.  ``lower_inv`` holds ``L^{-1}`` for the
-    lower-triangular part L of A, and ``coarse`` holds ``P^T A P``; both
-    are formed once, and the coarse matrix must have full numerical rank m.
+    ``x0`` the initial guess.  The problem owns read-only copies of them
+    and stores, formed once, the smoother ``S = I - L^{-1} A`` and shift
+    ``c = L^{-1} b`` for the lower-triangular part L of A, ``coarse`` =
+    ``P^T A P`` (of full numerical rank m) and its inverse ``coarse_inv``.
     """
 
     a: np.ndarray
@@ -75,8 +81,10 @@ class AMGProblem:
     s1: int
     s2: int
     x0: np.ndarray = field(default=None)
-    lower_inv: np.ndarray = field(init=False, repr=False)
+    smoother: np.ndarray = field(init=False, repr=False)
+    shift: np.ndarray = field(init=False, repr=False)
     coarse: np.ndarray = field(init=False, repr=False)
+    coarse_inv: np.ndarray = field(init=False, repr=False)
     _pattern: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -89,13 +97,24 @@ class AMGProblem:
         # zero sweeps are allowed so the bare coarse correction is testable
         _check_int("s1", self.s1, 0)
         _check_int("s2", self.s2, 0)
-        self.a, self.b, self.p, self.x0 = (np.asarray(arr, dtype=np.float64)
-                                           for arr in (a, b, p, x0))
-        if _has_zero_diagonal(self.a):
+        # copies: a caller's later writes to its arrays must not reach the problem
+        a, b, p, x0 = (np.array(arr, dtype=np.float64) for arr in (a, b, p, x0))
+        if _has_zero_diagonal(a):
             raise ValueError("A has a numerically singular diagonal")
-        self.lower_inv = solve_triangular(self.a, np.eye(n))
-        self.coarse = _coarse_matrix(self.a, self.p)
-        self._pattern = self.p != 0.0
+        # S = -L^{-1} triu(A, 1) and c = L^{-1} b from one substitution
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            solved = solve_triangular(a, np.hstack([-np.triu(a, 1), b[:, None]]))
+        smoother, shift = np.ascontiguousarray(solved[:, :n]), solved[:, n].copy()
+        _check_array("I - L^{-1} A", smoother)
+        _check_array("L^{-1} b", shift, (n,))
+        self._own(a=a, b=b, p=p, x0=x0, smoother=smoother, shift=shift,
+                  _pattern=p != 0.0, **_coarse_fields(a, p))
+
+    def _own(self, **fields):
+        """Set ``fields`` on this frozen problem, each array read-only."""
+        for name, arr in fields.items():
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def solution(self) -> np.ndarray:
         """Exact solution of ``A x = b`` (elimination oracle)."""
@@ -103,8 +122,8 @@ class AMGProblem:
 
     def with_prolongation_values(self, values: np.ndarray) -> "AMGProblem":
         """Same problem with new values on the frozen P pattern, in its
-        row-major order.  Only ``P^T A P`` is formed again; ``lower_inv``
-        and the pattern are shared with this problem."""
+        row-major order.  Only ``P^T A P`` and its inverse are formed again;
+        S, c and the pattern are shared with this problem."""
         values = np.ravel(values)
         _check_array("values", values, (int(np.count_nonzero(self._pattern)),))
         return self._with_p(self._scatter(values))
@@ -116,9 +135,9 @@ class AMGProblem:
         return p
 
     def _with_p(self, p) -> "AMGProblem":
-        """This problem with P = ``p``; only ``P^T A P`` is formed again."""
+        """This problem with P = ``p``; only the coarse pair is formed again."""
         out = copy.copy(self)
-        out.p, out.coarse = p, _coarse_matrix(self.a, p)
+        out._own(p=p, **_coarse_fields(self.a, p))
         return out
 
 
@@ -132,12 +151,13 @@ def _check_args(prob, q=0, **iterates):
 
 
 def _sweep(prob: AMGProblem, x: np.ndarray) -> np.ndarray:
-    return x + prob.lower_inv @ (prob.b - prob.a @ x)
+    return prob.smoother @ x + prob.shift
 
 
 def smoothing_sweep(prob: AMGProblem, x: np.ndarray) -> np.ndarray:
-    """One forward Gauss-Seidel sweep: ``x + L^{-1}(b - A x)`` with L the
-    lower-triangular part of A.  The error contracts by ``I - L^{-1} A``."""
+    """One forward Gauss-Seidel sweep ``x + L^{-1}(b - A x)``, L the lower
+    triangle of A, as ``S x + c`` with the stored ``c = L^{-1} b`` and
+    ``S = I - L^{-1} A``, by which the error contracts."""
     _check_args(prob, x=x)
     return _sweep(prob, x)
 
@@ -149,7 +169,7 @@ def _cycle(prob: AMGProblem, x: np.ndarray):
     for _ in range(prob.s1):
         x = _sweep(prob, x)
     r = prob.b - prob.a @ x
-    e = np.linalg.solve(prob.coarse, prob.p.T @ r)
+    e = prob.coarse_inv @ (prob.p.T @ r)
     x = x + prob.p @ e
     for _ in range(prob.s2):
         x = _sweep(prob, x)
@@ -157,8 +177,8 @@ def _cycle(prob: AMGProblem, x: np.ndarray):
 
 
 def amg_step(prob: AMGProblem, x: np.ndarray) -> np.ndarray:
-    """One explicit cycle: s1 sweeps, a coarse correction solved against
-    ``prob.coarse`` (full rank, checked by :class:`AMGProblem`), s2 sweeps."""
+    """One explicit cycle: s1 sweeps, a coarse correction through
+    ``prob.coarse_inv`` (checked by :class:`AMGProblem`), s2 sweeps."""
     _check_args(prob, x=x)
     return _cycle(prob, x)[0]
 
@@ -174,13 +194,12 @@ def amg_step_error_form(prob: AMGProblem, x: np.ndarray,
     time, so no n-by-n propagator is formed.
     """
     _check_args(prob, x=x, x_star=x_star)
-    a, lower_inv = prob.a, prob.lower_inv
     e = x - x_star
     for _ in range(prob.s1):
-        e = e - lower_inv @ (a @ e)
-    e = e - prob.p @ np.linalg.solve(prob.coarse, prob.p.T @ (a @ e))
+        e = prob.smoother @ e
+    e = e - prob.p @ (prob.coarse_inv @ (prob.p.T @ (prob.a @ e)))
     for _ in range(prob.s2):
-        e = e - lower_inv @ (a @ e)
+        e = prob.smoother @ e
     return x_star + e
 
 
@@ -193,8 +212,8 @@ def _forward(prob: AMGProblem, q: int):
     for i in range(q):
         x, r, e = _cycle(prob, x)
         steps.append((r, e))
-        norm = float(np.linalg.norm(x))
-        if not np.isfinite(norm) or norm > limit:
+        norm = math.sqrt(x @ x)
+        if not math.isfinite(norm) or norm > limit:
             raise DivergenceError(f"iterate norm {norm:.3e} after cycle {i + 1}")
     residual = prob.a @ x - prob.b
     return float(residual @ residual), residual, steps
@@ -217,7 +236,7 @@ def amg_loss(prob: AMGProblem, q: int) -> float:
 def amg_loss_and_grad(prob: AMGProblem, q: int) -> tuple[float, np.ndarray]:
     """:func:`amg_loss`, with its checks, and its gradient in P from one
     reverse pass over the same forward pass: a sweep pulls the adjoint g
-    back to ``g - A^T L^{-T} g``, and the coarse step ``z = y + P e``
+    back to ``S^T g``, and the coarse step ``z = y + P e``
     (``e = G P^T r``, ``r = b - A y``, ``G = (P^T A P)^{-1}``) pulls it back
     to ``g - A^T P h`` with ``h = G^T P^T g``, adding
     ``(g - A^T P h) e^T + (r - A P e) h^T``."""
@@ -227,16 +246,16 @@ def amg_loss_and_grad(prob: AMGProblem, q: int) -> tuple[float, np.ndarray]:
 
 def _loss_and_grad(prob: AMGProblem, q: int) -> tuple[float, np.ndarray]:
     loss, residual, steps = _forward(prob, q)
-    a, p, lower_inv = prob.a, prob.p, prob.lower_inv
+    a, p, smoother_t = prob.a, prob.p, prob.smoother.T
     g, grad = 2.0 * a.T @ residual, np.zeros_like(p)
     for r, e in reversed(steps):
         for _ in range(prob.s2):
-            g = g - a.T @ (lower_inv.T @ g)
-        h = np.linalg.solve(prob.coarse.T, p.T @ g)
+            g = smoother_t @ g
+        h = prob.coarse_inv.T @ (p.T @ g)
         g = g - a.T @ (p @ h)
         grad += np.outer(g, e) + np.outer(r - a @ (p @ e), h)
         for _ in range(prob.s1):
-            g = g - a.T @ (lower_inv.T @ g)
+            g = smoother_t @ g
     return loss, grad
 
 

@@ -135,6 +135,7 @@ def sgd_train(pattern: SparseSketch, data, k: int, cfg: TrainConfig,
     positions, after one check at the loss family's door.  The result has
     the input pattern; its loop, ``history`` and aborts are :func:`_descend`'s.
     """
+    _check_type("pattern", pattern, SparseSketch)
     data = _stacked(data)
     _check_loss_args(pattern, data, k)
 

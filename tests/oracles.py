@@ -243,6 +243,19 @@ def amg_error_propagator(a, p, s1, s2):
             @ np.linalg.matrix_power(smoother, s1))
 
 
+def amg_step_solved(a, b, p, s1, s2, x):
+    """One two-level cycle with every solve done by ``np.linalg.solve``:
+    ``s1`` sweeps ``x + L^{-1}(b - A x)``, the coarse step
+    ``x + P (P^T A P)^{-1} P^T (b - A x)``, then ``s2`` sweeps."""
+    lower = np.tril(a)
+    for _ in range(s1):
+        x = x + np.linalg.solve(lower, b - a @ x)
+    x = x + p @ np.linalg.solve(p.T @ a @ p, p.T @ (b - a @ x))
+    for _ in range(s2):
+        x = x + np.linalg.solve(lower, b - a @ x)
+    return x
+
+
 @dataclass(frozen=True)
 class ReferenceTracedValue:
     """``gjtrace.TracedValue`` as a frozen dataclass: the record the

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from sketchlab.train import TrainConfig
 
 from oracles import (
     amg_error_propagator,
+    amg_step_solved,
     central_difference_grad,
     finite_difference_sgd,
 )
@@ -140,11 +142,16 @@ def test_error_form_applies_the_dense_propagator(n, m, s1, s2):
     rng = np.random.default_rng(n + s1)
     drawn = random_amg_problem(rng, n, m, s1, s2)
     prob = AMGProblem(drawn.a.copy(), drawn.b, drawn.p, s1, s2)
-    # L^{-1} is formed from A's lower triangle alone and leaves A as it was
+    # S and c come from one substitution on A's lower triangle, which
+    # leaves A as it was
     np.testing.assert_array_equal(prob.a, drawn.a)
-    np.testing.assert_allclose(prob.lower_inv, np.linalg.inv(np.tril(prob.a)),
+    np.testing.assert_allclose(
+        prob.smoother, np.eye(n) - np.linalg.solve(np.tril(prob.a), prob.a),
+        rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(prob.shift, np.linalg.solve(np.tril(prob.a), prob.b),
                                rtol=1e-10, atol=1e-12)
-    assert not np.triu(prob.lower_inv, 1).any()
+    # S = -L^{-1} triu(A, 1), and triu(A, 1) has no first column
+    assert not prob.smoother[:, 0].any()
     x_star = prob.solution()
     for _ in range(3):
         x = rng.standard_normal(n)
@@ -287,7 +294,7 @@ def test_gradient_runs_the_cycles_once(monkeypatch):
     assert len(calls) == 3 * (prob.s1 + prob.s2)
 
 
-def test_new_prolongation_values_reuse_lower_inv_and_match_a_fresh_problem(
+def test_new_prolongation_values_reuse_the_smoother_and_match_a_fresh_problem(
         monkeypatch):
     rng = np.random.default_rng(16)
     prob = random_amg_problem(rng, 12, 4, 2, 1)
@@ -298,12 +305,13 @@ def test_new_prolongation_values_reuse_lower_inv_and_match_a_fresh_problem(
     fresh = AMGProblem(prob.a, prob.b, fresh_p, prob.s1, prob.s2, prob.x0)
 
     def no_solve(*args):
-        raise AssertionError("L^{-1} formed again")
+        raise AssertionError("S and c formed again")
 
     monkeypatch.setattr(amg, "solve_triangular", no_solve)
     new = prob.with_prolongation_values(vals)
-    assert new.lower_inv is prob.lower_inv
+    assert new.smoother is prob.smoother and new.shift is prob.shift
     np.testing.assert_array_equal(new.coarse, fresh.coarse)
+    np.testing.assert_array_equal(new.coarse_inv, fresh.coarse_inv)
     assert amg_loss(new, 2) == amg_loss(fresh, 2)
     loss, grad = amg_loss_and_grad(new, 2)
     fresh_loss, fresh_grad = amg_loss_and_grad(fresh, 2)
@@ -315,6 +323,54 @@ def test_new_prolongation_values_reuse_lower_inv_and_match_a_fresh_problem(
     dead[:, 0] = 0.0
     with pytest.raises(ValueError, match="P\\^T A P is numerically singular"):
         prob.with_prolongation_values(dead[mask])
+
+
+def test_cycle_matches_a_solve_based_cycle_on_an_ill_conditioned_coarse_matrix():
+    # one P column scaled by 3e-5 puts cond(P^T A P) near 1.4e9; the LU
+    # inverse stays within 2e-16 of the solve-based cycle, where an inverse
+    # formed from the SVD as V S^{-1} U^T would be 9e-12 off
+    rng = np.random.default_rng(1)
+    drawn = random_amg_problem(rng, 20, 5, 1, 1)
+    p = drawn.p.copy()
+    p[:, 0] *= 3e-5
+    prob = AMGProblem(drawn.a, drawn.b, p, 1, 1, drawn.x0)
+    assert np.linalg.cond(prob.coarse) > 1e9
+    x = rng.standard_normal(20)
+    want = amg_step_solved(prob.a, prob.b, prob.p, 1, 1, x)
+    np.testing.assert_allclose(amg_step(prob, x), want, rtol=0,
+                               atol=1e-13 * np.linalg.norm(want))
+
+
+def test_no_cycle_solves_a_linear_system(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a cycle called np.linalg.solve")
+
+    problems = _family(np.random.default_rng(21), 8, 3, 2)
+    prob, x = problems[0], np.random.default_rng(22).standard_normal(8)
+    want = amg_step_solved(prob.a, prob.b, prob.p, 1, 1, x)
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    np.testing.assert_allclose(amg_step(prob, x), want, rtol=1e-12)
+    amg_step_error_form(prob, x, x)
+    amg_loss(prob, 3)
+    amg_loss_and_grad(prob, 3)
+    train_prolongation(problems, TrainConfig(2, 0.05, 2), q=2, history=[])
+
+
+def test_problem_is_frozen_and_owns_read_only_copies():
+    rng = np.random.default_rng(23)
+    drawn = random_amg_problem(rng, 8, 3, 1, 1)
+    b, x = drawn.b.copy(), rng.standard_normal(8)
+    prob = AMGProblem(drawn.a, b, drawn.p, 1, 1, drawn.x0)
+    before = amg_step(prob, x)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        prob.b = np.zeros(8)
+    # a later write into the caller's b does not reach the problem
+    b[:] = np.nan
+    np.testing.assert_array_equal(amg_step(prob, x), before)
+    new = prob.with_prolongation_values(prob.p[prob.p != 0.0] * 2.0)
+    for owner in (prob, new):
+        for name in ("a", "b", "p", "x0", "smoother", "shift", "coarse", "coarse_inv"):
+            assert not getattr(owner, name).flags.writeable, name
 
 
 def _zeroed(rng):
@@ -382,9 +438,9 @@ def test_each_call_checks_its_arrays_once_and_kernels_run_unchecked(
         (lambda: amg_loss(prob, 3), []),
         (lambda: amg_loss_and_grad(prob, 3), []),
         # 3 full-batch steps and 3 history entries over 3 problems: only
-        # the P^T A P guard runs, once per problem in each
+        # the guards on P^T A P and its inverse run, once per problem in each
         (lambda: train_prolongation(problems, TrainConfig(3, 0.05, 3), history=[]),
-         ["P^T A P"] * 18),
+         ["P^T A P", "(P^T A P)^{-1}"] * 18),
     ]:
         amg_array_checks.clear()
         call()

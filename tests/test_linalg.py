@@ -306,6 +306,15 @@ _NOT_A_PROBLEM = (TypeError, "prob must be an AMGProblem, got list")
      r"b must have shape \(4,\), got \(4, 1\)"),
     (lambda: _amg(p=np.ones((4, 1)) * 1e300), ValueError,
      r"P\^T A P contains non-finite entries"),
+    (lambda: _amg(p=np.ones((4, 1)) * 1e-160), ValueError,
+     r"\(P\^T A P\)\^\{-1\} contains non-finite entries"),
+    (lambda: _amg(a=np.eye(4) * 0.5, b=np.full(4, 1e308)), ValueError,
+     r"L\^\{-1\} b contains non-finite entries"),
+    # each row of L^{-1} grows 1e9-fold down its subdiagonal: S = I - L^{-1} A
+    # passes float range by row 35
+    (lambda: _amg(a=np.eye(40) + 1e9 * np.eye(40, k=-1) + np.eye(40, k=1),
+                  b=np.ones(40), p=np.ones((40, 1))), ValueError,
+     r"I - L\^\{-1\} A contains non-finite entries"),
     (lambda: _amg().with_prolongation_values(np.ones(4) * 1j), TypeError,
      "values must have a real dtype"),
     (lambda: SparseSketch(2, 2, 1, [[0], [1]], np.ones((2, 1)) * 1j), TypeError,
@@ -364,6 +373,8 @@ _NOT_A_PROBLEM = (TypeError, "prob must be an AMGProblem, got list")
      "cfg must be a TrainConfig, got NoneType"),
     (lambda: sgd_train(SK, [A64], 2, None), TypeError,
      "cfg must be a TrainConfig, got NoneType"),
+    (lambda: sgd_train(np.ones((2, 4)), [np.eye(4, 3)], 1, TrainConfig(1, 0.1, 1)),
+     TypeError, "pattern must be a SparseSketch, got ndarray"),
     (lambda: proxy_loss(SK, A64, 2, None), TypeError,
      "cfg must be a ProxyConfig, got NoneType"),
     (lambda: proxy_loss(SK, A64, 2, TrainConfig(1, 0.1, 1)), TypeError,
@@ -384,6 +395,8 @@ _NOT_A_PROBLEM = (TypeError, "prob must be an AMGProblem, got list")
         "greedy_pivot_columns-1d", "q_iterations-tiny-epsilon",
         "ProxyConfig-tiny-epsilon", "AMGProblem-empty", "AMGProblem-complex",
         "AMGProblem-column-b", "AMGProblem-overflow",
+        "AMGProblem-coarse-inverse-overflow", "AMGProblem-shift-overflow",
+        "AMGProblem-smoother-overflow",
         "with_prolongation_values-complex", "SparseSketch-complex",
         "make_dataset-complex", "make_dataset-overflow", "safeguard-array",
         "min_trace-nan", "power_trace-nan", "power_trace-not-square",
@@ -398,6 +411,7 @@ _NOT_A_PROBLEM = (TypeError, "prob must be an AMGProblem, got list")
         "amg_step_error_form-not-a-problem", "amg_loss-not-a-problem",
         "amg_loss_and_grad-not-a-problem", "train_prolongation-not-a-problem",
         "train_prolongation-q", "train_prolongation-cfg", "sgd_train-cfg",
+        "sgd_train-dense-pattern",
         "proxy_loss-cfg", "proxy_loss-cfg-TrainConfig", "pdim_bound-trace",
         "sketch_loss-reassigned-values", "sketch_loss_and_grad-reassigned-values",
         "proxy_loss-reassigned-values"])

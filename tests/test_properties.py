@@ -317,7 +317,10 @@ def _entry_point_calls(x):
         (lambda: proxy_loss(sketch, x, 1, ProxyConfig(0.5)), loss_names),
         (lambda: best_rank_k(x, 1), ("a", "k")),
         (lambda: make_dataset(x), ("matrices", r"matrix \d+")),
-        *((lambda key=key: AMGProblem(**(amg | {key: x})), ("A", "b", "P", "x0"))
+        # a stored factor is refused by its own name: I - L^{-1} A, L^{-1} b,
+        # P^T A P or (P^T A P)^{-1}
+        *((lambda key=key: AMGProblem(**(amg | {key: x})),
+           ("A", "b", "P", "x0", "I", "L", r"\(P"))
           for key in ("a", "b", "p", "x0")),
         (lambda: power_refine(x, np.eye(d)[None, :, :1], 2), ("b", "p", "q")),
         (lambda: power_refine(np.ones((2, 3)), x, 2), ("b", "p", "q")),
@@ -335,6 +338,6 @@ def test_every_array_entry_point_returns_finite_values_or_names_its_fault(x):
             assert re.match(rf"({'|'.join(names)})\b", str(exc)), repr(exc)
             continue
         if isinstance(out, AMGProblem):
-            out = (out.lower_inv, out.coarse)
+            out = (out.smoother, out.shift, out.coarse, out.coarse_inv)
         for part in out if isinstance(out, tuple) else (out,):
             assert np.isfinite(part).all()
