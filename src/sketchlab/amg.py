@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import RANK_RTOL, _check_array, _check_int, _check_type, svd
+from .linalg import (RANK_RTOL, _check_array, _check_int, _check_type, _kept,
+                     _own, _singular_values)
 from .train import TrainConfig, _descend, _nonempty
 
 # An iterate diverges once its norm passes this multiple of the problem's
@@ -55,7 +56,7 @@ def _coarse_fields(a: np.ndarray, p: np.ndarray) -> dict:
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
         coarse = p.T @ a @ p
     _check_array("P^T A P", coarse)
-    if svd(coarse).singular_values.size < p.shape[1]:
+    if np.count_nonzero(_kept(_singular_values(coarse))) < p.shape[1]:
         raise ValueError("P^T A P is numerically singular")
     coarse_inv = np.linalg.inv(coarse)
     _check_array("(P^T A P)^{-1}", coarse_inv)
@@ -107,14 +108,8 @@ class AMGProblem:
         smoother, shift = np.ascontiguousarray(solved[:, :n]), solved[:, n].copy()
         _check_array("I - L^{-1} A", smoother)
         _check_array("L^{-1} b", shift, (n,))
-        self._own(a=a, b=b, p=p, x0=x0, smoother=smoother, shift=shift,
-                  _pattern=p != 0.0, **_coarse_fields(a, p))
-
-    def _own(self, **fields):
-        """Set ``fields`` on this frozen problem, each array read-only."""
-        for name, arr in fields.items():
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        _own(self, a=a, b=b, p=p, x0=x0, smoother=smoother, shift=shift,
+             _pattern=p != 0.0, **_coarse_fields(a, p))
 
     def solution(self) -> np.ndarray:
         """Exact solution of ``A x = b`` (elimination oracle)."""
@@ -137,7 +132,7 @@ class AMGProblem:
     def _with_p(self, p) -> "AMGProblem":
         """This problem with P = ``p``; only the coarse pair is formed again."""
         out = copy.copy(self)
-        out._own(p=p, **_coarse_fields(self.a, p))
+        _own(out, p=p, **_coarse_fields(self.a, p))
         return out
 
 

@@ -4,7 +4,9 @@ Routines operate on float64 ``numpy`` arrays.  ``svd``, ``best_rank_k``
 and ``fro_sq`` also take a stack ``(..., n, d)`` of matrices and work on
 each one.  Singular values at or below ``RANK_RTOL`` times the largest one
 of their matrix, and all of those of a zero matrix, count as zero: the
-package's one numerical rank rule.  ``_check_int``, ``_check_positive``,
+package's one numerical rank rule, which ``_kept`` applies.  SVD and QR
+call numpy's LAPACK gufuncs ``svd_s``, ``svd`` (values alone), ``qr_r_raw``
+and ``qr_reduced`` directly.  ``_check_int``, ``_check_positive``,
 ``_check_seed`` and ``_check_array`` are its one rule for counts, rates,
 seeds and arrays.  Every public entry point checks each array argument
 once; ``as_matrix`` (``charpoly``, ``matio``) converts lists first.
@@ -17,9 +19,10 @@ from numpy.linalg import LinAlgError, _umath_linalg
 
 RANK_RTOL = 1e-10
 
-# numpy's reduced QR runs these two gufuncs (geqrf, then orgqr); naming them
-# here makes a numpy without them fail at import
+# numpy's reduced QR (geqrf, orgqr) and thin and values-only SVDs (gesdd) run
+# these gufuncs; binding them here fails at import on a numpy without them
 _QR_R_RAW, _QR_REDUCED = _umath_linalg.qr_r_raw, _umath_linalg.qr_reduced
+_SVD_THIN, _SVD_VALUES = _umath_linalg.svd_s, _umath_linalg.svd
 
 
 def _check_int(name, value, least=None):
@@ -84,6 +87,13 @@ def _check_fro_sq(name, a):
     return total
 
 
+def _own(obj, **fields):
+    """Set ``fields`` on the frozen dataclass ``obj``, each array read-only."""
+    for name, arr in fields.items():
+        arr.flags.writeable = False
+        object.__setattr__(obj, name, arr)
+
+
 def as_matrix(a) -> np.ndarray:
     """Validate and convert ``a`` to a 2-D, C-contiguous float64 array.
 
@@ -122,6 +132,22 @@ class SvdResult(NamedTuple):
     V: np.ndarray
 
 
+def _raise_svd_error(err, flag):
+    raise LinAlgError("SVD did not converge")
+
+
+def _kept(s: np.ndarray) -> np.ndarray:
+    """Mask of the singular values ``s`` (sorted down) the rank rule keeps."""
+    return s > RANK_RTOL * s[..., :1]
+
+
+def _singular_values(a: np.ndarray) -> np.ndarray:
+    """All singular values of a float64 matrix or stack, untrimmed."""
+    with np.errstate(call=_raise_svd_error, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):  # as in np.linalg.svd
+        return _SVD_VALUES(a, signature="d->d")
+
+
 def svd(a: np.ndarray) -> SvdResult:
     """Singular value decomposition trimmed to the numerical rank.
 
@@ -130,7 +156,8 @@ def svd(a: np.ndarray) -> SvdResult:
     empty factors before any factorization is attempted.  A stack
     ``(..., n, d)`` is factored in one LAPACK call, each matrix as on its
     own; its factors are trimmed to the largest rank in the stack, and
-    each matrix's columns past its own rank are masked to zero.
+    each matrix's columns past its own rank are masked to zero.  The
+    factors are float64, those of ``np.linalg.svd`` on the float64 input.
 
     Raises
     ------
@@ -141,14 +168,16 @@ def svd(a: np.ndarray) -> SvdResult:
         lead = a.shape[:-2]
         return SvdResult(np.zeros(a.shape[:-1] + (0,)), np.zeros(lead + (0,)),
                          np.zeros(lead + (a.shape[-1], 0)))
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    with np.errstate(call=_raise_svd_error, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        u, s, vh = _SVD_THIN(a, signature="d->ddd")
     # a plain matrix keeps its own branch: the masked stack path below gives
-    # it the same factors, but took one rank-2 3x7 call from 15.8 to 23.6 us
-    # and cost proxy-sandwich 2-6 % of its instances per second (2-vCPU box)
+    # it the same factors, but takes a rank-2 3x7 call from 10.4 to 18.1 us
+    # (2-vCPU box, one BLAS thread), and once cost proxy-sandwich 2-6 % of its rate
     if a.ndim == 2:
-        r = np.count_nonzero(s > RANK_RTOL * s[0])
+        r = np.count_nonzero(_kept(s))
         return SvdResult(u[:, :r], s[:r], vh[:r].T)
-    keep = s > RANK_RTOL * s[..., :1]
+    keep = _kept(s)
     v = vh.swapaxes(-1, -2)
     if keep[..., -1].all():  # values are sorted, so every matrix has full rank
         return SvdResult(u, s, v)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _check_int, _check_positive, _check_seed
+from .linalg import _check_int, _check_positive, _check_seed, _own
 from .sketching import SparseSketch, _check_loss_args, _loss, sketch_loss
 
 # the elements of the sketch and member stacks (pairs per call times
@@ -27,7 +27,7 @@ from .sketching import SparseSketch, _check_loss_args, _loss, sketch_loss
 _STACK_ELEMENTS = 2 ** 20
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShatterFamily:
     """An indexed family of unit-norm matrices with its witnessing gadget.
 
@@ -45,9 +45,12 @@ class ShatterFamily:
     thresholds: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.slots = np.asarray(self.slots, dtype=np.int64).reshape(-1, 2)
-        losses = sketch_loss(self.base, self.matrices, self.base.m)
-        self.thresholds = np.full(len(self.matrices), losses.min() / 2.0)
+        # copies: a caller's later writes to its arrays must not reach the family
+        matrices = np.array(self.matrices, dtype=np.float64)
+        object.__setattr__(self, "base", self.base.with_values(self.base.values))
+        half = sketch_loss(self.base, matrices, self.base.m).min() / 2.0
+        _own(self, matrices=matrices, thresholds=np.full(len(matrices), half),
+             slots=np.array(self.slots, dtype=np.int64).reshape(-1, 2))
 
 
 def _family(base: SparseSketch, slots, width: int, builder: str) -> ShatterFamily:

@@ -8,12 +8,13 @@ values; the slot values are what gets trained.  It owns the slot layout
 training, the shattering verifier and the tracer alike.
 
 ``sketch_lowrank`` implements the classic sketch-and-solve rank-``k``
-approximation: sketch the input down to ``S @ A``, take its SVD, and solve
-the small problem in the sketched row space; its projection form shares
-that one SVD of ``SA``, and so does ``sketch_loss_and_grad``, the loss
-with its gradient.  Each public loss checks (sketch, A, k) once, at
-``_check_loss_args``, then runs an unchecked kernel, as training and the
-shattering verifier do; an ``SA`` beyond float range is a ``ValueError``.
+approximation ``[AV]_k V^T``: sketch the input down to ``S @ A``, take its
+SVD ``U Sigma V^T``, and solve the small problem in the sketched row space.
+Its projection form and ``sketch_loss_and_grad`` form it too; ``sketch_loss``
+takes the singular values of ``AV`` alone.  Each public loss checks (sketch,
+A, k) once, at ``_check_loss_args``, then runs an unchecked kernel, as
+training and the shattering verifier do; an ``SA`` beyond float range is a
+``ValueError``.
 
 The pipeline broadcasts: the sketch may be a ``SparseSketch``, an m-by-n
 matrix or a stack ``(..., m, n)``, and ``A`` an n-by-d matrix or a stack
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (SvdResult, _check_array, _check_fro_sq, _check_int,
-                     _check_seed, _rank_k, fro_sq, svd)
+                     _check_seed, _kept, _rank_k, _singular_values, fro_sq, svd)
 
 
 @dataclass(eq=False)
@@ -143,14 +144,13 @@ def _rowspace(s_mat: np.ndarray, a: np.ndarray) -> SvdResult:
     return svd(sa)
 
 
-def _lowrank(s_mat: np.ndarray, a: np.ndarray, k: int) -> np.ndarray:
-    v = _rowspace(s_mat, a).V
-    return _rank_k(a @ v, k) @ v.swapaxes(-1, -2)
-
-
 def _loss(s_mat: np.ndarray, a: np.ndarray, k: int):
-    low = _lowrank(s_mat, a, k)  # then in place: for a stack, the largest array
-    return fro_sq(np.subtract(a, low, out=low))
+    v = _rowspace(s_mat, a).V
+    av = a @ v
+    dropped = _singular_values(av)  # less the top k that the rank rule keeps
+    dropped[..., :k][_kept(dropped[..., :k])] = 0.0
+    low = av @ v.swapaxes(-1, -2)  # then in place: for a stack, the largest array
+    return fro_sq(np.subtract(a, low, out=low)) + fro_sq(dropped[..., None])
 
 
 def _loss_and_grad(s_mat: np.ndarray, a: np.ndarray, k: int) -> tuple:
@@ -171,7 +171,8 @@ def sketch_lowrank(a: np.ndarray, k: int, sketch) -> np.ndarray:
     ``[A V]_k V^T``; when ``SA`` vanishes, ``V`` is empty and the result
     is the zero matrix.  The output always has rank at most ``k``.
     """
-    return _lowrank(_check_loss_args(sketch, a, k), a, k)
+    v = _rowspace(_check_loss_args(sketch, a, k), a).V
+    return _rank_k(a @ v, k) @ v.swapaxes(-1, -2)
 
 
 def sketch_lowrank_via_projection(a: np.ndarray, k: int, sketch) -> np.ndarray:
@@ -185,8 +186,10 @@ def sketch_loss(sketch, a: np.ndarray, k: int):
     """Squared-Frobenius error of the sketch-and-solve approximation: a
     float, or an array over the broadcast leading axes of a stack.
 
-    For inputs normalized to unit squared Frobenius norm the value lies in
-    [0, 1]; in general it never exceeds ``fro_sq(a)``.
+    It is ``||A - AVV^T||_F^2`` plus the squared singular values of ``AV``
+    that the rank-``k`` cut drops, as ``A - AVV^T`` is orthogonal to the row
+    space of ``SA``, which ``V`` spans.  For unit-norm inputs the value lies
+    in [0, 1]; in general it never exceeds ``fro_sq(a)``.
     """
     return _loss(_check_loss_args(sketch, a, k), a, k)
 

@@ -13,7 +13,16 @@ from sketchlab.amg import (
 )
 from sketchlab.charpoly import charpoly_coefficients
 from sketchlab.gjtrace import Trace, gj_argmin, pdim_bound
-from sketchlab.linalg import _orthonormal, as_matrix, best_rank_k, fro_sq, pinv, svd
+from sketchlab.linalg import (
+    RANK_RTOL,
+    _orthonormal,
+    _singular_values,
+    as_matrix,
+    best_rank_k,
+    fro_sq,
+    pinv,
+    svd,
+)
 from sketchlab.proxy import (
     ProxyConfig,
     candidate_bases,
@@ -93,6 +102,40 @@ def test_svd_of_a_stack_masks_each_matrix_past_its_rank():
         assert not s[i, r:].any() and not u[i, :, r:].any() and not v[i, :, r:].any()
         np.testing.assert_allclose((u[i] * s[i]) @ v[i].T, a, atol=1e-12)
     np.testing.assert_array_equal(best_rank_k(stack, 1)[2], best_rank_k(stack[2], 1))
+
+
+@pytest.mark.parametrize("dtype",
+                         [np.float64, np.float32, np.float16, np.int64, np.bool_])
+@pytest.mark.parametrize("shape", [(5, 4), (4, 7), (3, 5, 4), (2, 2, 4, 7)])
+def test_svd_is_the_trimmed_np_linalg_svd_of_the_float64_input(shape, dtype):
+    # every real dtype gets float64 factors, bit for bit those of np.linalg.svd
+    # on the float64 copy (which keeps float32 and refuses float16)
+    rng = np.random.default_rng(len(shape))
+    a = rng.standard_normal(shape) * 3.0
+    a[..., -1, :] = a[..., 0, :]  # a repeated row and column: float64 is trimmed
+    a[..., :, -1] = a[..., :, 0]
+    a[(0,) * (len(shape) - 2)] *= 1e-3  # and the stacks' first matrix is graded
+    a = a > 0.0 if dtype is np.bool_ else a.astype(dtype)
+    f = np.asarray(a, float)
+    u_np, s_np, vh_np = np.linalg.svd(f, full_matrices=False)
+    u, s, v = svd(a)
+    assert u.dtype == s.dtype == v.dtype == np.float64
+    for i in np.ndindex(shape[:-2]):
+        r = np.count_nonzero(s_np[i] > RANK_RTOL * s_np[i][0])
+        assert r < min(shape[-2:]) or dtype is not np.float64
+        np.testing.assert_array_equal(s[i][:r], s_np[i][:r])
+        np.testing.assert_array_equal(u[i][:, :r], u_np[i][:, :r])
+        np.testing.assert_array_equal(v[i][:, :r], vh_np[i][:r].T)
+        assert not s[i][r:].any() and not u[i][:, r:].any() and not v[i][:, r:].any()
+        np.testing.assert_array_equal(_singular_values(f[i]),
+                                      np.linalg.svd(f[i], compute_uv=False))
+
+
+def test_svd_failure_to_converge_raises_linalg_error():
+    nan = np.array([[1.0, np.nan], [0.0, 1.0]])
+    for call in (svd, _singular_values):
+        with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
+            call(nan)
 
 
 def test_svd_of_a_zero_stack_has_empty_factors():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import tracemalloc
@@ -47,6 +48,26 @@ def test_rank1_family_structure():
         assert abs(fro_sq(a) - 1.0) <= 1e-9
         assert svd(a).singular_values.size == 1
     np.testing.assert_allclose(fam.thresholds, 0.5)
+
+
+def test_family_is_frozen_and_owns_read_only_copies():
+    fam = rank1_family(6, 3)
+    matrices, base = fam.matrices.copy(), fam.base.with_values(fam.base.values)
+    own = ShatterFamily(matrices, base, fam.slots, fam.builder)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        own.matrices = 3 * own.matrices
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        own.thresholds = np.full(6, 4.5)
+    for name in ("matrices", "slots", "thresholds"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(own, name)[0] = 0
+    # later writes into the caller's arrays and base do not reach the family
+    matrices *= 3.0
+    base.values[:] = 1.0
+    assert own.base is not base and not own.base.values.any()
+    assert np.array_equal(own.matrices, fam.matrices)
+    report = verify_shattering(own, gamma=0.1)
+    assert report == verify_shattering(fam, gamma=0.1) and report["all_pass"]
 
 
 def test_rank1_loss_dichotomy_is_exact():
