@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _check_int, _check_positive, _check_seed, _own
+from .linalg import _check_int, _check_positive, _check_type, _own
 from .sketching import SparseSketch, _check_loss_args, _loss, sketch_loss
 
 # the elements of the sketch and member stacks (pairs per call times
@@ -33,9 +33,9 @@ class ShatterFamily:
 
     ``matrices`` is the (N, n, d) float64 stack of the N members.  ``base``
     is the sketch of the empty subset and its row count ``base.m`` is the
-    target rank.  Member ``i`` is switched on by setting
-    ``base.values[slots[i, 0], slots[i, 1]] = 1``.  ``thresholds`` holds one
-    decision level per matrix: half the smallest loss under ``base``.
+    target rank.  Member ``i`` is switched on by setting slot ``slots[i]``
+    to 1, as :func:`subset_sketch` does.  ``thresholds`` holds one decision
+    level per matrix: half the smallest loss under ``base``.
     """
 
     matrices: np.ndarray
@@ -45,9 +45,9 @@ class ShatterFamily:
     thresholds: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        _check_type("base", self.base, SparseSketch)
         # copies: a caller's later writes to its arrays must not reach the family
         matrices = np.array(self.matrices, dtype=np.float64)
-        object.__setattr__(self, "base", self.base.with_values(self.base.values))
         half = sketch_loss(self.base, matrices, self.base.m).min() / 2.0
         _own(self, matrices=matrices, thresholds=np.full(len(matrices), half),
              slots=np.array(self.slots, dtype=np.int64).reshape(-1, 2))
@@ -125,6 +125,7 @@ def subset_sketch(family: ShatterFamily, subset) -> SparseSketch:
     """The base sketch with the slots of the given family positions set to
     1: loss is zero exactly on members of the subset and bounded below off
     it."""
+    _check_type("family", family, ShatterFamily)
     positions = list(subset)
     for p in positions:
         _check_int("family position", p)
@@ -165,11 +166,13 @@ def verify_shattering(family: ShatterFamily, subset_budget: int = 256,
     checked subset holds all members, ``miss_loss_min`` when every one is
     empty.
     """
+    _check_type("family", family, ShatterFamily)
     _check_positive("gamma", gamma)
     _check_int("subset_budget", subset_budget, 1)
-    _check_seed(seed)
-    n_members = len(family.matrices)
+    _check_int("seed", seed, 0)
     base, k = family.base, family.base.m
+    _check_loss_args(base, family.matrices, k)  # once; the chunks run unchecked
+    n_members = len(family.matrices)
 
     # row s, column i: member i is in subset s, bit i of the subset's mask
     if n_members <= 14:
@@ -192,7 +195,6 @@ def verify_shattering(family: ShatterFamily, subset_budget: int = 256,
     j, t = family.slots[member].T
     values[subset, j, t] = 1.0
     sketches = base._scatter(values, np.zeros((checked, base.m, base.n)))
-    _check_loss_args(sketches, family.matrices, k)  # once; the chunks run unchecked
     # local[i, r]: slot r lies in a sketch column where member i has a
     # nonzero row.  Row i of pos lists member i's local slots first (on
     # marks them).  Key each (subset, member) pair by the member and its

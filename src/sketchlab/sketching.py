@@ -1,11 +1,11 @@
 """Sparse sketching matrices and the sketch-and-solve low-rank pipeline.
 
-A :class:`SparseSketch` is an m-by-n matrix with a frozen per-column
-sparsity pattern (``s`` nonzero slots per column) and freely settable slot
-values; the slot values are what gets trained.  It owns the slot layout
-(slot (j, t) is the dense entry (pattern[j, t], j)): its ``_scatter`` and
-``_gather`` map stacks of slot values to dense sketches and back, for
-training, the shattering verifier and the tracer alike.
+A :class:`SparseSketch` is a frozen m-by-n matrix that owns read-only
+copies of its sparsity pattern (``s`` nonzero slots per column) and slot
+values; training returns its values in a new sketch.  It owns the slot
+layout (slot (j, t) is the dense entry (pattern[j, t], j)): its
+``_scatter`` and ``_gather`` map stacks of slot values to dense sketches
+and back, for training, the shattering verifier and the tracer alike.
 
 ``sketch_lowrank`` implements the classic sketch-and-solve rank-``k``
 approximation ``[AV]_k V^T``: sketch the input down to ``S @ A``, take its
@@ -29,11 +29,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (SvdResult, _check_array, _check_fro_sq, _check_int,
-                     _check_seed, _kept, _rank_k, _singular_values, fro_sq, svd)
+from .linalg import (SvdResult, _check_array, _check_fro_sq, _check_int, _check_seed,
+                     _kept, _own, _rank_k, _singular_values, fro_sq, svd)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SparseSketch:
     """m-by-n sketching matrix with ``s`` nonzero slots per column.
 
@@ -66,8 +66,8 @@ class SparseSketch:
         _check_array("pattern", pattern, (self.n, self.s))
         _check_array("values", values, (self.n, self.s))
         # copies: a caller's later writes to its arrays must not reach the sketch
-        self.pattern = np.array(pattern, dtype=np.int64)
-        self.values = np.array(values, dtype=np.float64)
+        _own(self, pattern=np.array(pattern, dtype=np.int64),
+             values=np.array(values, dtype=np.float64))
         if self.pattern.min() < 0 or self.pattern.max() >= self.m:
             raise ValueError("pattern indices out of range [0, m)")
         if np.any(np.diff(self.pattern, axis=1) <= 0):
@@ -98,7 +98,7 @@ def _check_loss_args(sketch, a: np.ndarray, k, shape=None) -> np.ndarray:
     ``shape``; by default any matrix or stack), the width, norm and k checks
     (none for ``k=None``); returns the dense float64 sketch for the kernels."""
     s_mat = sketch.dense() if hasattr(sketch, "dense") else sketch
-    _check_array("sketch", s_mat, shape)  # a SparseSketch's values can be reassigned
+    _check_array("sketch", s_mat, shape)
     s_mat = np.asarray(s_mat, float)
     _check_array("matrix", a, shape)
     if s_mat.shape[-1] != a.shape[-2]:

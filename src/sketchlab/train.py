@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (_check_array, _check_fro_sq, _check_int, _check_positive,
-                     _check_seed, _check_type, fro_sq)
+                     _check_type, fro_sq)
 from .sketching import SparseSketch, _check_loss_args, _loss, _loss_and_grad
 
 
@@ -22,10 +22,9 @@ class TrainConfig:
     """Hyperparameters for mini-batch SGD, frozen once checked.
 
     ``fd_step`` is validated but read by nothing; the learn-sketch benchmark
-    still passes it, until ROADMAP item 1b deletes it.  An int
-    ``seed`` (or None) is the seed of each run's own generator, so an int
-    reproduces the run; a ``numpy`` Generator is drawn from directly and
-    advances, so each run with that config shuffles differently.
+    still passes it, until ROADMAP item 1b deletes it.  ``seed``, an
+    integer >= 0, seeds each run's own generator, so a config reproduces
+    its run.
     """
 
     epochs: int
@@ -38,7 +37,7 @@ class TrainConfig:
         _check_int("epochs", self.epochs, 0)
         _check_positive("step_size", self.step_size)
         _check_int("batch_size", self.batch_size, 1)
-        _check_seed(self.seed)
+        _check_int("seed", self.seed, 0)
         if not (0 < self.fd_step <= 1e-3):
             raise ValueError(f"fd_step must be in (0, 1e-3], got {self.fd_step}")
 
@@ -101,11 +100,10 @@ def _descend(vals, data, cfg: TrainConfig, batch_grads, mean_loss,
     steps once per batch ``idx`` against the mean gradient, from the
     batch's losses and summed gradient that ``batch_grads(vals, idx)``
     returns as arrays.  The shuffles come from
-    ``np.random.default_rng(cfg.seed)``: an int seed gives the same
-    trajectory on every call, while a Generator seed is that generator
-    itself and advances with each call.  ``mean_loss(vals)`` is appended
-    to ``history`` after each epoch when a list is passed.  Aborts with a
-    diagnostic if a loss, or a value after a step, evaluates non-finite.
+    ``np.random.default_rng(cfg.seed)``, the same on every call.
+    ``mean_loss(vals)`` is appended to ``history`` after each epoch when a
+    list is passed.  Aborts with a diagnostic if a loss, or a value after
+    a step, evaluates non-finite.
     """
     _check_type("cfg", cfg, TrainConfig)
     n = len(_nonempty(data))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -31,7 +33,14 @@ from sketchlab.proxy import (
     proxy_loss,
     q_iterations,
 )
-from sketchlab.shatter import block_family, dense_family, rank1_family, verify_shattering
+from sketchlab.shatter import (
+    ShatterFamily,
+    block_family,
+    dense_family,
+    rank1_family,
+    subset_sketch,
+    verify_shattering,
+)
 from sketchlab.sketching import (
     SparseSketch,
     random_sparse_sketch,
@@ -249,6 +258,11 @@ def test_orthonormal_is_np_qr_q_bit_for_bit():
     (lambda: random_sparse_sketch(3, 6, 1, -3), "seed"),
     (lambda: verify_shattering(rank1_family(4, 2), seed=1.5), "seed"),
     (lambda: TrainConfig(1, 0.1, 1, seed=True), "seed"),
+    (lambda: TrainConfig(1, 0.1, 1, seed=np.random.default_rng(0)), "seed"),
+    (lambda: TrainConfig(1, 0.1, 1, seed=None), "seed"),
+    (lambda: verify_shattering(rank1_family(4, 2), seed=np.random.default_rng(0)),
+     "seed"),
+    (lambda: verify_shattering(rank1_family(4, 2), seed=None), "seed"),
     (lambda: verify_shattering(rank1_family(4, 2), subset_budget="x"), "subset_budget"),
     (lambda: verify_shattering(rank1_family(4, 2), subset_budget=0), "subset_budget"),
     (lambda: pdim_bound(-1, Trace()), "n_params"),
@@ -259,12 +273,15 @@ def test_orthonormal_is_np_qr_q_bit_for_bit():
         "random_sparse_sketch-s", "block_family-k", "dense_family-k",
         "rank1_family-n", "random_sparse_sketch-seed",
         "verify_shattering-seed", "TrainConfig-seed-bool",
+        "TrainConfig-seed-Generator", "TrainConfig-seed-None",
+        "verify_shattering-seed-Generator", "verify_shattering-seed-None",
         "verify_shattering-exhaustive-subset_budget-str",
         "verify_shattering-exhaustive-subset_budget-0", "pdim_bound-negative",
         "pdim_bound-str"])
 def test_counts_and_rates_are_refused_by_name(call, name):
     # each count is an integer of at least some value, each rate finite and
-    # > 0, each seed an integer >= 0, None or a numpy Generator
+    # > 0, each seed an integer >= 0 (random_sparse_sketch, which the CLI
+    # hands named streams, also takes None or a numpy Generator)
     with pytest.raises(ValueError, match=f"^{name} must be "):
         call()
 
@@ -423,12 +440,20 @@ _NOT_A_PROBLEM = (TypeError, "prob must be an AMGProblem, got list")
     (lambda: proxy_loss(SK, A64, 2, TrainConfig(1, 0.1, 1)), TypeError,
      "cfg must be a ProxyConfig, got TrainConfig"),
     (lambda: pdim_bound(2, None), TypeError, "trace must be a Trace, got NoneType"),
-    (lambda: sketch_loss(_reassigned(np.full((6, 1), np.inf)), A64, 2), ValueError,
-     "sketch contains non-finite"),
+    (lambda: verify_shattering(np.zeros((2, 2, 2))), TypeError,
+     "family must be a ShatterFamily, got ndarray"),
+    (lambda: subset_sketch(np.zeros(3), [0]), TypeError,
+     "family must be a ShatterFamily, got ndarray"),
+    (lambda: ShatterFamily(np.zeros((1, 6, 2)), SK.dense(), [(0, 0)], "x"), TypeError,
+     "base must be a SparseSketch, got ndarray"),
+    # a frozen sketch refuses the reassignment itself, so no non-finite
+    # values reach the loss family this way
+    (lambda: sketch_loss(_reassigned(np.full((6, 1), np.inf)), A64, 2),
+     dataclasses.FrozenInstanceError, "cannot assign to field 'values'"),
     (lambda: sketch_loss_and_grad(_reassigned(np.full((6, 1), np.nan)), A64, 2),
-     ValueError, "sketch contains non-finite"),
+     dataclasses.FrozenInstanceError, "cannot assign to field 'values'"),
     (lambda: proxy_loss(_reassigned(np.full((6, 1), np.inf)), A64, 2, ProxyConfig(0.5)),
-     ValueError, "sketch contains non-finite"),
+     dataclasses.FrozenInstanceError, "cannot assign to field 'values'"),
 ], ids=["sketch_loss-complex", "sketch_loss-object",
         "sketch_loss_and_grad-complex-sketch", "sketch_loss-list-sketch",
         "sketch_loss-overflow", "proxy_loss-overflow", "sketch_loss-SA-overflow",
@@ -456,8 +481,9 @@ _NOT_A_PROBLEM = (TypeError, "prob must be an AMGProblem, got list")
         "train_prolongation-q", "train_prolongation-cfg", "sgd_train-cfg",
         "sgd_train-dense-pattern",
         "proxy_loss-cfg", "proxy_loss-cfg-TrainConfig", "pdim_bound-trace",
-        "sketch_loss-reassigned-values", "sketch_loss_and_grad-reassigned-values",
-        "proxy_loss-reassigned-values"])
+        "verify_shattering-not-a-family", "subset_sketch-not-a-family",
+        "ShatterFamily-dense-base", "sketch_loss-reassigned-values",
+        "sketch_loss_and_grad-reassigned-values", "proxy_loss-reassigned-values"])
 def test_arrays_are_refused_by_name(call, error, match):
     # each array passes linalg._check_array: a numpy array of a real dtype,
     # of the expected shape, with finite entries; the loss family, the

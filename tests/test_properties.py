@@ -13,8 +13,8 @@ gradients are checked against the per-matrix loop, on stacks that mix
 ranks, scales and zero sketches, and the loss against the error of
 ``sketch_lowrank`` on such stacks at scales 10**(+-100).  Every public
 entry point that takes an array is fed arrays of every dtype kind, ndim
-0-3, zero-length axes and scales 10**(+-300), and must return a finite
-value or name its fault.
+0-3, zero-length axes and scales 10**(+-300), writable and read-only, and
+must return a finite value or name its fault, leaving the array as it was.
 """
 
 import math
@@ -326,6 +326,10 @@ def _entry_point_calls(x):
     n = x.shape[-2] if x.ndim >= 2 else 3
     d = x.shape[-1] if x.ndim >= 1 else 3
     sketch = np.eye(2, n) + 0.5
+    # slot values of x's shape fit a 3-row sketch with max(d, 1) <= 3 slots
+    rows, slots = max(n, 1), max(d, 1)
+    sparse = SparseSketch(3, rows, slots, np.tile(np.arange(slots), (rows, 1)),
+                          np.ones((rows, slots)))
     loss_names = ("matrix", "sketch", "k")
     amg = dict(a=np.diag([1.5, 1.2, 1.8]) + 0.1, b=np.ones(3), p=np.ones((3, 1)),
                s1=1, s2=1, x0=np.zeros(3))
@@ -342,20 +346,29 @@ def _entry_point_calls(x):
           for key in ("a", "b", "p", "x0")),
         (lambda: power_refine(x, np.eye(d)[None, :, :1], 2), ("b", "p", "q")),
         (lambda: power_refine(np.ones((2, 3)), x, 2), ("b", "p", "q")),
+        (lambda: sparse.with_values(x), ("values",)),
     ]
 
 
 @settings(PROPERTY, max_examples=300)
 @given(any_arrays())
 def test_every_array_entry_point_returns_finite_values_or_names_its_fault(x):
-    # no warning either: the suite turns warnings into errors
-    for call, names in _entry_point_calls(x):
+    # no warning either: the suite turns warnings into errors.  Each call
+    # also takes a read-only copy of x, and none may write into its input
+    before = x.copy()
+    read_only = x.copy()
+    read_only.flags.writeable = False
+    for call, names in (*_entry_point_calls(x), *_entry_point_calls(read_only)):
         try:
             out = call()
         except (TypeError, ValueError) as exc:
             assert re.match(rf"({'|'.join(names)})\b", str(exc)), repr(exc)
             continue
+        finally:
+            assert x.dtype == before.dtype and x.tobytes() == before.tobytes()
         if isinstance(out, AMGProblem):
             out = (out.smoother, out.shift, out.coarse, out.coarse_inv)
+        elif isinstance(out, SparseSketch):
+            out = out.values
         for part in out if isinstance(out, tuple) else (out,):
             assert np.isfinite(part).all()

@@ -52,7 +52,7 @@ def test_rank1_family_structure():
 
 def test_family_is_frozen_and_owns_read_only_copies():
     fam = rank1_family(6, 3)
-    matrices, base = fam.matrices.copy(), fam.base.with_values(fam.base.values)
+    matrices, base = fam.matrices.copy(), fam.base
     own = ShatterFamily(matrices, base, fam.slots, fam.builder)
     with pytest.raises(dataclasses.FrozenInstanceError):
         own.matrices = 3 * own.matrices
@@ -61,10 +61,13 @@ def test_family_is_frozen_and_owns_read_only_copies():
     for name in ("matrices", "slots", "thresholds"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(own, name)[0] = 0
-    # later writes into the caller's arrays and base do not reach the family
+    # the base is a frozen sketch, kept as given: its values cannot move
+    # under the thresholds fixed from them
+    assert own.base is base
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        own.base.values = own.base.values + 1.0
+    # later writes into the caller's arrays do not reach the family
     matrices *= 3.0
-    base.values[:] = 1.0
-    assert own.base is not base and not own.base.values.any()
     assert np.array_equal(own.matrices, fam.matrices)
     report = verify_shattering(own, gamma=0.1)
     assert report == verify_shattering(fam, gamma=0.1) and report["all_pass"]

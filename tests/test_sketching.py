@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -48,6 +50,19 @@ def test_sparse_sketch_keeps_its_own_copies_of_pattern_and_values():
     before = sketch_loss(sk, a, 1)
     pattern[0, 0], values[0, 0] = 5, np.nan
     assert sketch_loss(sk, a, 1) == before
+
+
+def test_sparse_sketch_is_frozen_and_its_arrays_are_read_only():
+    # a sketch checked once at construction cannot change after it, so no
+    # loss, family threshold or trained copy can see other values later
+    sk = random_sparse_sketch(3, 6, 1, 0)
+    for name in ("pattern", "values"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(sk, name, np.full((6, 1), np.inf))
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(sk, name)[0, 0] = 1
+    assert np.array_equal(sk.dense(), random_sparse_sketch(3, 6, 1, 0).dense())
+    sk.dense()[0, 0] = np.nan  # the dense form is the caller's own
 
 
 def test_sparse_sketch_takes_integral_float_and_numpy_integer_fields():
