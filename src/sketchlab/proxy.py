@@ -18,6 +18,7 @@ run.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -44,9 +45,14 @@ _ENERGY_STALL_RTOL = 4 * np.finfo(float).eps
 
 # The state of power_refine's last run, (key, t, out, live, qmat, energy,
 # stalled), or None: its key holds the shapes, dtype and bytes of b and p,
-# t the steps run, and the rest the loop's variables after step t.  It is
-# only ever replaced whole.
+# t the steps run, and the rest the loop's variables after step t (energy
+# and stalled as lists of Python floats and ints).  It is only ever
+# replaced whole.
 _last_run = None
+
+# candidate_bases caches its exhaustive stacks for the 64 (d, k) used last,
+# each of at most this many entries (128 KB); a larger one is built per call.
+_CACHED_STACK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -117,7 +123,9 @@ def candidate_bases(b: np.ndarray, k: int, cfg: ProxyConfig) -> np.ndarray:
 
     When the number of k-subsets of the d standard-basis vectors fits under
     ``cfg.subset_cap``, all C(d, k) of them are returned (at k = d, the
-    identity alone; C(d, d) = 1 fits every cap).  Otherwise a
+    identity alone; C(d, d) = 1 fits every cap).  That stack is built once
+    per (d, k), C-contiguous, and shared by every call: it is read-only, so
+    writing into it raises.  Otherwise a
     single block (C = 1) is chosen greedily from the top-k right singular
     rows of ``b``; it still keeps the refined loss within a factor 1 + d of
     optimal.
@@ -128,9 +136,20 @@ def candidate_bases(b: np.ndarray, k: int, cfg: ProxyConfig) -> np.ndarray:
     if not (1 <= k <= d):
         raise ValueError(f"k must satisfy 1 <= k <= d, got k={k}, d={d}")
     if cfg.exhaustive(d, k):
-        return np.eye(d)[:, list(combinations(range(d), k))].transpose(1, 0, 2)
+        if math.comb(d, k) * d * k > _CACHED_STACK_ENTRIES:
+            return _subset_stack.__wrapped__(d, k)
+        return _subset_stack(d, k)
     _, _, vh = np.linalg.svd(b, full_matrices=False)
     return greedy_pivot_columns(vh[:k])[None]
+
+
+@lru_cache(maxsize=64)
+def _subset_stack(d: int, k: int) -> np.ndarray:
+    """All C(d, k) blocks of k standard-basis columns, C-contiguous and
+    read-only; ``__wrapped__`` builds one without the cache."""
+    stack = np.eye(d)[:, list(combinations(range(d), k))].transpose(1, 0, 2).copy()
+    stack.flags.writeable = False
+    return stack
 
 
 def power_refine(b: np.ndarray, p: np.ndarray, q: int) -> np.ndarray:
@@ -158,7 +177,8 @@ def power_refine(b: np.ndarray, p: np.ndarray, q: int) -> np.ndarray:
     dtype and bytes) as the call just before it, and a ``q`` at least the
     steps that call ran, resumes from that call's state instead of starting
     again; its result is bit for bit that of a fresh run.  Any other call
-    starts fresh.
+    starts fresh.  ``p`` is only read, so it may be the shared, read-only
+    stack that :func:`candidate_bases` returns, or any view of a stack.
     """
     _check_array("b", b, (None, None))
     _check_array("p", p, (None, b.shape[1], None))
@@ -166,7 +186,7 @@ def power_refine(b: np.ndarray, p: np.ndarray, q: int) -> np.ndarray:
 
     global _last_run
     b = np.asarray(b, dtype=np.float64)  # _orthonormal takes float64 only
-    floor = _ENERGY_STALL_RTOL * _check_fro_sq("b", b)
+    floor = float(_ENERGY_STALL_RTOL * _check_fro_sq("b", b))
     key = (b.shape, b.tobytes(), p.shape, p.dtype.str, p.tobytes())
     run = _last_run  # read once: another thread may replace it
     if run is not None and run[0] == key and q >= run[1]:
@@ -179,23 +199,30 @@ def power_refine(b: np.ndarray, p: np.ndarray, q: int) -> np.ndarray:
         out = np.zeros((len(z), n, min(n, k)))  # the columns of a reduced QR
         live = np.flatnonzero(np.abs(z).max(axis=(1, 2), initial=0.0) != 0.0)
         qmat = _orthonormal(z[live]) if live.size else None  # a fresh copy
-        energy = np.full(live.size, -np.inf)
-        stalled = np.zeros(live.size, dtype=np.int64)
+        energy = [-math.inf] * live.size
+        stalled = [0] * live.size
+    bt = b.T
     while live.size and t < q:
-        btq = b.T @ qmat
-        e = fro_sq(btq)  # ||B^T Q||_F^2 per block
-        stalled = np.where(e - energy <= floor, stalled + 1, 0)
-        energy = np.maximum(energy, e)
-        done = stalled >= 3
-        if done.any():
+        btq = bt @ qmat
+        flat = btq.reshape(len(btq), 1, -1)  # ||B^T Q||_F^2 per block, as fro_sq
+        e = (flat @ flat.swapaxes(1, 2)).ravel().tolist()
+        # the stall test on Python floats, the same IEEE doubles as numpy's
+        grown, counts = [], []
+        for x, y, s in zip(e, energy, stalled):
+            counts.append(s + 1 if x - y <= floor else 0)
+            grown.append(x if x > y else y)
+        energy, stalled = grown, counts
+        if max(stalled) >= 3:
+            keep = np.array(stalled) < 3
+            done = ~keep
             out[live[done]] = qmat[done]
-            keep = ~done
             live, qmat, btq = live[keep], qmat[keep], btq[keep]
-            energy, stalled = energy[keep], stalled[keep]
+            energy = [y for y, s in zip(energy, stalled) if s < 3]
+            stalled = [s for s in stalled if s < 3]
         t += 1
         if live.size:
             qmat = _orthonormal(b @ btq)
-    # no stored array is ever written to: each step makes new ones
+    # no stored array or list is ever written to: each step makes new ones
     _last_run = (key, t, out.copy(), live, qmat, energy, stalled)
     if live.size:
         out[live] = qmat

@@ -2,10 +2,11 @@
 
 A :class:`SparseSketch` is a frozen m-by-n matrix that owns read-only
 copies of its sparsity pattern (``s`` nonzero slots per column) and slot
-values; training returns its values in a new sketch.  It owns the slot
-layout (slot (j, t) is the dense entry (pattern[j, t], j)): its
-``_scatter`` and ``_gather`` map stacks of slot values to dense sketches
-and back, for training, the shattering verifier and the tracer alike.
+values; training returns its values in a new sketch, which shares the
+pattern.  It owns the slot layout (slot (j, t) is the dense entry
+(pattern[j, t], j)): its ``_scatter`` and ``_gather`` map stacks of slot
+values to dense sketches and back, for training, the shattering verifier
+and the tracer alike.
 
 ``sketch_lowrank`` implements the classic sketch-and-solve rank-``k``
 approximation ``[AV]_k V^T``: sketch the input down to ``S @ A``, take its
@@ -25,6 +26,7 @@ call; otherwise the masked columns change the shapes BLAS and LAPACK see,
 and the values agree to rounding.
 """
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,8 +91,12 @@ class SparseSketch:
         return dense[..., self.pattern, np.arange(self.n)[:, None]]
 
     def with_values(self, values: np.ndarray) -> "SparseSketch":
-        """New sketch with the same pattern and the given slot values."""
-        return SparseSketch(self.m, self.n, self.s, self.pattern, values)
+        """New sketch with the given slot values, checked and copied; it
+        shares this sketch's read-only, already checked pattern."""
+        _check_array("values", values, (self.n, self.s))
+        sketch = copy.copy(self)
+        _own(sketch, values=np.array(values, dtype=np.float64))
+        return sketch
 
 
 def _check_loss_args(sketch, a: np.ndarray, k, shape=None) -> np.ndarray:

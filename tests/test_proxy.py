@@ -98,6 +98,27 @@ def test_candidate_bases_enumeration_and_fallback():
     assert candidate_bases(big, 5, cfg).shape == (1, 30, 5)
 
 
+def test_candidate_bases_exhaustive_stack_is_built_once_and_read_only():
+    rng = np.random.default_rng(21)
+    cfg = ProxyConfig(0.5, subset_cap=1000)
+    for d in range(1, 9):
+        for k in range(1, d + 1):
+            stack = candidate_bases(rng.standard_normal((3, d)), k, cfg)
+            assert stack.shape == (math.comb(d, k), d, k)
+            assert stack.flags.c_contiguous and not stack.flags.writeable
+            for p, cols in zip(stack, combinations(range(d), k)):
+                assert np.array_equal(p, np.eye(d)[:, cols])
+            assert candidate_bases(rng.standard_normal((5, d)), k, cfg) is stack
+            with pytest.raises(ValueError, match="read-only"):
+                stack[0, 0, 0] = 2.0
+    # past the cache's entry bound a stack is built per call, read-only too
+    big = candidate_bases(np.ones((2, 12)), 6, cfg)
+    assert big.size > proxy._CACHED_STACK_ENTRIES
+    assert big.flags.c_contiguous and not big.flags.writeable
+    again = candidate_bases(np.ones((2, 12)), 6, cfg)
+    assert again is not big and np.array_equal(again, big)
+
+
 def test_candidate_greedy_fallback_residual_bound():
     rng = np.random.default_rng(2)
     cfg = ProxyConfig(0.5, subset_cap=1)
@@ -184,7 +205,7 @@ def _assert_stack_matches_blocks(b, stack, q):
     return out
 
 
-def test_power_refine_stack_matches_block_by_block():
+def test_power_refine_stack_matches_block_by_block(monkeypatch):
     rng = np.random.default_rng(9)
     for _ in range(40):
         n = int(rng.integers(2, 8))
@@ -195,10 +216,16 @@ def test_power_refine_stack_matches_block_by_block():
         if rng.random() < 0.3:
             b[:, rng.choice(d, size=d - k, replace=False)] = 0.0
         stack = _candidate_stack(d, k)
+        view = np.eye(d)[:, list(combinations(range(d), k))].transpose(1, 0, 2)
         for q in (1, 4, 60):
             out = _assert_stack_matches_blocks(b, stack, q)
             # bit for bit the refinement on np.linalg.qr
             assert np.array_equal(out, power_refine_qr(b, stack, q))
+            # and the same bits from a transposed view of the stack as
+            # from its contiguous copy, each in a fresh run
+            for p in (view, stack):
+                monkeypatch.setattr(proxy, "_last_run", None)
+                assert np.array_equal(power_refine(b, p, q), out)
             # the contract proxy_loss selects by: orthonormal or all zero
             for z in out[np.abs(out).max(axis=(1, 2)) != 0.0]:
                 assert np.abs(z.T @ z - np.eye(z.shape[1])).max() <= 1e-12

@@ -65,6 +65,24 @@ def test_sparse_sketch_is_frozen_and_its_arrays_are_read_only():
     sk.dense()[0, 0] = np.nan  # the dense form is the caller's own
 
 
+def test_with_values_shares_the_pattern_and_checks_the_values():
+    sk = random_sparse_sketch(4, 6, 2, 5)
+    values = np.arange(12.0).reshape(6, 2)
+    new = sk.with_values(values)
+    assert new.pattern is sk.pattern
+    assert (new.m, new.n, new.s) == (sk.m, sk.n, sk.s)
+    values[0, 0] = np.nan  # a copy of the values, read-only
+    assert new.values[0, 0] == 0.0 and not new.values.flags.writeable
+    np.testing.assert_array_equal(
+        new.dense(), SparseSketch(4, 6, 2, sk.pattern, np.arange(12.0).reshape(6, 2)).dense())
+    assert np.array_equal(sk.values, random_sparse_sketch(4, 6, 2, 5).values)
+    for bad, match in [(np.full((6, 2), np.inf), "^values contains non-finite"),
+                       (np.ones((6, 1)), r"^values must have shape \(6, 2\)"),
+                       (np.ones((6, 2), dtype=complex), "^values must have a real dtype")]:
+        with pytest.raises((ValueError, TypeError), match=match):
+            sk.with_values(bad)
+
+
 def test_sparse_sketch_takes_integral_float_and_numpy_integer_fields():
     sk = SparseSketch(np.int64(2), 3, 1, np.array([[1.0], [0.0], [1.0]]),
                       np.ones((3, 1)))
